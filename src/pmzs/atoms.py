@@ -21,12 +21,13 @@ from __future__ import annotations
 import hashlib
 import json
 import math
+import os
 from dataclasses import dataclass
 from functools import lru_cache
 from pathlib import Path
 from typing import Iterable
 
-from .errors import DomainError, ResourceLimitError
+from .errors import DomainError, PmzsError, ResourceLimitError
 from .groups import Group, GroupElement, davenport, fold_negatives, signed_shift_mask, subgroup_generated
 from .limits import DEFAULT_LIMITS, Limits
 from .notation import format_group, parse_group, subset_from_json, subset_to_json
@@ -185,21 +186,57 @@ class AtomCache:
         return self.directory / f"atoms-{digest}.json"
 
     def load(self, group: Group, ground_indices: tuple[int, ...], bound: int) -> AtomSet | None:
+        """The stored atom set, or None on a miss.
+
+        An entry that cannot be read, decoded or parsed, or that describes a
+        different group, ground set or bound, counts as a miss.
+        """
         path = self._path(group, ground_indices, bound)
-        if not path.exists():
+        try:
+            data = json.loads(path.read_text())
+            if data.get("version") != CACHE_VERSION:
+                return None
+            atom_set = AtomSet.from_json_dict(data)
+        except (OSError, ValueError, KeyError, TypeError, AttributeError, PmzsError):
             return None
-        data = json.loads(path.read_text())
-        if data.get("version") != CACHE_VERSION:
-            return None
-        atom_set = AtomSet.from_json_dict(data)
-        if atom_set.group != group or atom_set.bound != bound:
-            return None
-        return atom_set
+        width = len(ground_indices)
+        valid = (
+            atom_set.group == group
+            and atom_set.bound == bound
+            and tuple(g.index for g in atom_set.ground) == ground_indices
+            and all(len(v) == width and all(m >= 0 for m in v) for v in atom_set.vectors)
+        )
+        return atom_set if valid else None
 
     def store(self, atom_set: AtomSet) -> None:
+        """Write the entry atomically, so an interrupted run never leaves a partial file."""
         ground_indices = tuple(g.index for g in atom_set.ground)
         path = self._path(atom_set.group, ground_indices, atom_set.bound)
-        path.write_text(json.dumps(atom_set.to_json_dict(), sort_keys=True))
+        tmp = path.with_name(f"{path.name}.{os.getpid()}.tmp")
+        try:
+            tmp.write_text(json.dumps(atom_set.to_json_dict(), sort_keys=True))
+            os.replace(tmp, path)
+        finally:
+            tmp.unlink(missing_ok=True)
+
+
+def atom_length_bound(group: Group, ground_indices: tuple[int, ...], limits: Limits = DEFAULT_LIMITS) -> int:
+    """Davenport bound on atom lengths over a nonzero ground set, within the caps.
+
+    Raises :class:`ResourceLimitError` when the support size or the length
+    bound exceeds the configured caps.
+    """
+    if len(ground_indices) > limits.max_support:
+        raise ResourceLimitError(
+            f"atom enumeration capped at {limits.max_support} support elements, got {len(ground_indices)}"
+        )
+    _, span = subgroup_generated(group, [group.element_at(i) for i in ground_indices])
+    bound = davenport(span, max_order=limits.max_davenport_order)
+    if bound > limits.max_atom_length:
+        raise ResourceLimitError(
+            f"atom length bound {bound} exceeds the cap {limits.max_atom_length} for {format_group(group)}"
+        )
+    return bound
 
 
 def enumerate_atoms(
@@ -225,20 +262,11 @@ def enumerate_atoms(
         else:
             indices.add(g.index)
     ground_indices = tuple(sorted(indices))
-    if len(ground_indices) > limits.max_support:
-        raise ResourceLimitError(
-            f"atom enumeration capped at {limits.max_support} support elements, got {len(ground_indices)}"
-        )
+    bound = atom_length_bound(group, ground_indices, limits)
     ground = tuple(group.element_at(i) for i in ground_indices)
-    _, span = subgroup_generated(group, ground)
-    bound = davenport(span, max_order=limits.max_davenport_order)
-    if bound > limits.max_atom_length:
-        raise ResourceLimitError(
-            f"atom length bound {bound} exceeds the cap {limits.max_atom_length} for {format_group(group)}"
-        )
     if cache is not None:
         cached = cache.load(group, ground_indices, bound)
-        if cached is not None and tuple(g.index for g in cached.ground) == ground_indices:
+        if cached is not None:
             return AtomSet(group, ground, cached.vectors, includes_zero, bound)
     vectors = tuple(_enumerate_atom_vectors(group, ground_indices, bound))
     atom_set = AtomSet(group, ground, vectors, includes_zero, bound)

@@ -50,12 +50,20 @@ def _env_default(name: str, fallback):
     return value if value is not None else fallback
 
 
+def _positive_int(text: str) -> int:
+    value = int(text)  # argparse turns a ValueError into a usage error
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"expected a positive integer, got {text!r}")
+    return value
+
+
 def _build_parser() -> _Parser:
     parser = _Parser(prog="pmzs", description="Invariants of plus-minus weighted zero-sum sequence monoids.")
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--format", choices=["table", "json", "csv"], default=_env_default("FORMAT", "table"))
     common.add_argument("--cache-dir", default=_env_default("CACHE_DIR", None))
-    common.add_argument("--jobs", type=int, default=int(_env_default("JOBS", "1")))
+    # a string default goes through ``type`` too, so PMZS_JOBS is checked like --jobs
+    common.add_argument("--jobs", type=_positive_int, default=_env_default("JOBS", "1"))
     common.add_argument("--max-atom-len", type=int, default=int(_env_default("MAX_ATOM_LEN", str(DEFAULT_LIMITS.max_atom_length))))
     common.add_argument("--max-order", type=int, default=int(_env_default("MAX_ORDER", str(DEFAULT_LIMITS.max_sweep_order))),
                         help="largest group order swept completely by delta-star")

@@ -3,25 +3,30 @@
 Every divisor-closed submonoid of the signed zero-sum monoid over G is the
 signed zero-sum monoid over some subset of G, so the set of minimal distances
 is swept by running the kernel computation over subsets of the nonzero
-elements.  Two reductions cut the sweep down:
+elements.  Two facts about these monoids cut the sweep down:
 
 * orbit reduction: an automorphism of G maps the monoid over S isomorphically
   onto the monoid over phi(S), and folding an element onto its negative
-  preserves all sets of lengths, so only one canonical representative per
-  orbit is evaluated;
-* for odd elementary p-groups, any subset whose support lines are linearly
-  dependent has minimal distance 1 and can be recorded without enumeration
-  (toggleable for verification runs).
+  preserves all sets of lengths, so the sweep enumerates the subsets of the
+  folded universe and evaluates one canonical representative per orbit;
+* inheritance: for S a subset of T, the monoid over S is divisor-closed in the
+  monoid over T, so Delta(S) is contained in Delta(T).  The kernel computation
+  yields gcd Delta, which equals min Delta, so a subset with value 1 has 1 in
+  its distance set and forces the value 1 on every superset.  Representatives
+  are visited level by level by size, and one that drops an element onto a
+  value-1 row is recorded as 1 without atom enumeration (``prune=False``
+  evaluates every representative, as a reference path).
 """
 
 from __future__ import annotations
 
 import math
 from concurrent.futures import ProcessPoolExecutor
+from contextlib import nullcontext
 from dataclasses import dataclass, field
-from itertools import combinations_with_replacement
+from itertools import combinations, combinations_with_replacement, groupby
 
-from .atoms import AtomCache, davenport_monoid
+from .atoms import AtomCache, atom_length_bound, davenport_monoid
 from .errors import ResourceLimitError
 from .groups import (
     Group,
@@ -40,23 +45,14 @@ from .relations import min_delta
 # -- canonical subsets and orbits -------------------------------------------------
 
 
-def _fold_canonical(group: Group, indices: tuple[int, ...]) -> tuple[int, ...]:
-    return fold_negatives(group, indices)
-
-
 def canonical_subset(
     group: Group, indices: tuple[int, ...], auts: list[tuple[int, ...]] | None
 ) -> tuple[int, ...]:
     """Lexicographically least image of the subset under automorphisms and sign folding."""
     if auts is None:
-        return _fold_canonical(group, indices)
-    best = None
-    for perm in auts:
-        image = _fold_canonical(group, tuple(perm[i] for i in indices))
-        key = (len(image), image)
-        if best is None or key < best:
-            best = key
-    return best[1]
+        return fold_negatives(group, indices)
+    # automorphisms commute with negation, so every folded image has the same size
+    return min(fold_negatives(group, tuple(perm[i] for i in indices)) for perm in auts)
 
 
 def _automorphisms_or_none(group: Group, limits: Limits) -> list[tuple[int, ...]] | None:
@@ -66,60 +62,27 @@ def _automorphisms_or_none(group: Group, limits: Limits) -> list[tuple[int, ...]
         return None
 
 
+def _by_size(subsets) -> list[tuple[int, ...]]:
+    return sorted(subsets, key=lambda s: (len(s), s))
+
+
+def _orbit_representatives(group: Group, auts: list[tuple[int, ...]] | None) -> list[tuple[int, ...]]:
+    # every subset folds onto a subset of the folded universe with the same image
+    universe = fold_negatives(group, range(1, group.order))
+    reps = set()
+    for bits in range(1, 1 << len(universe)):
+        subset = tuple(u for i, u in enumerate(universe) if (bits >> i) & 1)
+        reps.add(canonical_subset(group, subset, auts))
+    return _by_size(reps)
+
+
 def subset_orbits(group: Group, *, limits: Limits = DEFAULT_LIMITS) -> list[tuple[int, ...]]:
     """Canonical representatives of the nonempty subsets of G minus 0.
 
     Representatives are ordered by (size, index tuple).  Falls back to sign
     folding alone when the automorphism group is over the enumeration cap.
     """
-    auts = _automorphisms_or_none(group, limits)
-    n = group.order
-    reps = set()
-    nonzero = list(range(1, n))
-    for bits in range(1, 1 << len(nonzero)):
-        subset = tuple(nonzero[i] for i in range(len(nonzero)) if (bits >> i) & 1)
-        reps.add(canonical_subset(group, subset, auts))
-    return sorted(reps, key=lambda s: (len(s), s))
-
-
-# -- elementary p-group shortcut ---------------------------------------------------
-
-
-def _odd_elementary_prime(group: Group) -> int | None:
-    if group.rank == 0:
-        return None
-    factors = set(group.invariant_factors)
-    if len(factors) != 1:
-        return None
-    (p,) = factors
-    if p % 2 == 1 and _prime_factorization(p) == {p: 1}:
-        return p
-    return None
-
-
-def _lines_dependent(group: Group, indices: tuple[int, ...], p: int) -> bool:
-    """Over an odd elementary p-group: True when the support lines are dependent.
-
-    Subsets splitting into independent cyclic directions are the only ones
-    that can have minimal distance above 1, so a dependent support forces 1.
-    """
-    lines = set()
-    for i in indices:
-        coords = list(group.element_at(i).coords)
-        lead = next(c for c in coords if c)  # nonzero element, some coord is nonzero
-        inv = pow(lead, -1, p)
-        lines.add(tuple((inv * c) % p for c in coords))
-    basis: list[list[int]] = []
-    for line in lines:
-        vec = list(line)
-        for b in basis:
-            lead_pos = next(i for i, c in enumerate(b) if c)
-            if vec[lead_pos]:
-                factor = (vec[lead_pos] * pow(b[lead_pos], -1, p)) % p
-                vec = [(a - factor * c) % p for a, c in zip(vec, b)]
-        if any(vec):
-            basis.append(vec)
-    return len(basis) < len(lines)
+    return _orbit_representatives(group, _automorphisms_or_none(group, limits))
 
 
 # -- sweep -------------------------------------------------------------------------
@@ -159,17 +122,10 @@ class DeltaStarReport:
         }
 
 
-def _evaluate_subset(
-    group: Group,
-    rep: tuple[int, ...],
-    limits: Limits,
-    prune: bool,
-    cache: AtomCache | None,
-) -> tuple[tuple[int, ...], int | None, str | None]:
-    if prune:
-        p = _odd_elementary_prime(group)
-        if p is not None and _lines_dependent(group, rep, p):
-            return rep, 1, None
+Row = tuple[tuple[int, ...], int | None, str | None]
+
+
+def _evaluate_subset(group: Group, rep: tuple[int, ...], limits: Limits, cache: AtomCache | None) -> Row:
     try:
         value = min_delta(group, [group.element_at(i) for i in rep], limits=limits, cache=cache)
         return rep, value, None
@@ -177,11 +133,22 @@ def _evaluate_subset(
         return rep, None, str(exc)
 
 
-def _sweep_worker(payload) -> tuple[tuple[int, ...], int | None, str | None]:
-    factors, rep, limits, prune, cache_dir = payload
+def _inherited_row(group: Group, rep: tuple[int, ...], limits: Limits) -> Row:
+    """Value 1 for a representative over a value-1 subset, unless atom
+    enumeration over it would hit a cap: a capped subset is skipped whether
+    or not it inherits, so the report does not depend on ``prune``."""
+    try:
+        atom_length_bound(group, rep, limits)
+        return rep, 1, None
+    except ResourceLimitError as exc:
+        return rep, None, str(exc)
+
+
+def _sweep_worker(payload) -> Row:
+    factors, rep, limits, cache_dir = payload
     group = make_group(factors)
     cache = AtomCache(cache_dir) if cache_dir else None
-    return _evaluate_subset(group, rep, limits, prune, cache)
+    return _evaluate_subset(group, rep, limits, cache)
 
 
 def _heuristic_subsets(group: Group, limits: Limits) -> list[tuple[int, ...]]:
@@ -192,7 +159,7 @@ def _heuristic_subsets(group: Group, limits: Limits) -> list[tuple[int, ...]]:
     """
     universe = fold_negatives(group, range(1, group.order))
     reps = {(i,) for i in universe}
-    reps.update({tuple(sorted(pair)) for pair in combinations_with_replacement(universe, 2) if pair[0] != pair[1]})
+    reps.update(combinations(universe, 2))
     basis = []
     offset = [0] * group.rank
     for pos, n in enumerate(group.invariant_factors):
@@ -205,7 +172,7 @@ def _heuristic_subsets(group: Group, limits: Limits) -> list[tuple[int, ...]]:
         even_zero = group.element(tuple(offset))
         construction = tuple(sorted({even_zero.index, *(g.index for g in basis)}))
         reps.add(fold_negatives(group, construction))
-    return sorted(reps, key=lambda s: (len(s), s))
+    return _by_size(reps)
 
 
 def delta_star(
@@ -222,29 +189,43 @@ def delta_star(
     Complete for groups with order within the sweep cap; larger groups run in
     targeted mode over a heuristic subset family (or caller-given subsets)
     and are flagged incomplete.  Resource failures land in ``skipped``, never
-    in the value table.
+    in the value table.  With ``prune``, a representative that drops one
+    element onto a value-1 row already in the table is recorded as 1 without
+    atom enumeration.
     """
-    if subsets is not None:
-        auts = _automorphisms_or_none(group, limits)
-        reps = sorted(
-            {canonical_subset(group, tuple(sorted(set(s))), auts) for s in subsets},
-            key=lambda s: (len(s), s),
-        )
-        complete = False
-    elif group.order <= limits.max_sweep_order:
-        reps = subset_orbits(group, limits=limits)
-        complete = True
-    else:
+    if subsets is None and group.order > limits.max_sweep_order:
+        auts = None  # the heuristic family is canonical under sign folding only
         reps = _heuristic_subsets(group, limits)
-        complete = False
+    else:
+        auts = _automorphisms_or_none(group, limits)
+        if subsets is None:
+            reps = _orbit_representatives(group, auts)
+        else:
+            reps = _by_size({canonical_subset(group, tuple(sorted(set(s))), auts) for s in subsets})
+    complete = subsets is None and group.order <= limits.max_sweep_order
 
     cache_dir = str(cache.directory) if cache is not None else None
-    if jobs > 1 and len(reps) > 1:
-        payloads = [(group.invariant_factors, rep, limits, prune, cache_dir) for rep in reps]
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
-            results = list(pool.map(_sweep_worker, payloads))
-    else:
-        results = [_evaluate_subset(group, rep, limits, prune, cache) for rep in reps]
+    ones: set[tuple[int, ...]] = set()
+    results: list[Row] = []
+    parallel = jobs > 1 and len(reps) > 1
+    with ProcessPoolExecutor(max_workers=jobs) if parallel else nullcontext() as pool:
+        # one size level at a time, so every one-smaller subset is already decided
+        for _, level in groupby(reps, key=len):
+            rows, pending = [], []
+            for rep in level:
+                # with no value-1 row yet, skip canonicalizing (C2^4 has 20,160 automorphisms)
+                if prune and ones and any(
+                    canonical_subset(group, rep[:i] + rep[i + 1:], auts) in ones for i in range(len(rep))
+                ):
+                    rows.append(_inherited_row(group, rep, limits))
+                else:
+                    pending.append(rep)
+            if pool is None:
+                rows += [_evaluate_subset(group, rep, limits, cache) for rep in pending]
+            else:
+                rows += pool.map(_sweep_worker, [(group.invariant_factors, rep, limits, cache_dir) for rep in pending])
+            ones.update(rep for rep, value, _ in rows if value == 1)
+            results += rows
 
     results.sort(key=lambda row: (len(row[0]), row[0]))
     table = []
@@ -345,6 +326,18 @@ def check_parity(group: Group, report: DeltaStarReport | None = None, *, limits:
     ok = has_even == (group.order % 2 == 0)
     details = {"computed": list(report.delta_star), "order_even": group.order % 2 == 0, "has_even": has_even}
     return CheckReport("parity-even-element", name, PASS if ok else FAIL, details)
+
+
+def _odd_elementary_prime(group: Group) -> int | None:
+    if group.rank == 0:
+        return None
+    factors = set(group.invariant_factors)
+    if len(factors) != 1:
+        return None
+    (p,) = factors
+    if p % 2 == 1 and _prime_factorization(p) == {p: 1}:
+        return p
+    return None
 
 
 def check_elementary_p_gcd(group: Group, report: DeltaStarReport | None = None, *, limits: Limits = DEFAULT_LIMITS) -> CheckReport:

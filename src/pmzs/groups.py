@@ -367,10 +367,11 @@ def is_independent(elements: Iterable[GroupElement]) -> bool:
 
 def subgroup_generated(group: Group, elements: Iterable[GroupElement]) -> tuple[ElementSet, Group]:
     """Closure of the given elements under addition, plus its abstract type."""
-    gens = [g.index for g in elements]
+    elements = list(elements)
     for g in elements:
         if g.group != group:
             raise DomainError("generators must belong to the given group")
+    gens = [g.index for g in elements]
     seen = {0}
     frontier = [0]
     add = group._add_table

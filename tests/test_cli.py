@@ -135,6 +135,29 @@ def test_cache_dir_flag(capsys, tmp_path):
     assert plain == cold
 
 
+def test_truncated_cache_entry_is_a_miss(capsys, tmp_path):
+    cache_dir = tmp_path / "cache"
+    argv = ("min-delta", "C8", "[(1),(3)]", "--cache-dir", str(cache_dir))
+    code, cold, _ = run_cli(capsys, *argv)
+    assert code == EXIT_OK
+    (entry,) = cache_dir.glob("atoms-*.json")
+    valid = entry.read_text()
+    entry.write_text(valid[:40])
+    code, again, _ = run_cli(capsys, *argv)
+    assert code == EXIT_OK and again == cold
+    assert entry.read_text() == valid
+    assert [p.name for p in cache_dir.iterdir()] == [entry.name]
+
+
+def test_jobs_below_one_rejected(capsys, monkeypatch):
+    for jobs in ("0", "-3"):
+        code, out, _ = run_cli(capsys, "delta-star", "C5", "--jobs", jobs)
+        assert code == EXIT_DOMAIN and out == ""
+    monkeypatch.setenv("PMZS_JOBS", "0")
+    code, out, _ = run_cli(capsys, "delta-star", "C5")
+    assert code == EXIT_DOMAIN and out == ""
+
+
 def test_verify_out_artifact(capsys, tmp_path):
     out_path = tmp_path / "report.json"
     code, _, _ = run_cli(capsys, "verify", "C3", "--out", str(out_path))

@@ -1,8 +1,10 @@
 """Orbit reduction, sweeps, theorem checkers, characterization reports."""
 
 import random
+from itertools import combinations
 
 from pmzs import (
+    Limits,
     canonical_subset,
     char_compare,
     char_invariants,
@@ -17,6 +19,7 @@ from pmzs import (
 )
 from pmzs.delta_star import NOT_APPLICABLE, PASS, _heuristic_subsets
 from pmzs.groups import automorphisms
+from helpers import small_group_list
 
 
 def indices(group, *coords_list):
@@ -100,9 +103,28 @@ def test_witnesses_point_at_achieving_subsets():
 
 
 def test_prune_toggle_identical_reports():
-    for spec in ("C3xC3", "C5", "C7"):
-        g = parse_group(spec)
-        assert delta_star(g, prune=True).to_json_dict() == delta_star(g, prune=False).to_json_dict()
+    # inheriting min delta = 1 from a subset against evaluating every representative;
+    # C4xC4 adds a representative skipped by the support cap on both paths
+    cases = [(g, Limits(max_sweep_order=12)) for g in small_group_list(12)]
+    cases.append((parse_group("C4xC4"), Limits(max_sweep_order=16)))
+    for g, limits in cases:
+        pruned = delta_star(g, limits=limits, prune=True).to_json_dict()
+        assert pruned == delta_star(g, limits=limits, prune=False).to_json_dict(), str(g)
+    assert pruned["complete"] is False and len(pruned["skipped"]) == 1
+
+
+def test_subset_orbits_match_unfolded_enumeration():
+    # the orbits come from the folded universe; the reference canonicalizes
+    # every nonempty subset of G minus 0
+    for group in small_group_list(12):
+        auts = automorphisms(group)
+        nonzero = range(1, group.order)
+        images = {
+            canonical_subset(group, subset, auts)
+            for size in range(1, group.order)
+            for subset in combinations(nonzero, size)
+        }
+        assert subset_orbits(group) == sorted(images, key=lambda s: (len(s), s)), str(group)
 
 
 def test_parallel_sweep_deterministic():

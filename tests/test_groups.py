@@ -95,6 +95,12 @@ def test_subgroup_generated():
     assert kind == g24
 
 
+def test_subgroup_generated_checks_members_of_a_generator():
+    # a one-shot iterator must still have its members checked against the group
+    with pytest.raises(DomainError):
+        subgroup_generated(make_group([4]), (x for x in [make_group([5]).element(1)]))
+
+
 def test_subgroup_size_of_independent_family():
     g = make_group([2, 4])
     fams = [
