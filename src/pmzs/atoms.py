@@ -152,8 +152,39 @@ def _enumerate_atom_vectors(group: Group, ground_indices: tuple[int, ...], bound
             vec[j] -= 1
 
     extend(0, 0, 1)
-    found.sort(key=lambda v: (sum(v), v))
+    found.sort(key=_atom_order)
     return found
+
+
+def _atom_order(vec: tuple[int, ...]) -> tuple[int, tuple[int, ...]]:
+    """Sort key of atom lists: by length, then by exponent vector."""
+    return sum(vec), vec
+
+
+def _is_valid_atom_list(
+    group: Group, ground_indices: tuple[int, ...], bound: int, vectors: tuple[tuple[int, ...], ...]
+) -> bool:
+    """True iff the vectors could be an enumerated atom list over the ground set.
+
+    Each vector must be a nonnegative exponent vector of the ground width with
+    a signed zero sum and length 2..bound, and the list must be strictly
+    increasing in :func:`_atom_order`, which also rules out duplicates.
+    Irreducibility and completeness are not re-checked.
+    """
+    width = len(ground_indices)
+    if not all(len(v) == width and all(m >= 0 for m in v) and 2 <= sum(v) <= bound for v in vectors):
+        return False
+    keys = [_atom_order(v) for v in vectors]
+    if any(a >= b for a, b in zip(keys, keys[1:])):
+        return False
+    for vec in vectors:
+        mask = 1
+        for gi, mult in zip(ground_indices, vec):
+            for _ in range(mult):
+                mask = signed_shift_mask(group, mask, gi)
+        if not mask & 1:
+            return False
+    return True
 
 
 @lru_cache(maxsize=4096)
@@ -188,8 +219,9 @@ class AtomCache:
     def load(self, group: Group, ground_indices: tuple[int, ...], bound: int) -> AtomSet | None:
         """The stored atom set, or None on a miss.
 
-        An entry that cannot be read, decoded or parsed, or that describes a
-        different group, ground set or bound, counts as a miss.
+        An entry that cannot be read, decoded or parsed, that describes a
+        different group, ground set or bound, or whose atom list fails
+        :func:`_is_valid_atom_list`, counts as a miss.
         """
         path = self._path(group, ground_indices, bound)
         try:
@@ -199,12 +231,11 @@ class AtomCache:
             atom_set = AtomSet.from_json_dict(data)
         except (OSError, ValueError, KeyError, TypeError, AttributeError, PmzsError):
             return None
-        width = len(ground_indices)
         valid = (
             atom_set.group == group
             and atom_set.bound == bound
             and tuple(g.index for g in atom_set.ground) == ground_indices
-            and all(len(v) == width and all(m >= 0 for m in v) for v in atom_set.vectors)
+            and _is_valid_atom_list(group, ground_indices, bound, atom_set.vectors)
         )
         return atom_set if valid else None
 

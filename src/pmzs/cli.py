@@ -42,6 +42,7 @@ EXIT_VERIFY = 3
 class _Parser(argparse.ArgumentParser):
     def error(self, message):
         self.print_usage(sys.stderr)
+        print(f"{self.prog}: error: {message}", file=sys.stderr)
         raise SystemExit(EXIT_DOMAIN)
 
 
@@ -51,10 +52,21 @@ def _env_default(name: str, fallback):
 
 
 def _positive_int(text: str) -> int:
-    value = int(text)  # argparse turns a ValueError into a usage error
+    try:
+        value = int(text)
+    except ValueError:
+        value = 0
     if value < 1:
         raise argparse.ArgumentTypeError(f"expected a positive integer, got {text!r}")
     return value
+
+
+def _env_flag(parser: _Parser, name: str) -> bool:
+    value = _env_default(name, "0")
+    try:
+        return bool(int(value))
+    except ValueError:
+        parser.error(f"PMZS_{name}: expected an integer, got {value!r}")
 
 
 def _build_parser() -> _Parser:
@@ -62,14 +74,14 @@ def _build_parser() -> _Parser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--format", choices=["table", "json", "csv"], default=_env_default("FORMAT", "table"))
     common.add_argument("--cache-dir", default=_env_default("CACHE_DIR", None))
-    # a string default goes through ``type`` too, so PMZS_JOBS is checked like --jobs
+    # a string default goes through ``type`` too, so a PMZS_* value is checked like its flag
     common.add_argument("--jobs", type=_positive_int, default=_env_default("JOBS", "1"))
-    common.add_argument("--max-atom-len", type=int, default=int(_env_default("MAX_ATOM_LEN", str(DEFAULT_LIMITS.max_atom_length))))
-    common.add_argument("--max-order", type=int, default=int(_env_default("MAX_ORDER", str(DEFAULT_LIMITS.max_sweep_order))),
+    common.add_argument("--max-atom-len", type=int, default=_env_default("MAX_ATOM_LEN", str(DEFAULT_LIMITS.max_atom_length)))
+    common.add_argument("--max-order", type=int, default=_env_default("MAX_ORDER", str(DEFAULT_LIMITS.max_sweep_order)),
                         help="largest group order swept completely by delta-star")
-    common.add_argument("--no-prune", action="store_true", default=bool(int(_env_default("NO_PRUNE", "0"))))
-    common.add_argument("--rho-cap", type=int, default=int(_env_default("RHO_CAP", str(DEFAULT_LIMITS.rho_cap))))
-    common.add_argument("--max-support", type=int, default=int(_env_default("MAX_SUPPORT", str(DEFAULT_LIMITS.max_support))))
+    common.add_argument("--no-prune", action="store_true", default=_env_flag(parser, "NO_PRUNE"))
+    common.add_argument("--rho-cap", type=int, default=_env_default("RHO_CAP", str(DEFAULT_LIMITS.rho_cap)))
+    common.add_argument("--max-support", type=int, default=_env_default("MAX_SUPPORT", str(DEFAULT_LIMITS.max_support)))
 
     sub = parser.add_subparsers(dest="command", required=True)
 
@@ -321,9 +333,8 @@ _COMMANDS = {
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = _build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _build_parser().parse_args(argv)
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else EXIT_DOMAIN
     try:

@@ -152,16 +152,24 @@ def delta_of_lengths(lengths: Iterable[int]) -> tuple[int, ...]:
 class Factorizer:
     """Factorization queries against a fixed complete atom set.
 
-    Depth-first search over atoms in index order with memoization on the
-    residual exponent vector, so repeated queries (for example all products
-    of two atoms) share work.
+    Lengths come from one memoized length-mask DP over residual exponent
+    vectors: ``mask(0) = 1`` and ``mask(r)`` is the OR of ``mask(r - a) << 1``
+    over the atoms ``a <= r``, so bit l is set iff r has a factorization of
+    length l (Geroldinger--Halter-Koch, *Non-Unique Factorizations*, 1.4).
+    A residual is packed into one int with a fixed-width field per ground
+    element and a guard bit on top of each field: ``d = (r | G) - a`` keeps
+    every guard bit iff ``a <= r``, and then ``d ^ G`` is ``r - a``.  The
+    fields are widened, and the memo dropped, when a query has a coordinate
+    that does not fit.  The full listing is kept for :meth:`factorizations`.
     """
 
-    def __init__(self, atom_set: AtomSet, *, memo_size: int = 1 << 17):
+    def __init__(self, atom_set: AtomSet):
         self.atom_set = atom_set
         self.vectors = atom_set.vectors
+        self._width = len(atom_set.ground)
+        self._set_field_bits((8 * max(atom_set.bound, 1)).bit_length())
 
-        @lru_cache(maxsize=memo_size)
+        @lru_cache(maxsize=1 << 17)
         def suffix_factorizations(residual: tuple[int, ...], start: int) -> tuple[tuple[int, ...], ...]:
             if not any(residual):
                 return ((),)
@@ -174,21 +182,45 @@ class Factorizer:
                         out.append((k,) + suffix)
             return tuple(out)
 
-        @lru_cache(maxsize=memo_size)
-        def longest_factorization(residual: tuple[int, ...]) -> int:
-            if not any(residual):
-                return 0
-            best = -1
-            for vec in self.vectors:
-                if all(a >= b for a, b in zip(residual, vec)):
-                    rest = tuple(a - b for a, b in zip(residual, vec))
-                    sub = longest_factorization(rest)
-                    if sub >= 0 and sub + 1 > best:
-                        best = sub + 1
-            return best
-
         self._suffixes = suffix_factorizations
-        self._longest = longest_factorization
+
+    def _set_field_bits(self, bits: int) -> None:
+        """Pack with ``bits``-wide fields, so every coordinate below 2**bits fits,
+        and start a fresh memo keyed on residuals packed that way."""
+        self._field_limit = 1 << bits
+        self._stride = bits + 1
+        guards = sum(1 << (i * self._stride + bits) for i in range(self._width))
+        atoms = tuple(self._pack(vec) for vec in self.vectors)
+        memo = {0: 1}
+
+        def mask(residual: int) -> int:
+            found = memo.get(residual)
+            if found is None:
+                found = 0
+                guarded = residual | guards
+                for atom in atoms:
+                    d = guarded - atom
+                    if d & guards == guards:
+                        found |= mask(d ^ guards) << 1
+                memo[residual] = found
+            return found
+
+        self._mask = mask
+
+    def _pack(self, vec: tuple[int, ...]) -> int:
+        return sum(c << (i * self._stride) for i, c in enumerate(vec))
+
+    def _mask_of(self, vec: tuple[int, ...]) -> int:
+        """Bitmask of the factorization lengths of an exponent vector over the atoms."""
+        if len(vec) != self._width or min(vec, default=0) < 0:
+            raise DomainError(f"expected a nonnegative exponent vector of length {self._width}, got {vec}")
+        top = max(vec, default=0)
+        if top >= self._field_limit:
+            self._set_field_bits(top.bit_length())
+        lengths = self._mask(self._pack(vec))
+        if not lengths:
+            raise AssertionError("a signed zero-sum element failed to factor over a complete atom set")
+        return lengths
 
     def _vector_and_zeros(self, element: Sequence) -> tuple[tuple[int, ...], int]:
         if element.group != self.atom_set.group:
@@ -210,6 +242,7 @@ class Factorizer:
         return self.atom_set.vector_of(stripped), zeros
 
     def factorizations(self, element: Sequence) -> FactorizationSet:
+        """Every factorization, listed; only the ``lengths`` command needs the list."""
         vec, zeros = self._vector_and_zeros(element)
         raw = self._suffixes(vec, 0)
         if not raw and any(vec):
@@ -219,17 +252,16 @@ class Factorizer:
         return FactorizationSet(element, facs, lengths, delta_of_lengths(lengths))
 
     def length_set(self, element: Sequence) -> tuple[int, ...]:
-        return self.factorizations(element).lengths
+        vec, zeros = self._vector_and_zeros(element)
+        lengths = self._mask_of(vec)
+        return tuple(length + zeros for length in range(lengths.bit_length()) if lengths >> length & 1)
 
     def max_length(self, element: Sequence) -> int:
         vec, zeros = self._vector_and_zeros(element)
-        best = self._longest(vec)
-        if best < 0:
-            raise AssertionError("a signed zero-sum element failed to factor over a complete atom set")
-        return best + zeros
+        return self._mask_of(vec).bit_length() - 1 + zeros
 
     def max_length_of_vector(self, vec: tuple[int, ...]) -> int:
-        return self._longest(vec)
+        return self._mask_of(vec).bit_length() - 1
 
 
 def factorizations(element: Sequence, atom_set: AtomSet) -> FactorizationSet:
@@ -237,11 +269,11 @@ def factorizations(element: Sequence, atom_set: AtomSet) -> FactorizationSet:
 
 
 def length_set(element: Sequence, atom_set: AtomSet) -> tuple[int, ...]:
-    return factorizations(element, atom_set).lengths
+    return Factorizer(atom_set).length_set(element)
 
 
 def delta_of_element(element: Sequence, atom_set: AtomSet) -> tuple[int, ...]:
-    return factorizations(element, atom_set).delta
+    return delta_of_lengths(length_set(element, atom_set))
 
 
 def is_half_factorial(

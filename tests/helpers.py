@@ -70,9 +70,14 @@ def _lengths_recursion(atom_vectors: tuple[tuple[int, ...], ...], memo: dict):
     return rec
 
 
-def brute_factorization_lengths(vec: tuple[int, ...], atom_vectors: tuple[tuple[int, ...], ...]) -> set[int]:
-    """All factorization lengths of an exponent vector over the given atoms."""
-    return set(_lengths_recursion(atom_vectors, {})(tuple(vec)))
+def brute_factorization_lengths(
+    vec: tuple[int, ...], atom_vectors: tuple[tuple[int, ...], ...], memo: dict | None = None
+) -> set[int]:
+    """All factorization lengths of an exponent vector over the given atoms.
+
+    Pass the same ``memo`` to queries over the same atoms to share residuals.
+    """
+    return set(_lengths_recursion(atom_vectors, {} if memo is None else memo)(tuple(vec)))
 
 
 def gcd_of_length_differences_up_to_3(atom_vectors: tuple[tuple[int, ...], ...]) -> int | None:

@@ -1,5 +1,6 @@
 """Atomicity, complete atom enumeration, length profiles, monoid Davenport."""
 
+import json
 import random
 from itertools import product
 
@@ -195,6 +196,28 @@ def test_atom_cache_round_trip(tmp_path):
     warm = enumerate_atoms(g8, subset, cache=cache)
     assert cold == warm
     assert list(tmp_path.glob("atoms-*.json"))
+
+
+@pytest.mark.parametrize("tamper", [
+    lambda atoms: atoms + [[5, 0]],  # e^5: an odd number of terms +-e never sums to 0 in C8
+    lambda atoms: atoms + [[10, 0]],  # a signed zero sum longer than the bound D(C8) = 8
+    lambda atoms: [[0, 0]] + atoms,  # the empty sequence, shorter than 2
+    lambda atoms: atoms[:1] + atoms,  # a duplicate
+    lambda atoms: atoms[::-1],  # out of (length, vector) order
+])
+def test_tampered_cache_entry_is_rejected(tmp_path, tamper):
+    g8 = make_group([8])
+    subset = parse_subset(g8, "[(1),(3)]")
+    cache = AtomCache(tmp_path)
+    cold = enumerate_atoms(g8, subset, cache=cache)
+    ground = tuple(g.index for g in cold.ground)
+    assert cache.load(g8, ground, cold.bound) is not None
+    (entry,) = tmp_path.glob("atoms-*.json")
+    data = json.loads(entry.read_text())
+    data["atoms"] = tamper(data["atoms"])
+    entry.write_text(json.dumps(data))
+    assert cache.load(g8, ground, cold.bound) is None
+    assert enumerate_atoms(g8, subset, cache=cache) == cold
 
 
 def test_atom_set_json_round_trip():

@@ -2,6 +2,8 @@
 
 import json
 
+import pytest
+
 from pmzs.cli import EXIT_DOMAIN, EXIT_OK, EXIT_RESOURCE, EXIT_VERIFY, main
 
 
@@ -149,6 +151,21 @@ def test_truncated_cache_entry_is_a_miss(capsys, tmp_path):
     assert [p.name for p in cache_dir.iterdir()] == [entry.name]
 
 
+def test_tampered_cache_entry_is_a_miss(capsys, tmp_path):
+    cache_dir = tmp_path / "cache"
+    argv = ("min-delta", "C8", "[(1),(3)]", "--cache-dir", str(cache_dir))
+    code, cold, _ = run_cli(capsys, *argv)
+    assert code == EXIT_OK and "min delta = 2" in cold
+    (entry,) = cache_dir.glob("atoms-*.json")
+    valid = entry.read_text()
+    data = json.loads(valid)
+    data["atoms"][-1] = [1, 1]  # e + 3e: no signed zero sum in C8
+    entry.write_text(json.dumps(data, sort_keys=True))
+    code, again, _ = run_cli(capsys, *argv)
+    assert code == EXIT_OK and again == cold
+    assert entry.read_text() == valid
+
+
 def test_jobs_below_one_rejected(capsys, monkeypatch):
     for jobs in ("0", "-3"):
         code, out, _ = run_cli(capsys, "delta-star", "C5", "--jobs", jobs)
@@ -175,3 +192,25 @@ def test_no_prune_flag_same_output(capsys):
     code2, unpruned, _ = run_cli(capsys, "delta-star", "C3xC3", "--no-prune", "--format", "json")
     assert code == code2 == EXIT_OK
     assert pruned == unpruned
+
+
+def test_usage_error_names_the_argument(capsys):
+    code, out, err = run_cli(capsys, "delta-star", "C5", "--jobs", "x")
+    assert code == EXIT_DOMAIN and out == ""
+    assert err.startswith("usage: pmzs delta-star")
+    assert "pmzs delta-star: error: argument --jobs" in err
+
+
+@pytest.mark.parametrize("name, value", [
+    ("MAX_ATOM_LEN", "abc"),
+    ("MAX_ORDER", "abc"),
+    ("NO_PRUNE", "yes"),
+    ("RHO_CAP", "1.5"),
+    ("MAX_SUPPORT", ""),
+    ("JOBS", "x"),
+])
+def test_bad_env_values_are_usage_errors(capsys, monkeypatch, name, value):
+    monkeypatch.setenv(f"PMZS_{name}", value)
+    code, out, err = run_cli(capsys, "group", "C4")
+    assert code == EXIT_DOMAIN and out == ""
+    assert "error:" in err and "Traceback" not in err

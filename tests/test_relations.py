@@ -2,6 +2,7 @@
 
 import math
 import random
+from itertools import combinations_with_replacement
 
 import pytest
 
@@ -24,8 +25,9 @@ from pmzs import (
     parse_subset,
     rho_k,
 )
+from pmzs.limits import Limits
 from pmzs.relations import Factorizer, delta_of_lengths
-from helpers import gcd_of_length_differences_up_to_3, small_group_list
+from helpers import brute_factorization_lengths, gcd_of_length_differences_up_to_3, small_group_list
 
 
 def subset_of(spec, literal):
@@ -157,6 +159,72 @@ def test_atom_square_contains_two_and_length():
             atom_seq = atoms.sequence(k)
             lengths = set(fz.length_set(atom_seq.power(2)))
             assert {2, len(atom_seq)} <= lengths
+
+
+def _length_instances():
+    """Atom sets of the nonzero sets of all groups of order <= 8, then the goldens."""
+    for group in small_group_list(8):
+        yield enumerate_atoms(group, [group.element_at(i) for i in range(1, group.order)])
+    for spec, literal in [("C5", "[(1)]"), ("C8", "[(1),(3)]"), ("C17", "[(1),(4)]")]:
+        yield enumerate_atoms(*subset_of(spec, literal))
+
+
+def _assert_lengths_agree(fz, element, oracle_memo):
+    """The length-mask DP against the full listing and the brute-force oracle."""
+    atoms = fz.atom_set
+    listed = fz.factorizations(element).lengths
+    oracle = tuple(sorted(brute_factorization_lengths(atoms.vector_of(element), atoms.vectors, oracle_memo)))
+    assert fz.length_set(element) == listed == oracle, str(element)
+    assert length_set(element, atoms) == listed
+    assert fz.max_length(element) == max(listed)
+
+
+def test_length_set_of_atom_squares_matches_listing_and_oracle():
+    checked = 0
+    for atoms in _length_instances():
+        fz, memo = Factorizer(atoms), {}
+        for k in range(len(atoms)):
+            _assert_lengths_agree(fz, atoms.sequence(k).power(2), memo)
+            checked += 1
+    assert checked >= 450
+
+
+def test_length_set_of_three_atom_products_matches_listing_and_oracle():
+    rng = random.Random(29)
+    for atoms in _length_instances():
+        if len(atoms) > 200:
+            continue  # C7: listing one product of three of its 221 atoms takes about a second
+        fz, memo = Factorizer(atoms), {}
+        for _ in range(12):
+            a, b, c = (atoms.sequence(rng.randrange(len(atoms))) for _ in range(3))
+            _assert_lengths_agree(fz, a.concat(b).concat(c), memo)
+
+
+def test_rho_k_above_the_element_cap_matches_oracle():
+    # k * bound outgrows the fields sized for element queries (8 * bound) at k = 11 in C3
+    g3 = make_group([3])
+    subset = [g3.element(1)]  # the nonzero set folds onto it
+    limits = Limits(rho_cap=12)
+    atoms = enumerate_atoms(g3, subset)
+    for k in range(9, 13):
+        oracle = max(
+            max(brute_factorization_lengths(tuple(map(sum, zip(*combo))), atoms.vectors))
+            for combo in combinations_with_replacement(atoms.vectors, k)
+        )
+        assert rho_k(g3, subset, k, limits=limits) == oracle == (3 * k) // 2
+        assert rho_k(g3, [g3.element(1), g3.element(2)], k, limits=limits) == oracle
+
+
+def test_max_length_of_vector_after_widening():
+    group, subset = subset_of("C8", "[(1),(3)]")
+    atoms = enumerate_atoms(group, subset)
+    fz = Factorizer(atoms)
+    small, wide = (4, 4), (40, 200)  # 200 needs wider fields than the 8 * 8 element cap
+    before = fz.max_length_of_vector(small)
+    assert fz.max_length_of_vector(wide) == max(brute_factorization_lengths(wide, atoms.vectors))
+    assert fz.max_length_of_vector(small) == before == max(brute_factorization_lengths(small, atoms.vectors))
+    with pytest.raises(DomainError):
+        fz.max_length_of_vector((1, -1))
 
 
 def test_is_half_factorial():
