@@ -2,11 +2,17 @@
 of plus-minus weighted zero-sum sequences over a subset of a finite abelian group.
 
 The enumeration walks exponent vectors over the ground set depth first with
-non-decreasing ground index, so every multiset is visited exactly once.  The
-set of signed sums of the current prefix is carried down the recursion as a
-bitmask and extended in O(|G|) per added term.  Every signed-zero-sum node is
-tested for irreducibility by searching for a proper nonempty split into two
-signed-zero-sum parts, again with incrementally maintained sum sets.
+non-decreasing ground index, so every multiset up to the length bound is
+visited exactly once.  The set of signed sums of the current prefix is carried
+down the recursion as a bitmask and extended in O(|G|) per added term, and
+every signed zero sum is collected into one set.  Irreducibility is then
+decided against earlier atoms, as in the completion step of Hilbert-basis
+algorithms: taken in order of length, a zero sum v is an atom iff no atom a
+already kept, with a <= v, leaves a remainder v - a that is a zero sum.  The
+rule is exact.  If v = c * (v - c) with c a proper zero-sum divisor, then c =
+a * (c - a) for some atom a, and v - a = (c - a) * (v - c) is a shorter zero
+sum, so it is in the set.  :func:`is_atom` runs the same rule over the
+sub-multisets of the queried sequence.
 
 Atom lengths are bounded by the Davenport constant of the subgroup generated
 by the ground set: in any longer signed zero sum, the first length-minus-one
@@ -24,6 +30,7 @@ import math
 import os
 from dataclasses import dataclass
 from functools import lru_cache
+from operator import sub
 from pathlib import Path
 from typing import Iterable
 
@@ -105,55 +112,38 @@ class LengthProfile:
     gcd_lengths_minus_2: int
 
 
-def _has_proper_pm_split(group: Group, ground_indices: tuple[int, ...], vec) -> bool:
-    """True iff the sequence splits as C * R with C, R nonempty and both
-    admitting signed zero sums.
+def _enumerate_atom_vectors(
+    group: Group, ground_indices: tuple[int, ...], bound: int, caps: tuple[int, ...]
+) -> list[tuple[int, ...]]:
+    """Atoms among the exponent vectors v <= caps of length at most bound, in
+    :func:`_atom_order`, by the earlier-atom rule of the module docstring.
 
-    Walks all sub-multisets, carrying the signed-sum masks of both sides and
-    stopping at the first witness.
+    Every remainder v - a is shorter than v and within the caps, so the one
+    set of zero sums collected here answers every lookup.
     """
-    positions = [i for i, m in enumerate(vec) if m]
-
-    def split(i: int, mask_c: int, mask_r: int, took_c: int, took_r: int) -> bool:
-        if i == len(positions):
-            return took_c > 0 and took_r > 0 and mask_c & 1 == 1 and mask_r & 1 == 1
-        p = positions[i]
-        gi = ground_indices[p]
-        v = vec[p]
-        rest = [mask_r]
-        for _ in range(v):
-            rest.append(signed_shift_mask(group, rest[-1], gi))
-        mc = mask_c
-        for k in range(v + 1):
-            if k:
-                mc = signed_shift_mask(group, mc, gi)
-            if split(i + 1, mc, rest[v - k], took_c + k, took_r + v - k):
-                return True
-        return False
-
-    return split(0, 1, 1, 0, 0)
-
-
-def _enumerate_atom_vectors(group: Group, ground_indices: tuple[int, ...], bound: int) -> list[tuple[int, ...]]:
     n = len(ground_indices)
     vec = [0] * n
-    found: list[tuple[int, ...]] = []
+    zero_sums: set[tuple[int, ...]] = set()
 
     def extend(min_pos: int, length: int, mask: int) -> None:
-        if length >= 2 and mask & 1:
-            if not _has_proper_pm_split(group, ground_indices, vec):
-                found.append(tuple(vec))
+        if length and mask & 1:
+            zero_sums.add(tuple(vec))
         if length == bound:
             return
         for j in range(min_pos, n):
-            new_mask = signed_shift_mask(group, mask, ground_indices[j])
-            vec[j] += 1
-            extend(j, length + 1, new_mask)
-            vec[j] -= 1
+            if vec[j] < caps[j]:
+                new_mask = signed_shift_mask(group, mask, ground_indices[j])
+                vec[j] += 1
+                extend(j, length + 1, new_mask)
+                vec[j] -= 1
 
     extend(0, 0, 1)
-    found.sort(key=_atom_order)
-    return found
+    atoms: list[tuple[int, ...]] = []
+    for v in sorted(zero_sums, key=_atom_order):
+        # a remainder with a negative entry (a not <= v) is never in the set
+        if not any(tuple(map(sub, v, a)) in zero_sums for a in atoms):
+            atoms.append(v)
+    return atoms
 
 
 def _atom_order(vec: tuple[int, ...]) -> tuple[int, tuple[int, ...]]:
@@ -169,7 +159,9 @@ def _is_valid_atom_list(
     Each vector must be a nonnegative exponent vector of the ground width with
     a signed zero sum and length 2..bound, and the list must be strictly
     increasing in :func:`_atom_order`, which also rules out duplicates.
-    Irreducibility and completeness are not re-checked.
+    Completeness is checked only in part: for each ground element g the list
+    must hold g^2, and g^ord(g) when ord(g) is odd, since both are atoms by
+    definition.  Irreducibility is not re-checked.
     """
     width = len(ground_indices)
     if not all(len(v) == width and all(m >= 0 for m in v) and 2 <= sum(v) <= bound for v in vectors):
@@ -177,6 +169,12 @@ def _is_valid_atom_list(
     keys = [_atom_order(v) for v in vectors]
     if any(a >= b for a, b in zip(keys, keys[1:])):
         return False
+    listed = set(vectors)
+    for pos, gi in enumerate(ground_indices):
+        order = group.element_at(gi).order()
+        required = (2, order) if order % 2 else (2,)
+        if any(tuple(p if i == pos else 0 for i in range(width)) not in listed for p in required):
+            return False
     for vec in vectors:
         mask = 1
         for gi, mult in zip(ground_indices, vec):
@@ -191,17 +189,15 @@ def _is_valid_atom_list(
 def is_atom(seq: Sequence) -> bool:
     """True iff the sequence is an irreducible element of the signed zero-sum monoid.
 
+    Decided by the enumeration rule over the sub-multisets of the sequence.
     The single-term sequence (0) is an atom; any longer sequence containing 0
     splits off (0) and is reducible.
     """
-    length = len(seq)
-    if length == 0 or not seq.is_pm_zero_sum():
+    if not seq.is_pm_zero_sum():
         return False
-    if length == 1:
-        return seq.entries[0][0] == 0
     ground = tuple(idx for idx, _ in seq.entries)
     vec = tuple(mult for _, mult in seq.entries)
-    return not _has_proper_pm_split(seq.group, ground, vec)
+    return vec in _enumerate_atom_vectors(seq.group, ground, len(seq), vec)
 
 
 class AtomCache:
@@ -299,7 +295,7 @@ def enumerate_atoms(
         cached = cache.load(group, ground_indices, bound)
         if cached is not None:
             return AtomSet(group, ground, cached.vectors, includes_zero, bound)
-    vectors = tuple(_enumerate_atom_vectors(group, ground_indices, bound))
+    vectors = tuple(_enumerate_atom_vectors(group, ground_indices, bound, (bound,) * len(ground_indices)))
     atom_set = AtomSet(group, ground, vectors, includes_zero, bound)
     if cache is not None:
         cache.store(atom_set)

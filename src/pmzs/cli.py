@@ -19,7 +19,7 @@ import sys
 
 from .atoms import AtomCache, atom_length_profile, davenport_monoid, enumerate_atoms
 from .delta_star import FAIL, NOT_APPLICABLE, delta_star
-from .errors import DomainError, PmzsError, ResourceLimitError
+from .errors import PmzsError, ResourceLimitError
 from .groups import davenport, group_invariants
 from .limits import DEFAULT_LIMITS, Limits
 from .notation import (
@@ -69,10 +69,19 @@ def _env_flag(parser: _Parser, name: str) -> bool:
         parser.error(f"PMZS_{name}: expected an integer, got {value!r}")
 
 
+def _env_choice(parser: _Parser, name: str, choices: tuple[str, ...]) -> str:
+    """The PMZS_<name> value, or the first choice; argparse checks choices only on the command line."""
+    value = _env_default(name, choices[0])
+    if value not in choices:
+        parser.error(f"PMZS_{name}: expected one of {', '.join(choices)}, got {value!r}")
+    return value
+
+
 def _build_parser() -> _Parser:
     parser = _Parser(prog="pmzs", description="Invariants of plus-minus weighted zero-sum sequence monoids.")
     common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--format", choices=["table", "json", "csv"], default=_env_default("FORMAT", "table"))
+    formats = ("table", "json", "csv")
+    common.add_argument("--format", choices=formats, default=_env_choice(parser, "FORMAT", formats))
     common.add_argument("--cache-dir", default=_env_default("CACHE_DIR", None))
     # a string default goes through ``type`` too, so a PMZS_* value is checked like its flag
     common.add_argument("--jobs", type=_positive_int, default=_env_default("JOBS", "1"))
@@ -342,10 +351,7 @@ def main(argv: list[str] | None = None) -> int:
     except ResourceLimitError as exc:
         print(f"resource limit: {exc}", file=sys.stderr)
         return EXIT_RESOURCE
-    except DomainError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_DOMAIN
-    except PmzsError as exc:
+    except (PmzsError, OSError) as exc:  # OSError: an unwritable --out path or a --cache-dir that is a file
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_DOMAIN
 

@@ -15,6 +15,8 @@ from pmzs import (
     davenport_monoid,
     divides_pm,
     enumerate_atoms,
+    fold_negatives,
+    format_group,
     is_atom,
     make_group,
     parse_group,
@@ -48,9 +50,26 @@ def test_is_atom_matches_brute_force():
     rng = random.Random(5)
     for group in small_group_list(8):
         for _ in range(12):
-            terms = [group.element_at(rng.randrange(group.order)) for _ in range(rng.randrange(1, 5))]
+            terms = [group.element_at(rng.randrange(group.order)) for _ in range(rng.randrange(1, 7))]
             seq = Sequence.of(group, *terms)
             assert is_atom(seq) == brute_is_atom(seq), str(seq)
+
+
+def test_enumerate_atoms_matches_brute_force():
+    # C8 is left out: its oracle run alone takes about 5 s
+    for group in small_group_list(8):
+        if group.invariant_factors == (8,):
+            continue
+        ground = fold_negatives(group, range(1, group.order))
+        atoms = enumerate_atoms(group, [group.element_at(i) for i in ground])
+        indices = [g.index for g in atoms.ground]
+        expected = sorted(
+            (vec for vec in product(range(atoms.bound + 1), repeat=len(indices))
+             if sum(vec) <= atoms.bound
+             and brute_is_atom(Sequence(group, tuple((i, m) for i, m in zip(indices, vec) if m)))),
+            key=lambda v: (sum(v), v),
+        )
+        assert list(atoms.vectors) == expected, format_group(group)
 
 
 def test_enumerate_atoms_single_generator_c5():
@@ -204,6 +223,7 @@ def test_atom_cache_round_trip(tmp_path):
     lambda atoms: [[0, 0]] + atoms,  # the empty sequence, shorter than 2
     lambda atoms: atoms[:1] + atoms,  # a duplicate
     lambda atoms: atoms[::-1],  # out of (length, vector) order
+    lambda atoms: atoms[1:],  # (3e)^2 deleted: every g^2 is an atom
 ])
 def test_tampered_cache_entry_is_rejected(tmp_path, tamper):
     g8 = make_group([8])

@@ -166,6 +166,29 @@ def test_tampered_cache_entry_is_a_miss(capsys, tmp_path):
     assert entry.read_text() == valid
 
 
+def test_cache_entry_missing_an_atom_is_a_miss(capsys, tmp_path):
+    cache_dir = tmp_path / "cache"
+    argv = ("min-delta", "C5", "[(1)]", "--cache-dir", str(cache_dir))
+    code, cold, _ = run_cli(capsys, *argv)
+    assert code == EXIT_OK and "min delta = 3" in cold
+    (entry,) = cache_dir.glob("atoms-*.json")
+    valid = entry.read_text()
+    data = json.loads(valid)
+    data["atoms"].remove([5])  # e^5, an atom since ord(e) = 5 is odd
+    entry.write_text(json.dumps(data, sort_keys=True))
+    code, again, _ = run_cli(capsys, *argv)
+    assert code == EXIT_OK and again == cold
+    assert entry.read_text() == valid
+
+
+def test_cache_dir_naming_a_file_is_an_error(capsys, tmp_path):
+    not_a_dir = tmp_path / "file"
+    not_a_dir.write_text("")
+    code, out, err = run_cli(capsys, "min-delta", "C5", "[(1)]", "--cache-dir", str(not_a_dir))
+    assert code == EXIT_DOMAIN and out == ""
+    assert err.startswith("error:") and "Traceback" not in err
+
+
 def test_jobs_below_one_rejected(capsys, monkeypatch):
     for jobs in ("0", "-3"):
         code, out, _ = run_cli(capsys, "delta-star", "C5", "--jobs", jobs)
@@ -181,6 +204,12 @@ def test_verify_out_artifact(capsys, tmp_path):
     assert code == EXIT_OK
     data = json.loads(out_path.read_text())
     assert data["target"] == "C3" and data["passed"] is True
+
+
+def test_verify_out_in_missing_directory_is_an_error(capsys, tmp_path):
+    code, out, err = run_cli(capsys, "verify", "C5", "--out", str(tmp_path / "missing" / "x.json"))
+    assert code == EXIT_DOMAIN and out == ""
+    assert err.startswith("error:") and "Traceback" not in err
 
 
 def test_missing_subcommand(capsys):
@@ -208,6 +237,7 @@ def test_usage_error_names_the_argument(capsys):
     ("RHO_CAP", "1.5"),
     ("MAX_SUPPORT", ""),
     ("JOBS", "x"),
+    ("FORMAT", "xml"),
 ])
 def test_bad_env_values_are_usage_errors(capsys, monkeypatch, name, value):
     monkeypatch.setenv(f"PMZS_{name}", value)
