@@ -67,6 +67,7 @@ from .delta_star import (
     check_odd_order_sandwich,
     check_parity,
     delta_star,
+    folded_automorphisms,
     subset_orbits,
 )
 

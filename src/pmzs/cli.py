@@ -16,6 +16,7 @@ import io
 import json
 import os
 import sys
+from contextlib import nullcontext
 
 from .atoms import AtomCache, atom_length_profile, davenport_monoid, enumerate_atoms
 from .delta_star import FAIL, NOT_APPLICABLE, delta_star
@@ -87,7 +88,7 @@ def _build_parser() -> _Parser:
     common.add_argument("--jobs", type=_positive_int, default=_env_default("JOBS", "1"))
     common.add_argument("--max-atom-len", type=int, default=_env_default("MAX_ATOM_LEN", str(DEFAULT_LIMITS.max_atom_length)))
     common.add_argument("--max-order", type=int, default=_env_default("MAX_ORDER", str(DEFAULT_LIMITS.max_sweep_order)),
-                        help="largest group order swept completely by delta-star")
+                        help="largest group order whose delta-star report lists every orbit")
     common.add_argument("--no-prune", action="store_true", default=_env_flag(parser, "NO_PRUNE"))
     common.add_argument("--rho-cap", type=int, default=_env_default("RHO_CAP", str(DEFAULT_LIMITS.rho_cap)))
     common.add_argument("--max-support", type=int, default=_env_default("MAX_SUPPORT", str(DEFAULT_LIMITS.max_support)))
@@ -132,7 +133,7 @@ def _limits_from(args) -> Limits:
         max_support=args.max_support,
         max_atom_length=args.max_atom_len,
         max_davenport_order=DEFAULT_LIMITS.max_davenport_order,
-        max_automorphism_order=DEFAULT_LIMITS.max_automorphism_order,
+        max_automorphism_work=DEFAULT_LIMITS.max_automorphism_work,
         max_sweep_order=args.max_order,
         rho_cap=args.rho_cap,
     )
@@ -265,7 +266,8 @@ def _cmd_delta_star(args) -> int:
     values = "{" + ", ".join(map(str, report.delta_star)) + "}"
     lines = [
         f"delta*({format_group(group)}) = {values}   max = {report.max_delta}"
-        + ("" if report.complete else "   [partial sweep]"),
+        + ("" if report.complete else "   [partial sweep]")
+        + ("   [evaluated rows only]" if report.evaluated_only else ""),
     ]
     for subset, value in report.table:
         lines.append(f"  {format_subset(report.subset_elements(subset))}   min delta = {value}")
@@ -296,17 +298,18 @@ def _cmd_davenport(args) -> int:
 
 
 def _cmd_verify(args) -> int:
-    result = run_suite(
-        args.target,
-        limits=_limits_from(args),
-        jobs=args.jobs,
-        prune=not args.no_prune,
-        cache=_cache_from(args),
-    )
-    payload = result.to_json_dict()
-    if args.out:
-        with open(args.out, "w") as fh:
-            json.dump(payload, fh, sort_keys=True, indent=2)
+    # open --out first, so a bad path fails before the suite runs
+    with open(args.out, "w") if args.out else nullcontext() as out_file:
+        result = run_suite(
+            args.target,
+            limits=_limits_from(args),
+            jobs=args.jobs,
+            prune=not args.no_prune,
+            cache=_cache_from(args),
+        )
+        payload = result.to_json_dict()
+        if out_file is not None:
+            json.dump(payload, out_file, sort_keys=True, indent=2)
     if args.format == "json":
         print(json.dumps(payload, sort_keys=True, indent=2))
     elif args.format == "csv":

@@ -3,19 +3,29 @@
 Every divisor-closed submonoid of the signed zero-sum monoid over G is the
 signed zero-sum monoid over some subset of G, so the set of minimal distances
 is swept by running the kernel computation over subsets of the nonzero
-elements.  Two facts about these monoids cut the sweep down:
+elements.  Two facts about these monoids decide the sweep:
 
 * orbit reduction: an automorphism of G maps the monoid over S isomorphically
   onto the monoid over phi(S), and folding an element onto its negative
-  preserves all sets of lengths, so the sweep enumerates the subsets of the
-  folded universe and evaluates one canonical representative per orbit;
-* inheritance: for S a subset of T, the monoid over S is divisor-closed in the
-  monoid over T, so Delta(S) is contained in Delta(T).  The kernel computation
-  yields gcd Delta, which equals min Delta, so a subset with value 1 has 1 in
-  its distance set and forces the value 1 on every superset.  Representatives
-  are visited level by level by size, and one that drops an element onto a
-  value-1 row is recorded as 1 without atom enumeration (``prune=False``
-  evaluates every representative, as a reference path).
+  preserves all sets of lengths, so one canonical representative per orbit of
+  subsets of the folded universe is evaluated;
+* the down-set: for S a subset of T, the monoid over S is divisor-closed in
+  the monoid over T, so Delta(S) is contained in Delta(T).  The kernel
+  computation yields gcd Delta, which equals min Delta, so the subsets whose
+  value is not 1 (min Delta >= 2 or an empty distance set) are closed under
+  taking subsets; Delta* minus {1} is read off them.
+
+The sweep walks that down-set level by level (Apriori candidate generation
+with canonical augmentation).  Level 1 is the canonical singletons; the
+candidates of size k + 1 are the canonical one-element extensions of level-k
+rows whose value is not 1, kept only if every one-smaller subset canonicalizes
+into the down-set.  Every cap grows with the subset (support size, D(<S>),
+the Davenport-order test), so a row skipped over a cap is not extended.
+
+Up to ``max_sweep_order`` the table lists every orbit: a row the walk did not
+evaluate has a subset with value 1 and gets 1, or is skipped when over a cap.
+Above it the table lists the evaluated rows only.  ``prune=False`` evaluates
+every orbit representative, as a reference path.
 """
 
 from __future__ import annotations
@@ -24,7 +34,7 @@ import math
 from concurrent.futures import ProcessPoolExecutor
 from contextlib import nullcontext
 from dataclasses import dataclass, field
-from itertools import combinations, combinations_with_replacement, groupby
+from itertools import combinations_with_replacement
 
 from .atoms import AtomCache, atom_length_bound, davenport_monoid
 from .errors import ResourceLimitError
@@ -45,44 +55,50 @@ from .relations import min_delta
 # -- canonical subsets and orbits -------------------------------------------------
 
 
-def canonical_subset(
-    group: Group, indices: tuple[int, ...], auts: list[tuple[int, ...]] | None
-) -> tuple[int, ...]:
-    """Lexicographically least image of the subset under automorphisms and sign folding."""
-    if auts is None:
-        return fold_negatives(group, indices)
-    # automorphisms commute with negation, so every folded image has the same size
-    return min(fold_negatives(group, tuple(perm[i] for i in indices)) for perm in auts)
+def folded_automorphisms(group: Group, *, limits: Limits = DEFAULT_LIMITS) -> list[tuple[int, ...]]:
+    """The maps i -> min(p[i], -p[i]) over the automorphisms p of G.
+
+    p and -p give the same map, so there are half as many maps as
+    automorphisms unless negation is the identity.
+    """
+    auts = automorphisms(group, max_work=limits.max_automorphism_work)  # refused before any table is built
+    neg = group._neg_table
+    return list({tuple(min(j, neg[j]) for j in perm) for perm in auts})
 
 
-def _automorphisms_or_none(group: Group, limits: Limits) -> list[tuple[int, ...]] | None:
-    try:
-        return automorphisms(group, max_order=limits.max_automorphism_order)
-    except ResourceLimitError:
-        return None
+def canonical_subset(group: Group, indices: tuple[int, ...], maps: list[tuple[int, ...]]) -> tuple[int, ...]:
+    """Lexicographically least image of the subset under automorphisms and sign folding.
+
+    ``maps`` come from :func:`folded_automorphisms`.  Automorphisms commute
+    with negation, so the least image of the folded subset under the maps is
+    the least ``fold_negatives(p(S))``; a map is injective on a folded subset,
+    which holds no pair g, -g.
+    """
+    folded = fold_negatives(group, indices)
+    return tuple(min(sorted([m[i] for i in folded]) for m in maps))
 
 
 def _by_size(subsets) -> list[tuple[int, ...]]:
     return sorted(subsets, key=lambda s: (len(s), s))
 
 
-def _orbit_representatives(group: Group, auts: list[tuple[int, ...]] | None) -> list[tuple[int, ...]]:
+def _orbit_representatives(group: Group, maps: list[tuple[int, ...]]) -> list[tuple[int, ...]]:
     # every subset folds onto a subset of the folded universe with the same image
     universe = fold_negatives(group, range(1, group.order))
     reps = set()
     for bits in range(1, 1 << len(universe)):
         subset = tuple(u for i, u in enumerate(universe) if (bits >> i) & 1)
-        reps.add(canonical_subset(group, subset, auts))
+        reps.add(canonical_subset(group, subset, maps))
     return _by_size(reps)
 
 
 def subset_orbits(group: Group, *, limits: Limits = DEFAULT_LIMITS) -> list[tuple[int, ...]]:
     """Canonical representatives of the nonempty subsets of G minus 0.
 
-    Representatives are ordered by (size, index tuple).  Falls back to sign
-    folding alone when the automorphism group is over the enumeration cap.
+    Representatives are ordered by (size, index tuple).  Raises
+    :class:`ResourceLimitError` when the automorphism search is over its cap.
     """
-    return _orbit_representatives(group, _automorphisms_or_none(group, limits))
+    return _orbit_representatives(group, folded_automorphisms(group, limits=limits))
 
 
 # -- sweep -------------------------------------------------------------------------
@@ -90,7 +106,8 @@ def subset_orbits(group: Group, *, limits: Limits = DEFAULT_LIMITS) -> list[tupl
 
 @dataclass(frozen=True)
 class DeltaStarReport:
-    """Aggregated minimal distances over canonical subsets of G minus 0."""
+    """Aggregated minimal distances over canonical subsets of G minus 0; with
+    ``evaluated_only`` the table lists the evaluated rows, not every orbit."""
 
     group: Group
     complete: bool
@@ -99,6 +116,7 @@ class DeltaStarReport:
     max_delta: int | None
     witnesses: dict[int, tuple[int, ...]]
     skipped: tuple[tuple[tuple[int, ...], str], ...]
+    evaluated_only: bool = False
 
     def subset_elements(self, indices: tuple[int, ...]) -> tuple[GroupElement, ...]:
         return tuple(self.group.element_at(i) for i in indices)
@@ -107,7 +125,7 @@ class DeltaStarReport:
         def subset_json(indices):
             return subset_to_json(self.subset_elements(indices))
 
-        return {
+        data = {
             "group": format_group(self.group),
             "complete": self.complete,
             "delta_star": list(self.delta_star),
@@ -120,6 +138,9 @@ class DeltaStarReport:
                 {"subset": subset_json(s), "reason": reason} for s, reason in self.skipped
             ],
         }
+        if self.evaluated_only:
+            data["table_scope"] = "evaluated"
+        return data
 
 
 Row = tuple[tuple[int, ...], int | None, str | None]
@@ -151,30 +172,6 @@ def _sweep_worker(payload) -> Row:
     return _evaluate_subset(group, rep, limits, cache)
 
 
-def _heuristic_subsets(group: Group, limits: Limits) -> list[tuple[int, ...]]:
-    """Targeted family for groups above the complete-sweep cap.
-
-    Covers all folded subsets of size at most 2 plus the independent-basis
-    construction sets known to carry large minimal distances.
-    """
-    universe = fold_negatives(group, range(1, group.order))
-    reps = {(i,) for i in universe}
-    reps.update(combinations(universe, 2))
-    basis = []
-    offset = [0] * group.rank
-    for pos, n in enumerate(group.invariant_factors):
-        coords = [0] * group.rank
-        coords[pos] = 1
-        basis.append(group.element(tuple(coords)))
-        if n % 2 == 0:
-            offset[pos] = n // 2
-    if all(n % 2 == 0 for n in group.invariant_factors) and group.rank >= 1:
-        even_zero = group.element(tuple(offset))
-        construction = tuple(sorted({even_zero.index, *(g.index for g in basis)}))
-        reps.add(fold_negatives(group, construction))
-    return _by_size(reps)
-
-
 def delta_star(
     group: Group,
     *,
@@ -182,52 +179,51 @@ def delta_star(
     jobs: int = 1,
     prune: bool = True,
     cache: AtomCache | None = None,
-    subsets: list[tuple[int, ...]] | None = None,
 ) -> DeltaStarReport:
-    """Sweep minimal distances over subsets of G minus 0.
+    """Sweep minimal distances over subsets of G minus 0 by the down-set walk.
 
-    Complete for groups with order within the sweep cap; larger groups run in
-    targeted mode over a heuristic subset family (or caller-given subsets)
-    and are flagged incomplete.  Resource failures land in ``skipped``, never
-    in the value table.  With ``prune``, a representative that drops one
-    element onto a value-1 row already in the table is recorded as 1 without
-    atom enumeration.
+    The table lists every orbit for groups of order up to the sweep cap and
+    the evaluated rows above it.  Resource failures land in ``skipped``, never
+    in the value table, and the report is complete iff nothing was skipped.
+    ``prune=False`` evaluates every orbit representative instead, and raises
+    :class:`ResourceLimitError` above the sweep cap.
     """
-    if subsets is None and group.order > limits.max_sweep_order:
-        auts = None  # the heuristic family is canonical under sign folding only
-        reps = _heuristic_subsets(group, limits)
-    else:
-        auts = _automorphisms_or_none(group, limits)
-        if subsets is None:
-            reps = _orbit_representatives(group, auts)
-        else:
-            reps = _by_size({canonical_subset(group, tuple(sorted(set(s))), auts) for s in subsets})
-    complete = subsets is None and group.order <= limits.max_sweep_order
+    maps = folded_automorphisms(group, limits=limits)
+    listed = group.order <= limits.max_sweep_order
+    if not (prune or listed):
+        raise ResourceLimitError(f"an unpruned sweep evaluates every orbit, capped at order {limits.max_sweep_order}")
 
     cache_dir = str(cache.directory) if cache is not None else None
-    ones: set[tuple[int, ...]] = set()
-    results: list[Row] = []
-    parallel = jobs > 1 and len(reps) > 1
-    with ProcessPoolExecutor(max_workers=jobs) if parallel else nullcontext() as pool:
-        # one size level at a time, so every one-smaller subset is already decided
-        for _, level in groupby(reps, key=len):
-            rows, pending = [], []
-            for rep in level:
-                # with no value-1 row yet, skip canonicalizing (C2^4 has 20,160 automorphisms)
-                if prune and ones and any(
-                    canonical_subset(group, rep[:i] + rep[i + 1:], auts) in ones for i in range(len(rep))
-                ):
-                    rows.append(_inherited_row(group, rep, limits))
-                else:
-                    pending.append(rep)
-            if pool is None:
-                rows += [_evaluate_subset(group, rep, limits, cache) for rep in pending]
-            else:
-                rows += pool.map(_sweep_worker, [(group.invariant_factors, rep, limits, cache_dir) for rep in pending])
-            ones.update(rep for rep, value, _ in rows if value == 1)
-            results += rows
+    rows: dict[tuple[int, ...], Row] = {}
+    with ProcessPoolExecutor(max_workers=jobs) if jobs > 1 else nullcontext() as pool:
 
-    results.sort(key=lambda row: (len(row[0]), row[0]))
+        def down_set_rows(reps: list[tuple[int, ...]]) -> set[tuple[int, ...]]:
+            if pool is None:
+                found = [_evaluate_subset(group, rep, limits, cache) for rep in reps]
+            else:
+                found = list(pool.map(_sweep_worker, [(group.invariant_factors, rep, limits, cache_dir) for rep in reps]))
+            rows.update((row[0], row) for row in found)
+            # a skipped row is over a cap, and so is every superset of it
+            return {rep for rep, value, error in found if error is None and value != 1}
+
+        if not prune:
+            down_set_rows(_orbit_representatives(group, maps))
+        else:
+            universe = fold_negatives(group, range(1, group.order))
+            down = down_set_rows(_by_size({canonical_subset(group, (u,), maps) for u in universe}))
+            while down:
+                # a least image minus its largest element is a least image, so
+                # extending by larger elements reaches every canonical candidate
+                extensions = {canonical_subset(group, rep + (u,), maps) for rep in down for u in universe if u > rep[-1]}
+                down = down_set_rows(_by_size(
+                    ext for ext in extensions
+                    if all(canonical_subset(group, ext[:i] + ext[i + 1:], maps) in down for i in range(len(ext)))
+                ))
+
+    if listed:
+        results = [rows.get(rep) or _inherited_row(group, rep, limits) for rep in _orbit_representatives(group, maps)]
+    else:
+        results = sorted(rows.values(), key=lambda row: (len(row[0]), row[0]))
     table = []
     skipped = []
     values = set()
@@ -243,12 +239,13 @@ def delta_star(
     delta = tuple(sorted(values))
     return DeltaStarReport(
         group=group,
-        complete=complete and not skipped,
+        complete=not skipped,
         table=tuple(table),
         delta_star=delta,
         max_delta=delta[-1] if delta else None,
         witnesses=witnesses,
         skipped=tuple(skipped),
+        evaluated_only=not listed,
     )
 
 

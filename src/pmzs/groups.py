@@ -491,18 +491,25 @@ def davenport(group: Group, *, max_order: int = 20) -> int:
     return davenport_exhaustive(group)
 
 
-def automorphisms(group: Group, *, max_order: int = 32) -> list[tuple[int, ...]]:
+def automorphisms(group: Group, *, max_work: int = 2**22) -> list[tuple[int, ...]]:
     """All automorphisms of the group, as permutations of element indices.
 
     Enumerated by brute force over generator images; each candidate image
     tuple induces a well-defined endomorphism iff ni * image(ei) = 0, and is
-    kept iff the induced map permutes the group.
+    kept iff the induced map permutes the group.  The image of ei ranges over
+    the prod_j gcd(ni, nj) elements killed by ni, and each candidate map has
+    |G| entries; that work is computed from the invariant factors before any
+    table is built, and the search is refused when it exceeds ``max_work``.
     """
-    if group.order > max_order:
-        raise ResourceLimitError(f"automorphism enumeration capped at order {max_order}")
+    factors = group.invariant_factors
+    tuples = math.prod(math.gcd(n, m) for n in factors for m in factors)
+    if tuples * group.order > max_work:
+        raise ResourceLimitError(
+            f"automorphism search over {group} tries {tuples} image tuples of {group.order} elements, "
+            f"over the work cap {max_work}"
+        )
     if group.order == 1:
         return [()]
-    factors = group.invariant_factors
     add = group._add_table
     orders = [group.element_at(i).order() for i in range(group.order)]
     candidates = [[i for i in range(group.order) if n % orders[i] == 0] for n in factors]

@@ -1,6 +1,7 @@
 """CLI surface: commands, formats, exit codes, env overrides, determinism."""
 
 import json
+import time
 
 import pytest
 
@@ -77,6 +78,23 @@ def test_delta_star_command_formats(capsys):
     code, out, _ = run_cli(capsys, "delta-star", "C7", "--format", "json")
     data = json.loads(out)
     assert data["delta_star"] == [1, 5] and data["complete"] is True
+
+
+def test_delta_star_above_cap_reports_evaluated_rows(capsys):
+    code, out, _ = run_cli(capsys, "delta-star", "C12", "--format", "json")
+    data = json.loads(out)
+    assert code == EXIT_OK and data["complete"] is True
+    assert data["delta_star"] == [1, 2, 3, 4, 5] and data["table_scope"] == "evaluated"
+    code, _, err = run_cli(capsys, "delta-star", "C12", "--no-prune")
+    assert code == EXIT_RESOURCE and "unpruned sweep" in err
+
+
+@pytest.mark.parametrize("group", ["C2xC2xC2xC2xC2", "C1000000000000"])
+def test_delta_star_refuses_automorphism_search_at_once(capsys, group):
+    start = time.perf_counter()
+    code, out, err = run_cli(capsys, "delta-star", group)
+    assert time.perf_counter() - start < 1.0
+    assert code == EXIT_RESOURCE and out == "" and "automorphism search" in err
 
 
 def test_davenport_command(capsys):
@@ -210,6 +228,14 @@ def test_verify_out_in_missing_directory_is_an_error(capsys, tmp_path):
     code, out, err = run_cli(capsys, "verify", "C5", "--out", str(tmp_path / "missing" / "x.json"))
     assert code == EXIT_DOMAIN and out == ""
     assert err.startswith("error:") and "Traceback" not in err
+
+
+def test_verify_out_is_checked_before_the_suite_runs(capsys, tmp_path, monkeypatch):
+    calls = []
+    monkeypatch.setattr("pmzs.cli.run_suite", lambda *args, **kwargs: calls.append(args))
+    code, out, err = run_cli(capsys, "verify", "all-small", "--out", str(tmp_path / "missing" / "x.json"))
+    assert code == EXIT_DOMAIN and out == "" and err.startswith("error:")
+    assert calls == []
 
 
 def test_missing_subcommand(capsys):

@@ -1,7 +1,10 @@
 """Orbit reduction, sweeps, theorem checkers, characterization reports."""
 
 import random
+from dataclasses import replace
 from itertools import combinations
+
+import pytest
 
 from pmzs import (
     Limits,
@@ -12,13 +15,15 @@ from pmzs import (
     check_odd_order_sandwich,
     check_parity,
     delta_star,
+    folded_automorphisms,
     make_group,
     min_delta,
     parse_group,
     subset_orbits,
 )
-from pmzs.delta_star import NOT_APPLICABLE, PASS, _heuristic_subsets
-from pmzs.groups import automorphisms
+from pmzs.delta_star import NOT_APPLICABLE, PASS
+from pmzs.errors import ResourceLimitError
+from pmzs.groups import Group, automorphisms, fold_negatives
 from helpers import small_group_list
 
 
@@ -49,11 +54,11 @@ def test_orbit_members_share_min_delta():
     rng = random.Random(23)
     for spec in ("C7", "C8", "C3xC3"):
         group = parse_group(spec)
-        auts = automorphisms(group)
+        maps = folded_automorphisms(group)
         nonzero = list(range(1, group.order))
         for _ in range(5):
             subset = tuple(sorted(rng.sample(nonzero, rng.randrange(1, 4))))
-            rep = canonical_subset(group, subset, auts)
+            rep = canonical_subset(group, subset, maps)
             md_subset = min_delta(group, [group.element_at(i) for i in subset])
             md_rep = min_delta(group, [group.element_at(i) for i in rep])
             assert md_subset == md_rep, f"{spec}: {subset} vs {rep}"
@@ -113,6 +118,11 @@ def test_prune_toggle_identical_reports():
     assert pruned["complete"] is False and len(pruned["skipped"]) == 1
 
 
+def least_folded_image(group, subset, auts):
+    # the reference canonical form: automorphism first, then sign folding
+    return min(fold_negatives(group, [perm[i] for i in subset]) for perm in auts)
+
+
 def test_subset_orbits_match_unfolded_enumeration():
     # the orbits come from the folded universe; the reference canonicalizes
     # every nonempty subset of G minus 0
@@ -120,11 +130,26 @@ def test_subset_orbits_match_unfolded_enumeration():
         auts = automorphisms(group)
         nonzero = range(1, group.order)
         images = {
-            canonical_subset(group, subset, auts)
+            least_folded_image(group, subset, auts)
             for size in range(1, group.order)
             for subset in combinations(nonzero, size)
         }
         assert subset_orbits(group) == sorted(images, key=lambda s: (len(s), s)), str(group)
+
+
+def test_canonical_subset_matches_least_folded_image():
+    # the folded maps halve the automorphisms (not on C2^4, where -1 is the
+    # identity) and must give the same least image
+    rng = random.Random(31)
+    for spec in ("C4xC4", "C2xC2xC4", "C2xC2xC2xC2", "C2xC12"):
+        group = parse_group(spec)
+        auts = automorphisms(group)
+        maps = folded_automorphisms(group)
+        assert len(maps) == (len(auts) if spec == "C2xC2xC2xC2" else len(auts) // 2), spec
+        nonzero = range(1, group.order)
+        for _ in range(20):
+            subset = tuple(sorted(rng.sample(nonzero, rng.randrange(1, 8))))
+            assert canonical_subset(group, subset, maps) == least_folded_image(group, subset, auts), (spec, subset)
 
 
 def test_parallel_sweep_deterministic():
@@ -134,31 +159,52 @@ def test_parallel_sweep_deterministic():
     assert serial == parallel
 
 
-def test_partial_sweep_above_cap():
+def test_complete_sweep_above_cap():
+    # above the sweep cap the table lists the evaluated rows only, and says so
     g = parse_group("C12")
     report = delta_star(g)
-    assert not report.complete
+    assert report.complete and report.evaluated_only
+    assert report.delta_star == (1, 2, 3, 4, 5)
     table = dict(report.table)
-    assert table, "targeted mode still evaluates a heuristic family"
     # the even-order construction {e, 6e} with m = 6 gives distance m - 1 = 5
-    pair = indices(g, (1,), (6,))
-    assert table.get(pair) == 5
-    assert any(len(s) == 1 for s in table)
+    assert table[indices(g, (1,), (6,))] == 5
+    assert report.to_json_dict()["table_scope"] == "evaluated"
+    assert "table_scope" not in delta_star(g, limits=Limits(max_sweep_order=12)).to_json_dict()
+    c4xc4 = delta_star(parse_group("C4xC4"))
+    assert c4xc4.complete and c4xc4.delta_star == (1, 2, 3)
 
 
-def test_heuristic_family_shapes():
-    from pmzs import DEFAULT_LIMITS
+def test_partial_sweep_above_cap():
+    # D(C21) = 21 is over the atom length cap, so the generator's row is
+    # skipped, it is not extended, and the sweep is incomplete
+    g = parse_group("C21")
+    report = delta_star(g)
+    assert not report.complete and report.evaluated_only
+    assert [s for s, _ in report.skipped] == [(1,)]
+    assert report.delta_star == (1, 5)
+    assert all(1 not in s for s, _ in report.table)
 
-    g = parse_group("C12")
-    family = _heuristic_subsets(g, DEFAULT_LIMITS)
-    assert all(1 <= len(s) <= 2 for s in family)
+
+def test_down_set_matches_unpruned_rows():
+    # the rows the walk evaluates with a value other than 1 are exactly the
+    # non-1 rows of the unpruned sweep over every orbit
+    limits = Limits(max_sweep_order=16, max_support=16)
+    walk_limits = replace(limits, max_sweep_order=1)  # above the cap: the table lists evaluated rows
+    for g in small_group_list(12) + [parse_group("C4xC4")]:
+        walk = delta_star(g, limits=walk_limits)
+        unpruned = delta_star(g, limits=limits, prune=False)
+        assert walk.evaluated_only and unpruned.complete, str(g)
+        assert walk.complete and walk.delta_star == unpruned.delta_star, str(g)
+        non_one = {s: v for s, v in walk.table if v != 1}
+        assert non_one == {s: v for s, v in unpruned.table if v != 1}, str(g)
 
 
-def test_user_supplied_subsets():
-    g = parse_group("C17")
-    report = delta_star(g, subsets=[(1, 4)])
-    assert not report.complete
-    assert report.delta_star == (3,)
+def test_above_cap_agrees_with_in_cap_sweep():
+    # C2^4 is left out: its in-cap orbit walk alone is 2^15 subsets x 20,160 maps
+    for g in small_group_list(16):
+        if g.order >= 11 and g.invariant_factors != (2, 2, 2, 2):
+            in_cap = delta_star(g, limits=Limits(max_sweep_order=16))
+            assert delta_star(g).delta_star == in_cap.delta_star, str(g)
 
 
 def test_check_odd_order_sandwich():
@@ -174,7 +220,8 @@ def test_check_parity():
     assert check_parity(parse_group("C8")).status == PASS
     assert check_parity(parse_group("C7")).status == PASS
     assert check_parity(parse_group("C6")).status == PASS
-    assert check_parity(parse_group("C3xC6")).status == NOT_APPLICABLE  # order 18 over sweep cap
+    assert check_parity(parse_group("C3xC6")).status == PASS  # order 18, complete above the sweep cap
+    assert check_parity(parse_group("C21")).status == NOT_APPLICABLE  # D(C21) over the atom length cap
     assert check_parity(parse_group("C4")).status == NOT_APPLICABLE
     assert check_parity(parse_group("C10")).status == PASS
 
@@ -241,23 +288,23 @@ def test_complete_report_invariants():
                 assert d - 2 in report.delta_star
 
 
-def test_orbit_fallback_without_automorphisms():
-    # order 64 is over the automorphism cap, so canonicalization falls back
-    # to sign folding; a pair of independent involution-free generators still
-    # evaluates fine in targeted mode
-    g = make_group([2, 2, 2, 2, 2, 2])
-    report = delta_star(g, subsets=[(1, 2), (2, 1)])
-    assert not report.complete
-    assert dict(report.table) == {(1, 2): None}
+def test_automorphism_cap_refuses_before_the_search():
+    # C2^5 would try 32^5 image tuples; fresh Group instances show that the
+    # refusal comes before any element table is built
+    for factors in ((2, 2, 2, 2, 2), (10**12,)):
+        for sweep in (delta_star, subset_orbits):
+            g = Group(factors)
+            with pytest.raises(ResourceLimitError, match="automorphism search"):
+                sweep(g)
+            assert "_neg_table" not in vars(g) and "_add_table" not in vars(g)
 
 
 def test_skipped_rows_for_resource_failures():
-    # D(C64) = 64 exceeds the atom length cap, so the targeted subset lands
-    # in skipped rather than in the value table
-    g = make_group([64])
-    report = delta_star(g, subsets=[(1, 31)])
-    assert report.table == ()
-    assert len(report.skipped) == 1 and "cap" in report.skipped[0][1]
+    # cap failures land in skipped rather than in the value table
+    report = delta_star(parse_group("C30"))
+    assert not report.complete and report.skipped
+    assert all("cap" in reason for _, reason in report.skipped)
+    assert not {s for s, _ in report.skipped} & {s for s, _ in report.table}
 
 
 def test_report_json_schema():

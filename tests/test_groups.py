@@ -153,8 +153,16 @@ def test_automorphism_counts():
     assert len(automorphisms(make_group([3]))) == 2
     assert len(automorphisms(make_group([2, 2]))) == 6
     assert len(automorphisms(make_group([8]))) == 4
+    assert len(automorphisms(make_group([64]))) == 32
+    # C2^5 tries 32^5 image tuples of 32 entries each: over the default work cap
     with pytest.raises(ResourceLimitError):
-        automorphisms(make_group([64]), max_order=32)
+        automorphisms(make_group([2, 2, 2, 2, 2]))
+    # the cap is inclusive: C2^3xC4 is 131,072 tuples x 32 = 2^22, C3 is 3 tuples x 3
+    with pytest.raises(ResourceLimitError):
+        automorphisms(make_group([2, 2, 2, 4]), max_work=2**22 - 1)
+    assert len(automorphisms(make_group([3]), max_work=9)) == 2
+    with pytest.raises(ResourceLimitError):
+        automorphisms(make_group([3]), max_work=8)
 
 
 def test_automorphisms_permute_and_preserve_order():
