@@ -4,8 +4,9 @@ of plus-minus weighted zero-sum sequences over a subset of a finite abelian grou
 The enumeration walks exponent vectors over the ground set depth first with
 non-decreasing ground index, so every multiset up to the length bound is
 visited exactly once.  The set of signed sums of the current prefix is carried
-down the recursion as a bitmask and extended in O(|G|) per added term, and
-every signed zero sum is collected into one set.  Irreducibility is then
+down the recursion as a bitmask and extended by one block rotation per
+coordinate of the added term (:func:`pmzs.groups.shift_mask`), and every
+signed zero sum is collected into one dict.  Irreducibility is then
 decided against earlier atoms, as in the completion step of Hilbert-basis
 algorithms: taken in order of length, a zero sum v is an atom iff no atom a
 already kept, with a <= v, leaves a remainder v - a that is a zero sum.  The
@@ -30,7 +31,6 @@ import math
 import os
 from dataclasses import dataclass
 from functools import lru_cache
-from operator import sub
 from pathlib import Path
 from typing import Iterable
 
@@ -118,32 +118,44 @@ def _enumerate_atom_vectors(
     """Atoms among the exponent vectors v <= caps of length at most bound, in
     :func:`_atom_order`, by the earlier-atom rule of the module docstring.
 
-    Every remainder v - a is shorter than v and within the caps, so the one
-    set of zero sums collected here answers every lookup.
+    A vector is packed into one int, ground position 0 in the most
+    significant field, so int order is tuple order.  A field holds values up
+    to ``bound`` and has a guard bit on top: ``d = (v | G) - a`` keeps every
+    guard bit iff ``a <= v``, and then ``d ^ G`` is ``v - a``.  Every
+    remainder v - a is shorter than v and within the caps, so the one dict of
+    zero sums collected here answers every lookup.
     """
     n = len(ground_indices)
-    vec = [0] * n
-    zero_sums: set[tuple[int, ...]] = set()
+    bits = bound.bit_length()
+    field = (1 << bits) - 1
+    offsets = [(n - 1 - j) * (bits + 1) for j in range(n)]
+    units = [1 << off for off in offsets]
+    guards = sum(unit << bits for unit in units)
+    zero_sums: dict[int, int] = {}  # packed vector -> length
 
-    def extend(min_pos: int, length: int, mask: int) -> None:
+    def extend(min_pos: int, length: int, vec: int, mask: int) -> None:
         if length and mask & 1:
-            zero_sums.add(tuple(vec))
+            zero_sums[vec] = length
         if length == bound:
             return
         for j in range(min_pos, n):
-            if vec[j] < caps[j]:
-                new_mask = signed_shift_mask(group, mask, ground_indices[j])
-                vec[j] += 1
-                extend(j, length + 1, new_mask)
-                vec[j] -= 1
+            if (vec >> offsets[j]) & field < caps[j]:
+                extend(j, length + 1, vec + units[j], signed_shift_mask(group, mask, ground_indices[j]))
 
-    extend(0, 0, 1)
-    atoms: list[tuple[int, ...]] = []
-    for v in sorted(zero_sums, key=_atom_order):
-        # a remainder with a negative entry (a not <= v) is never in the set
-        if not any(tuple(map(sub, v, a)) in zero_sums for a in atoms):
+    extend(0, 0, 0, 1)
+    atoms: list[int] = []
+    for _, v in sorted((length, vec) for vec, length in zero_sums.items()):
+        guarded = v | guards
+        # a remainder of an atom a not <= v loses a guard bit
+        if not any((d := guarded - a) & guards == guards and (d ^ guards) in zero_sums for a in atoms):
             atoms.append(v)
-    return atoms
+    return [tuple((a >> off) & field for off in offsets) for a in atoms]
+
+
+@lru_cache(maxsize=1024)
+def _atom_vectors(group: Group, ground_indices: tuple[int, ...], bound: int) -> tuple[tuple[int, ...], ...]:
+    """The complete atom list over a nonzero ground set, enumerated once per process."""
+    return tuple(_enumerate_atom_vectors(group, ground_indices, bound, (bound,) * len(ground_indices)))
 
 
 def _atom_order(vec: tuple[int, ...]) -> tuple[int, tuple[int, ...]]:
@@ -171,7 +183,7 @@ def _is_valid_atom_list(
         return False
     listed = set(vectors)
     for pos, gi in enumerate(ground_indices):
-        order = group.element_at(gi).order()
+        order = group._order_table[gi]
         required = (2, order) if order % 2 else (2,)
         if any(tuple(p if i == pos else 0 for i in range(width)) not in listed for p in required):
             return False
@@ -277,7 +289,9 @@ def enumerate_atoms(
 
     Zero is stripped first and recorded in the flag.  Raises
     :class:`ResourceLimitError` when the support size or the length bound
-    exceeds the configured caps, rather than returning a partial list.
+    exceeds the configured caps, rather than returning a partial list.  A
+    ground set is enumerated once per process; a ``cache`` miss that the
+    process already enumerated is still stored.
     """
     indices = set()
     includes_zero = False
@@ -295,7 +309,7 @@ def enumerate_atoms(
         cached = cache.load(group, ground_indices, bound)
         if cached is not None:
             return AtomSet(group, ground, cached.vectors, includes_zero, bound)
-    vectors = tuple(_enumerate_atom_vectors(group, ground_indices, bound, (bound,) * len(ground_indices)))
+    vectors = _atom_vectors(group, ground_indices, bound)
     atom_set = AtomSet(group, ground, vectors, includes_zero, bound)
     if cache is not None:
         cache.store(atom_set)

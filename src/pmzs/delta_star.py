@@ -92,13 +92,23 @@ def _orbit_representatives(group: Group, maps: list[tuple[int, ...]]) -> list[tu
     return _by_size(reps)
 
 
+def _check_orbit_listing(group: Group, limits: Limits) -> None:
+    """Refuse to list every orbit of a group over the sweep cap: the listing
+    walks every subset of the folded universe."""
+    if group.order > limits.max_sweep_order:
+        raise ResourceLimitError(f"an unpruned sweep evaluates every orbit, capped at order {limits.max_sweep_order}")
+
+
 def subset_orbits(group: Group, *, limits: Limits = DEFAULT_LIMITS) -> list[tuple[int, ...]]:
     """Canonical representatives of the nonempty subsets of G minus 0.
 
     Representatives are ordered by (size, index tuple).  Raises
-    :class:`ResourceLimitError` when the automorphism search is over its cap.
+    :class:`ResourceLimitError` when the automorphism search is over its cap
+    or the group order is over ``max_sweep_order``.
     """
-    return _orbit_representatives(group, folded_automorphisms(group, limits=limits))
+    maps = folded_automorphisms(group, limits=limits)
+    _check_orbit_listing(group, limits)
+    return _orbit_representatives(group, maps)
 
 
 # -- sweep -------------------------------------------------------------------------
@@ -190,8 +200,8 @@ def delta_star(
     """
     maps = folded_automorphisms(group, limits=limits)
     listed = group.order <= limits.max_sweep_order
-    if not (prune or listed):
-        raise ResourceLimitError(f"an unpruned sweep evaluates every orbit, capped at order {limits.max_sweep_order}")
+    if not prune:
+        _check_orbit_listing(group, limits)
 
     cache_dir = str(cache.directory) if cache is not None else None
     rows: dict[tuple[int, ...], Row] = {}

@@ -2,8 +2,11 @@
 
 Elements carry reduced coordinate vectors and are densely indexed by the
 mixed-radix rank of their coordinates (coordinate 0 most significant), so
-subsets of a group can be stored as integer bitmasks and translated by a
-group element with table lookups.
+subsets of a group can be stored as integer bitmasks.  Translating a bitmask
+by a group element rotates each coordinate: the bits of coordinate k fall in
+blocks of n_k * stride_k consecutive indices (stride_k the product of the
+later factors), and adding c to that coordinate rotates every block by
+c * stride_k bits, which is one masked shift each way.
 """
 
 from __future__ import annotations
@@ -146,6 +149,41 @@ class Group:
         return idx
 
     # -- dense arithmetic tables ----------------------------------------------
+
+    @cached_property
+    def _order_table(self) -> tuple[int, ...]:
+        """Element orders by index."""
+        return tuple(
+            math.lcm(*(n // math.gcd(n, c) for c, n in zip(coords, self.invariant_factors)))
+            for coords in product(*(range(n) for n in self.invariant_factors))
+        )
+
+    @cached_property
+    def _shift_steps(self) -> tuple[tuple[tuple[int, int, int, int], ...], ...]:
+        """Per element index, the block rotations that translate a bitmask by it.
+
+        A step ``(lo, up, hi, down)`` adds c to coordinate k: ``lo`` holds
+        the indices whose coordinate k is below n_k - c, which move up by
+        ``up = c * stride_k`` bits, and ``hi`` the rest, which wrap down by
+        ``down = (n_k - c) * stride_k`` bits.  One step per (k, c) with c != 0
+        is built, and the elements share them.
+        """
+        full = (1 << self.order) - 1
+        per_coord = []
+        stride = self.order
+        for n in self.invariant_factors:
+            stride //= n
+            block = n * stride
+            repeat = full // ((1 << block) - 1)  # a 1 at the start of every block
+            steps = [None]
+            for c in range(1, n):
+                lo = ((1 << ((n - c) * stride)) - 1) * repeat
+                steps.append((lo, c * stride, full ^ lo, (n - c) * stride))
+            per_coord.append(steps)
+        return tuple(
+            tuple(steps[c] for steps, c in zip(per_coord, coords) if c)
+            for coords in product(*(range(n) for n in self.invariant_factors))
+        )
 
     @cached_property
     def _neg_table(self) -> tuple[int, ...]:
@@ -337,14 +375,11 @@ class ElementSet:
 
 
 def shift_mask(group: Group, mask: int, gi: int) -> int:
-    """Translate a bitmask of element indices by the element with index gi."""
-    row = group._add_table[gi]
-    out = 0
-    while mask:
-        low = mask & -mask
-        out |= 1 << row[low.bit_length() - 1]
-        mask ^= low
-    return out
+    """Translate a bitmask of element indices by the element with index gi,
+    one block rotation per nonzero coordinate of the element."""
+    for lo, up, hi, down in group._shift_steps[gi]:
+        mask = (mask & lo) << up | (mask & hi) >> down
+    return mask
 
 
 def signed_shift_mask(group: Group, mask: int, gi: int) -> int:
@@ -395,7 +430,7 @@ def _classify_subgroup(group: Group, indices: set[int]) -> Group:
     m = len(indices)
     if m == 1:
         return _canonical_group(())
-    orders = [group.element_at(i).order() for i in indices]
+    orders = [group._order_table[i] for i in indices]
     divisors = [d for d in range(1, m + 1) if m % d == 0]
     counts = {d: sum(1 for o in orders if d % o == 0) for d in divisors}
     for factors in abelian_group_types(m):
@@ -511,7 +546,7 @@ def automorphisms(group: Group, *, max_work: int = 2**22) -> list[tuple[int, ...
     if group.order == 1:
         return [()]
     add = group._add_table
-    orders = [group.element_at(i).order() for i in range(group.order)]
+    orders = group._order_table
     candidates = [[i for i in range(group.order) if n % orders[i] == 0] for n in factors]
     out = []
     for images in product(*candidates):

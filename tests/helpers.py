@@ -1,8 +1,9 @@
 """Independent brute-force oracles used to cross-check the library paths.
 
 These deliberately avoid the library's set-DP, kernel and memoized
-factorization code: signed sums come from explicit sign enumeration and
-factorization lengths from a naive recursion over atom vectors.
+factorization code: translates come from the addition table, signed sums from
+explicit sign enumeration and factorization lengths from a naive recursion
+over atom vectors.
 """
 
 from __future__ import annotations
@@ -15,6 +16,17 @@ from pmzs import Group, Sequence, abelian_group_types, make_group
 
 def small_group_list(max_order: int) -> list[Group]:
     return [make_group(f) for order in range(2, max_order + 1) for f in abelian_group_types(order)]
+
+
+def brute_shift_mask(group: Group, mask: int, gi: int) -> int:
+    """Translate a bitmask of element indices bit by bit through the addition table."""
+    row = group._add_table[gi]
+    out = 0
+    while mask:
+        low = mask & -mask
+        out |= 1 << row[low.bit_length() - 1]
+        mask ^= low
+    return out
 
 
 def brute_signed_sums(seq: Sequence) -> set[tuple[int, ...]]:

@@ -2,12 +2,14 @@
 
 import json
 import random
+from dataclasses import replace
 from itertools import product
 
 import pytest
 
 from pmzs import (
     AtomCache,
+    Limits,
     ResourceLimitError,
     Sequence,
     atom_length_profile,
@@ -113,6 +115,24 @@ def test_zero_stripped_and_flagged():
     assert atoms.includes_zero
     assert all(not g.is_zero for g in atoms.ground)
     assert sorted(atoms.lengths()) == [2, 5]
+    for spec, literal in [("C8", "[(1),(3)]"), ("C2xC4", "[(1,0),(0,1),(1,2)]"), ("C9", "[(1),(3)]")]:
+        group = parse_group(spec)
+        subset = parse_subset(group, literal)
+        without = enumerate_atoms(group, subset)
+        with_zero = enumerate_atoms(group, [group.zero(), *subset])
+        assert not without.includes_zero
+        assert with_zero == replace(without, includes_zero=True), spec
+
+
+def test_packed_fields_hold_the_bound():
+    # {e} in C_n has the bound n and e^n is a zero sum, so a field must hold n
+    # itself; the field width grows at n = 4, 8, 16 and 32
+    limits = Limits(max_atom_length=40)
+    for n in range(2, 34):
+        g = make_group([n])
+        atoms = enumerate_atoms(g, [g.element(1)], limits=limits)
+        assert atoms.bound == n
+        assert atoms.vectors == (((2,),) if n % 2 == 0 else ((2,), (n,))), n
 
 
 def test_atom_length_profile_goldens():

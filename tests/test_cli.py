@@ -155,6 +155,20 @@ def test_cache_dir_flag(capsys, tmp_path):
     assert plain == cold
 
 
+def test_cache_entry_written_when_atoms_are_memoized(capsys, tmp_path):
+    from pmzs.atoms import _atom_vectors
+
+    argv = ("min-delta", "C8", "[(1),(3)]")
+    code, plain, _ = run_cli(capsys, *argv)
+    assert code == EXIT_OK
+    hits = _atom_vectors.cache_info().hits
+    cache_dir = tmp_path / "cache"
+    code, cached, _ = run_cli(capsys, *argv, "--cache-dir", str(cache_dir))
+    assert code == EXIT_OK and cached == plain
+    assert _atom_vectors.cache_info().hits > hits
+    assert len(list(cache_dir.glob("atoms-*.json"))) == 1
+
+
 def test_truncated_cache_entry_is_a_miss(capsys, tmp_path):
     cache_dir = tmp_path / "cache"
     argv = ("min-delta", "C8", "[(1),(3)]", "--cache-dir", str(cache_dir))

@@ -1,6 +1,7 @@
 """Orbit reduction, sweeps, theorem checkers, characterization reports."""
 
 import random
+import time
 from dataclasses import replace
 from itertools import combinations
 
@@ -134,7 +135,16 @@ def test_subset_orbits_match_unfolded_enumeration():
             for size in range(1, group.order)
             for subset in combinations(nonzero, size)
         }
-        assert subset_orbits(group) == sorted(images, key=lambda s: (len(s), s)), str(group)
+        orbits = subset_orbits(group, limits=Limits(max_sweep_order=12))
+        assert orbits == sorted(images, key=lambda s: (len(s), s)), str(group)
+
+
+def test_subset_orbits_refuses_over_the_sweep_cap():
+    # C64 has 2^32 subsets in its folded universe
+    start = time.perf_counter()
+    with pytest.raises(ResourceLimitError, match="capped at order 10"):
+        subset_orbits(make_group([64]))
+    assert time.perf_counter() - start < 1.0
 
 
 def test_canonical_subset_matches_least_folded_image():
@@ -296,7 +306,7 @@ def test_automorphism_cap_refuses_before_the_search():
             g = Group(factors)
             with pytest.raises(ResourceLimitError, match="automorphism search"):
                 sweep(g)
-            assert "_neg_table" not in vars(g) and "_add_table" not in vars(g)
+            assert not {"_neg_table", "_add_table", "_order_table", "_shift_steps"} & set(vars(g))
 
 
 def test_skipped_rows_for_resource_failures():

@@ -1,6 +1,7 @@
 """Group construction, arithmetic, structural invariants, Davenport, automorphisms."""
 
 import math
+import random
 
 import pytest
 
@@ -18,7 +19,8 @@ from pmzs import (
     make_group,
     subgroup_generated,
 )
-from helpers import small_group_list
+from pmzs.groups import shift_mask, signed_shift_mask
+from helpers import brute_shift_mask, small_group_list
 
 
 def test_make_group_canonicalizes():
@@ -65,6 +67,22 @@ def test_element_order():
         assert x.order() * 1 >= 1
         assert (x.order() * x).is_zero
         assert g.exponent % x.order() == 0
+    for g in [make_group([])] + small_group_list(32):
+        assert g._order_table == tuple(x.order() for x in g.elements()), str(g)
+
+
+def test_shift_mask_matches_bit_loop():
+    # the block rotations against the addition table, for every element of
+    # every abelian group of order 1..32
+    rng = random.Random(41)
+    for g in [make_group([])] + small_group_list(32):
+        full = (1 << g.order) - 1
+        for gi in range(g.order):
+            neg = g._neg_table[gi]
+            for mask in (1, full, *(rng.getrandbits(g.order) for _ in range(3))):
+                assert shift_mask(g, mask, gi) == brute_shift_mask(g, mask, gi), (str(g), gi, mask)
+                signed = brute_shift_mask(g, mask, gi) | brute_shift_mask(g, mask, neg)
+                assert signed_shift_mask(g, mask, gi) == signed, (str(g), gi, mask)
 
 
 def test_index_round_trip():
