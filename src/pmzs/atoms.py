@@ -124,6 +124,11 @@ def _enumerate_atom_vectors(
     guard bit iff ``a <= v``, and then ``d ^ G`` is ``v - a``.  Every
     remainder v - a is shorter than v and within the caps, so the one dict of
     zero sums collected here answers every lookup.
+
+    Only the atoms that cover one field of v, the field of its lowest set bit,
+    are tried.  If v = c * w with c and w nonempty zero sums, one of them
+    covers that field, and so does one of its atoms a; v - a is then a shorter
+    nonempty zero sum.
     """
     n = len(ground_indices)
     bits = bound.bit_length()
@@ -144,11 +149,20 @@ def _enumerate_atom_vectors(
 
     extend(0, 0, 0, 1)
     atoms: list[int] = []
+    covering: list[list[int]] = [[] for _ in range(n)]  # the atoms with a nonzero field j
+    # the list for the field that holds each bit, found from a vector's lowest set bit
+    covering_bit = [covering[n - 1 - b // (bits + 1)] for b in range(n * (bits + 1))]
     for _, v in sorted((length, vec) for vec, length in zero_sums.items()):
         guarded = v | guards
         # a remainder of an atom a not <= v loses a guard bit
-        if not any((d := guarded - a) & guards == guards and (d ^ guards) in zero_sums for a in atoms):
+        if not any(
+            (d := guarded - a) & guards == guards and (d ^ guards) in zero_sums
+            for a in covering_bit[(v & -v).bit_length() - 1]
+        ):
             atoms.append(v)
+            for j, off in enumerate(offsets):
+                if (v >> off) & field:
+                    covering[j].append(v)
     return [tuple((a >> off) & field for off in offsets) for a in atoms]
 
 
@@ -259,6 +273,14 @@ class AtomCache:
             tmp.unlink(missing_ok=True)
 
 
+@lru_cache(maxsize=4096)
+def _span_davenport(group: Group, ground_indices: tuple[int, ...], max_order: int) -> int:
+    """D of the subgroup generated by the ground set, once per ground set per
+    process; a refused search raises on every call, since raising caches nothing."""
+    _, span = subgroup_generated(group, [group.element_at(i) for i in ground_indices])
+    return davenport(span, max_order=max_order)
+
+
 def atom_length_bound(group: Group, ground_indices: tuple[int, ...], limits: Limits = DEFAULT_LIMITS) -> int:
     """Davenport bound on atom lengths over a nonzero ground set, within the caps.
 
@@ -269,8 +291,7 @@ def atom_length_bound(group: Group, ground_indices: tuple[int, ...], limits: Lim
         raise ResourceLimitError(
             f"atom enumeration capped at {limits.max_support} support elements, got {len(ground_indices)}"
         )
-    _, span = subgroup_generated(group, [group.element_at(i) for i in ground_indices])
-    bound = davenport(span, max_order=limits.max_davenport_order)
+    bound = _span_davenport(group, ground_indices, limits.max_davenport_order)
     if bound > limits.max_atom_length:
         raise ResourceLimitError(
             f"atom length bound {bound} exceeds the cap {limits.max_atom_length} for {format_group(group)}"

@@ -8,7 +8,11 @@ elements.  Two facts about these monoids decide the sweep:
 * orbit reduction: an automorphism of G maps the monoid over S isomorphically
   onto the monoid over phi(S), and folding an element onto its negative
   preserves all sets of lengths, so one canonical representative per orbit of
-  subsets of the folded universe is evaluated;
+  subsets of the folded universe is evaluated.  Subsets are bitmasks with the
+  least element in the highest bit, so the canonical form (the least sorted
+  image) is the largest image mask, and an image mask is a sum of image bits.
+  The listing of every orbit walks the masks upwards and lists each orbit
+  once, from its first mask, at one pass over the maps per orbit;
 * the down-set: for S a subset of T, the monoid over S is divisor-closed in
   the monoid over T, so Delta(S) is contained in Delta(T).  The kernel
   computation yields gcd Delta, which equals min Delta, so the subsets whose
@@ -34,7 +38,9 @@ import math
 from concurrent.futures import ProcessPoolExecutor
 from contextlib import nullcontext
 from dataclasses import dataclass, field
+from functools import cached_property
 from itertools import combinations_with_replacement
+from operator import itemgetter
 
 from .atoms import AtomCache, atom_length_bound, davenport_monoid
 from .errors import ResourceLimitError
@@ -62,8 +68,71 @@ def folded_automorphisms(group: Group, *, limits: Limits = DEFAULT_LIMITS) -> li
     automorphisms unless negation is the identity.
     """
     auts = automorphisms(group, max_work=limits.max_automorphism_work)  # refused before any table is built
-    neg = group._neg_table
-    return list({tuple(min(j, neg[j]) for j in perm) for perm in auts})
+    fold = [min(j, neg) for j, neg in enumerate(group._neg_table)]
+    return list({tuple(map(fold.__getitem__, perm)) for perm in auts})
+
+
+class _FoldedOrbits:
+    """Subsets of the folded universe as bitmasks, and their orbits under the folded maps.
+
+    The folded universe u_0 < ... < u_{k-1} gives u_r the bit 1 << (k - 1 - r).
+    Of two subsets of one size, the smaller sorted tuple then has the larger
+    mask (the least element of their symmetric difference is the highest bit
+    where they differ), so the least sorted image of a subset is its largest
+    image mask.  A map becomes a tuple of image bits indexed by element index;
+    a map is injective on a folded subset, so an image mask is the sum of the
+    image bits of its members.
+    """
+
+    def __init__(self, group: Group, maps: list[tuple[int, ...]]):
+        self.universe = fold_negatives(group, range(1, group.order))
+        k = len(self.universe)
+        self.units = tuple(1 << (k - 1 - r) for r in range(k))
+        self.bit_of = [0] * group.order
+        for u, unit in zip(self.universe, self.units):
+            self.bit_of[u] = unit
+        self.bit_maps = [tuple(map(self.bit_of.__getitem__, m)) for m in maps]
+        self._canonical: dict[int, int] = {}
+
+    def mask(self, folded: tuple[int, ...]) -> int:
+        return sum(map(self.bit_of.__getitem__, folded))
+
+    def members(self, mask: int) -> tuple[int, ...]:
+        return tuple(u for u, unit in zip(self.universe, self.units) if mask & unit)
+
+    def images(self, mask: int):
+        """The image masks of a nonempty mask under every map; index 0, the zero
+        element with image bit 0, keeps the getter's result a tuple."""
+        return map(sum, map(itemgetter(0, *self.members(mask)), self.bit_maps))
+
+    def canonical(self, mask: int) -> int:
+        found = self._canonical.get(mask)
+        if found is None:
+            found = self._canonical[mask] = max(self.images(mask))
+        return found
+
+    @cached_property
+    def representatives(self) -> list[int]:
+        """The canonical mask of every orbit of nonempty subsets, in table order.
+
+        Masks are walked upwards and each orbit is listed once, from its first
+        mask: its images are marked seen and the largest is kept.  The marks
+        are one byte per mask, so the listing holds 2^k bytes, not 2^k ints.
+        """
+        seen = bytearray(1 << len(self.universe))
+        reps = []
+        for mask in range(1, len(seen)):
+            if not seen[mask]:
+                orbit = set(self.images(mask))
+                for image in orbit:
+                    seen[image] = 1
+                reps.append(max(orbit))
+        return _by_size(reps)
+
+
+def _by_size(masks) -> list[int]:
+    """Table order, by size and then by sorted tuple: the larger mask first."""
+    return sorted(masks, key=lambda mask: (mask.bit_count(), -mask))
 
 
 def canonical_subset(group: Group, indices: tuple[int, ...], maps: list[tuple[int, ...]]) -> tuple[int, ...]:
@@ -72,24 +141,14 @@ def canonical_subset(group: Group, indices: tuple[int, ...], maps: list[tuple[in
     ``maps`` come from :func:`folded_automorphisms`.  Automorphisms commute
     with negation, so the least image of the folded subset under the maps is
     the least ``fold_negatives(p(S))``; a map is injective on a folded subset,
-    which holds no pair g, -g.
+    which holds no pair g, -g.  Each call builds the bit maps of
+    :class:`_FoldedOrbits`; the sweep builds them once.
     """
     folded = fold_negatives(group, indices)
-    return tuple(min(sorted([m[i] for i in folded]) for m in maps))
-
-
-def _by_size(subsets) -> list[tuple[int, ...]]:
-    return sorted(subsets, key=lambda s: (len(s), s))
-
-
-def _orbit_representatives(group: Group, maps: list[tuple[int, ...]]) -> list[tuple[int, ...]]:
-    # every subset folds onto a subset of the folded universe with the same image
-    universe = fold_negatives(group, range(1, group.order))
-    reps = set()
-    for bits in range(1, 1 << len(universe)):
-        subset = tuple(u for i, u in enumerate(universe) if (bits >> i) & 1)
-        reps.add(canonical_subset(group, subset, maps))
-    return _by_size(reps)
+    if not folded:
+        return ()
+    orbits = _FoldedOrbits(group, maps)
+    return orbits.members(orbits.canonical(orbits.mask(folded)))
 
 
 def _check_orbit_listing(group: Group, limits: Limits) -> None:
@@ -108,7 +167,8 @@ def subset_orbits(group: Group, *, limits: Limits = DEFAULT_LIMITS) -> list[tupl
     """
     maps = folded_automorphisms(group, limits=limits)
     _check_orbit_listing(group, limits)
-    return _orbit_representatives(group, maps)
+    orbits = _FoldedOrbits(group, maps)
+    return [orbits.members(mask) for mask in orbits.representatives]
 
 
 # -- sweep -------------------------------------------------------------------------
@@ -203,35 +263,40 @@ def delta_star(
     if not prune:
         _check_orbit_listing(group, limits)
 
+    orbits = _FoldedOrbits(group, maps)
     cache_dir = str(cache.directory) if cache is not None else None
     rows: dict[tuple[int, ...], Row] = {}
     with ProcessPoolExecutor(max_workers=jobs) if jobs > 1 else nullcontext() as pool:
 
-        def down_set_rows(reps: list[tuple[int, ...]]) -> set[tuple[int, ...]]:
+        def down_set_rows(masks) -> set[int]:
+            masks = _by_size(masks)
+            reps = [orbits.members(mask) for mask in masks]
             if pool is None:
                 found = [_evaluate_subset(group, rep, limits, cache) for rep in reps]
             else:
                 found = list(pool.map(_sweep_worker, [(group.invariant_factors, rep, limits, cache_dir) for rep in reps]))
             rows.update((row[0], row) for row in found)
             # a skipped row is over a cap, and so is every superset of it
-            return {rep for rep, value, error in found if error is None and value != 1}
+            return {mask for mask, (_, value, error) in zip(masks, found) if error is None and value != 1}
 
         if not prune:
-            down_set_rows(_orbit_representatives(group, maps))
+            down_set_rows(orbits.representatives)
         else:
-            universe = fold_negatives(group, range(1, group.order))
-            down = down_set_rows(_by_size({canonical_subset(group, (u,), maps) for u in universe}))
+            units = orbits.units
+            down = down_set_rows({orbits.canonical(unit) for unit in units})
             while down:
-                # a least image minus its largest element is a least image, so
-                # extending by larger elements reaches every canonical candidate
-                extensions = {canonical_subset(group, rep + (u,), maps) for rep in down for u in universe if u > rep[-1]}
-                down = down_set_rows(_by_size(
+                # a largest image minus its lowest bit (its largest element) is
+                # a largest image, so extending by lower bits reaches every
+                # canonical candidate
+                extensions = {orbits.canonical(rep | unit) for rep in down for unit in units if unit < rep & -rep}
+                down = down_set_rows(
                     ext for ext in extensions
-                    if all(canonical_subset(group, ext[:i] + ext[i + 1:], maps) in down for i in range(len(ext)))
-                ))
+                    if all(orbits.canonical(ext ^ unit) in down for unit in units if ext & unit)
+                )
 
     if listed:
-        results = [rows.get(rep) or _inherited_row(group, rep, limits) for rep in _orbit_representatives(group, maps)]
+        reps = (orbits.members(mask) for mask in orbits.representatives)
+        results = [rows.get(rep) or _inherited_row(group, rep, limits) for rep in reps]
     else:
         results = sorted(rows.values(), key=lambda row: (len(row[0]), row[0]))
     table = []

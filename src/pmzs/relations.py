@@ -156,11 +156,13 @@ class Factorizer:
     vectors: ``mask(0) = 1`` and ``mask(r)`` is the OR of ``mask(r - a) << 1``
     over the atoms ``a <= r``, so bit l is set iff r has a factorization of
     length l (Geroldinger--Halter-Koch, *Non-Unique Factorizations*, 1.4).
-    A residual is packed into one int with a fixed-width field per ground
-    element and a guard bit on top of each field: ``d = (r | G) - a`` keeps
-    every guard bit iff ``a <= r``, and then ``d ^ G`` is ``r - a``.  The
-    fields are widened, and the memo dropped, when a query has a coordinate
-    that does not fit.  The full listing is kept for :meth:`factorizations`.
+    Only the atoms that cover the lowest nonzero field of r are tried, since
+    every factorization of r holds one of them.  A residual is packed into one
+    int with a fixed-width field per ground element and a guard bit on top of
+    each field: ``d = (r | G) - a`` keeps every guard bit iff ``a <= r``, and
+    then ``d ^ G`` is ``r - a``.  The fields are widened, and the memo
+    dropped, when a query has a coordinate that does not fit.  The full
+    listing is kept for :meth:`factorizations`.
     """
 
     def __init__(self, atom_set: AtomSet):
@@ -190,7 +192,9 @@ class Factorizer:
         self._field_limit = 1 << bits
         self._stride = bits + 1
         guards = sum(1 << (i * self._stride + bits) for i in range(self._width))
-        atoms = tuple(self._pack(vec) for vec in self.vectors)
+        per_field = [tuple(self._pack(vec) for vec in self.vectors if vec[i]) for i in range(self._width)]
+        # the atoms that cover the field holding each bit
+        covering = [per_field[b // self._stride] for b in range(self._width * self._stride)]
         memo = {0: 1}
 
         def mask(residual: int) -> int:
@@ -198,7 +202,7 @@ class Factorizer:
             if found is None:
                 found = 0
                 guarded = residual | guards
-                for atom in atoms:
+                for atom in covering[(residual & -residual).bit_length() - 1]:
                     d = guarded - atom
                     if d & guards == guards:
                         found |= mask(d ^ guards) << 1

@@ -24,6 +24,7 @@ from pmzs import (
     parse_group,
     parse_subset,
 )
+from pmzs.atoms import atom_length_bound
 from helpers import brute_factorization_lengths, brute_is_atom, brute_is_pm_zero_sum, small_group_list
 
 
@@ -225,6 +226,23 @@ def test_resource_caps():
     g31 = make_group([31])
     with pytest.raises(ResourceLimitError):
         enumerate_atoms(g31, [g31.element(1)])  # bound 31 > default 20
+
+
+def test_atom_length_bound_caps_hold_on_every_call():
+    # D(<S>) is computed once per ground set, but the caps are checked on every
+    # call, and a refused Davenport search is refused again
+    g = parse_group("C2xC2xC6")
+    ground = tuple(sorted(g.element(c).index for c in ((1, 0, 0), (0, 1, 0), (0, 0, 1))))
+    for _ in range(2):
+        with pytest.raises(ResourceLimitError, match="Davenport search capped at order 20"):
+            atom_length_bound(g, ground, Limits(max_davenport_order=20))
+    bound = atom_length_bound(g, ground, Limits(max_davenport_order=24))
+    assert bound == davenport(g, max_order=24)
+    assert atom_length_bound(g, ground, Limits(max_davenport_order=24)) == bound
+    with pytest.raises(ResourceLimitError, match="support elements"):
+        atom_length_bound(g, ground, Limits(max_support=2, max_davenport_order=24))
+    with pytest.raises(ResourceLimitError, match="exceeds the cap"):
+        atom_length_bound(g, ground, Limits(max_atom_length=bound - 1, max_davenport_order=24))
 
 
 def test_atom_cache_round_trip(tmp_path):
