@@ -15,6 +15,23 @@ a * (c - a) for some atom a, and v - a = (c - a) * (v - c) is a shorter zero
 sum, so it is in the set.  :func:`is_atom` runs the same rule over the
 sub-multisets of the queried sequence.
 
+Atoms are enumerated over the folded ground set fold S
+(:func:`pmzs.groups.fold_negatives`), once per folded set, and lifted back.
+The fold phi sends g and -g to min(g, -g) and sums their multiplicities.
+Giving the copies of -g the opposite sign turns a signed zero sum over fold S
+into one over S and back, so phi preserves and reflects zero sums; and any
+split phi(v) = x * y into zero sums lifts to v = c * w by handing out the
+copies of g and -g.  So phi is a transfer homomorphism (Geroldinger--Halter-
+Koch, *Non-Unique Factorizations*, 3.2): v is an atom iff phi(v) is, and the
+atoms over S are all preimages of the atoms over fold S.
+
+Over the folded set the coordinate of g is capped at min(bound, ord g).  Take
+a signing that makes an atom v a zero sum.  If it gives g both signs, then
+v - g^2 is a zero sum; if all copies of g have one sign and v_g >= ord g, then
+v - g^ord(g) is one.  Either way v is reducible unless v = g^2 or
+v = g^ord(g).  Every remainder v - a <= v stays within the caps, so the
+earlier-atom rule still finds it.
+
 Atom lengths are bounded by the Davenport constant of the subgroup generated
 by the ground set: in any longer signed zero sum, the first length-minus-one
 weighted terms already contain a proper nonempty zero-sum block, and both the
@@ -35,7 +52,15 @@ from pathlib import Path
 from typing import Iterable
 
 from .errors import DomainError, PmzsError, ResourceLimitError
-from .groups import Group, GroupElement, davenport, fold_negatives, signed_shift_mask, subgroup_generated
+from .groups import (
+    Group,
+    GroupElement,
+    davenport,
+    fold_negatives,
+    fold_positions,
+    signed_shift_mask,
+    subgroup_generated,
+)
 from .limits import DEFAULT_LIMITS, Limits
 from .notation import format_group, parse_group, subset_from_json, subset_to_json
 from .sequences import Sequence
@@ -167,9 +192,52 @@ def _enumerate_atom_vectors(
 
 
 @lru_cache(maxsize=1024)
+def _folded_atom_vectors(group: Group, folded: tuple[int, ...], bound: int) -> tuple[tuple[int, ...], ...]:
+    """The atom list over a folded ground set, enumerated once per process,
+    each coordinate capped at min(bound, ord g) (see the module docstring)."""
+    caps = tuple(min(bound, group._order_table[gi]) for gi in folded)
+    return tuple(_enumerate_atom_vectors(group, folded, bound, caps))
+
+
+def _lift(source: tuple[int, ...], atoms: tuple[tuple[int, ...], ...]) -> tuple[tuple[int, ...], ...]:
+    """Every preimage of the given folded atoms, in :func:`_atom_order`;
+    ``source[p]`` is the folded coordinate of ground position p.
+
+    When two ground positions p < q share a folded coordinate (g and -g), its
+    multiplicity m splits as (m - k, k) over them for k = 0..m; every other
+    coordinate is copied.
+    """
+    first: dict[int, int] = {}
+    pairs = []
+    for q, j in enumerate(source):
+        if j in first:
+            pairs.append((first[j], q))
+        else:
+            first[j] = q
+    out = []
+    for atom in atoms:
+        base = [atom[j] if first[j] == p else 0 for p, j in enumerate(source)]
+        lifted = [base]
+        for p, q in pairs:
+            m = base[p]
+            split = []
+            for vec in lifted:
+                for k in range(1, m + 1):
+                    part = vec.copy()
+                    part[p] = m - k
+                    part[q] = k
+                    split.append(part)
+            lifted += split  # k = 0 keeps vec
+        out.extend(map(tuple, lifted))
+    return tuple(sorted(out, key=_atom_order))
+
+
+@lru_cache(maxsize=1024)
 def _atom_vectors(group: Group, ground_indices: tuple[int, ...], bound: int) -> tuple[tuple[int, ...], ...]:
-    """The complete atom list over a nonzero ground set, enumerated once per process."""
-    return tuple(_enumerate_atom_vectors(group, ground_indices, bound, (bound,) * len(ground_indices)))
+    """The complete atom list over a nonzero ground set, lifted from its folded
+    set; each folded set is enumerated once per process."""
+    folded, source = fold_positions(group, ground_indices)
+    return _lift(source, _folded_atom_vectors(group, folded, bound))
 
 
 def _atom_order(vec: tuple[int, ...]) -> tuple[int, tuple[int, ...]]:
@@ -275,8 +343,9 @@ class AtomCache:
 
 @lru_cache(maxsize=4096)
 def _span_davenport(group: Group, ground_indices: tuple[int, ...], max_order: int) -> int:
-    """D of the subgroup generated by the ground set, once per ground set per
-    process; a refused search raises on every call, since raising caches nothing."""
+    """D of the subgroup generated by a folded ground set (<S> = <fold S>), once
+    per folded set per process; a refused search raises on every call, since
+    raising caches nothing."""
     _, span = subgroup_generated(group, [group.element_at(i) for i in ground_indices])
     return davenport(span, max_order=max_order)
 
@@ -291,7 +360,7 @@ def atom_length_bound(group: Group, ground_indices: tuple[int, ...], limits: Lim
         raise ResourceLimitError(
             f"atom enumeration capped at {limits.max_support} support elements, got {len(ground_indices)}"
         )
-    bound = _span_davenport(group, ground_indices, limits.max_davenport_order)
+    bound = _span_davenport(group, fold_negatives(group, ground_indices), limits.max_davenport_order)
     if bound > limits.max_atom_length:
         raise ResourceLimitError(
             f"atom length bound {bound} exceeds the cap {limits.max_atom_length} for {format_group(group)}"
@@ -310,9 +379,10 @@ def enumerate_atoms(
 
     Zero is stripped first and recorded in the flag.  Raises
     :class:`ResourceLimitError` when the support size or the length bound
-    exceeds the configured caps, rather than returning a partial list.  A
-    ground set is enumerated once per process; a ``cache`` miss that the
-    process already enumerated is still stored.
+    exceeds the configured caps, rather than returning a partial list.  The
+    atoms are lifted from those of the folded ground set, which is enumerated
+    once per process; a ``cache`` miss that the process already enumerated is
+    still stored.
     """
     indices = set()
     includes_zero = False

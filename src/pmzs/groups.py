@@ -451,6 +451,15 @@ def fold_negatives(group: Group, indices: Iterable[int]) -> tuple[int, ...]:
     return tuple(sorted({min(i, neg[i]) for i in indices}))
 
 
+def fold_positions(group: Group, indices: tuple[int, ...]) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """``fold_negatives(group, indices)``, and the position in it of each given
+    index's image min(i, index of -i)."""
+    folded = fold_negatives(group, indices)
+    neg = group._neg_table
+    slot = {f: j for j, f in enumerate(folded)}
+    return folded, tuple(slot[min(i, neg[i])] for i in indices)
+
+
 @dataclass(frozen=True)
 class GroupSummary:
     """Structural invariants reported by the CLI ``group`` command."""
@@ -529,12 +538,15 @@ def davenport(group: Group, *, max_order: int = 20) -> int:
 def automorphisms(group: Group, *, max_work: int = 2**22) -> list[tuple[int, ...]]:
     """All automorphisms of the group, as permutations of element indices.
 
-    Enumerated by brute force over generator images; each candidate image
-    tuple induces a well-defined endomorphism iff ni * image(ei) = 0, and is
-    kept iff the induced map permutes the group.  The image of ei ranges over
-    the prod_j gcd(ni, nj) elements killed by ni, and each candidate map has
-    |G| entries; that work is computed from the invariant factors before any
-    table is built, and the search is refused when it exceeds ``max_work``.
+    Generator images are chosen depth first, in the order of a product over
+    the candidate images.  The image of ei ranges over the prod_j gcd(ni, nj)
+    elements killed by ni, so each choice induces a well-defined homomorphism
+    on <e1, ..., ei>, listed as the images of its elements.  A choice is
+    dropped as soon as that list repeats an index, since a restriction of a
+    bijection is injective; a full list without repeats permutes the group.
+    The work of a full product (image tuples times |G| entries) is computed
+    from the invariant factors before any table is built, and the search is
+    refused when it exceeds ``max_work``.
     """
     factors = group.invariant_factors
     tuples = math.prod(math.gcd(n, m) for n in factors for m in factors)
@@ -547,16 +559,28 @@ def automorphisms(group: Group, *, max_work: int = 2**22) -> list[tuple[int, ...
         return [()]
     add = group._add_table
     orders = group._order_table
-    candidates = [[i for i in range(group.order) if n % orders[i] == 0] for n in factors]
+    # the multiples 0, gi, 2 gi, ... of each candidate image of ei
+    candidates = []
+    for n in factors:
+        per_image = []
+        for gi in range(group.order):
+            if n % orders[gi] == 0:
+                multiples = [0]
+                for _ in range(n - 1):
+                    multiples.append(add[multiples[-1]][gi])
+                per_image.append(multiples)
+        candidates.append(per_image)
     out = []
-    for images in product(*candidates):
-        maps = [0]
-        for n, gi in zip(factors, images):
-            multiples = [0]
-            for _ in range(n - 1):
-                multiples.append(add[multiples[-1]][gi])
-            # keep earlier coordinates most significant, matching element indexing
-            maps = [add[x][m] for x in maps for m in multiples]
-        if len(set(maps)) == group.order:
+
+    def extend(depth: int, maps: list[int]) -> None:
+        if depth == len(factors):
             out.append(tuple(maps))
+            return
+        for multiples in candidates[depth]:
+            # keep earlier coordinates most significant, matching element indexing
+            images = [add[x][m] for x in maps for m in multiples]
+            if len(set(images)) == len(images):
+                extend(depth + 1, images)
+
+    extend(0, [0])
     return out

@@ -20,7 +20,7 @@ from typing import Iterable, Sequence as SequenceABC
 
 from .atoms import AtomCache, AtomSet, enumerate_atoms, atom_length_profile
 from .errors import DomainError, ResourceLimitError
-from .groups import Group, GroupElement, fold_negatives
+from .groups import Group, GroupElement, fold_negatives, fold_positions
 from .limits import DEFAULT_LIMITS, Limits
 from .sequences import Sequence
 
@@ -163,12 +163,23 @@ class Factorizer:
     then ``d ^ G`` is ``r - a``.  The fields are widened, and the memo
     dropped, when a query has a coordinate that does not fit.  The full
     listing is kept for :meth:`factorizations`.
+
+    The DP runs over the folded ground set (:func:`pmzs.groups.fold_negatives`):
+    the fold phi sums the coordinates of g and -g onto min(g, -g).  A signing
+    of a sequence over the folded set lifts to one of any preimage by giving
+    the copies of -g the opposite sign, so phi preserves and reflects zero
+    sums, and any factorization phi(v) = x * y lifts to v = c * w by handing
+    out the copies of g and -g.  So phi is a transfer homomorphism: the images
+    phi(A) of the atoms, deduplicated, are the atoms over the folded set, and
+    L(v) = L(phi(v)).  Queries are answered at phi(v).
     """
 
     def __init__(self, atom_set: AtomSet):
         self.atom_set = atom_set
         self.vectors = atom_set.vectors
-        self._width = len(atom_set.ground)
+        folded, self._source = fold_positions(atom_set.group, tuple(g.index for g in atom_set.ground))
+        self._width = len(folded)
+        self._folded_atoms = tuple(sorted({self._fold(vec) for vec in self.vectors}))
         self._set_field_bits((8 * max(atom_set.bound, 1)).bit_length())
 
         @lru_cache(maxsize=1 << 17)
@@ -192,7 +203,7 @@ class Factorizer:
         self._field_limit = 1 << bits
         self._stride = bits + 1
         guards = sum(1 << (i * self._stride + bits) for i in range(self._width))
-        per_field = [tuple(self._pack(vec) for vec in self.vectors if vec[i]) for i in range(self._width)]
+        per_field = [tuple(self._pack(vec) for vec in self._folded_atoms if vec[i]) for i in range(self._width)]
         # the atoms that cover the field holding each bit
         covering = [per_field[b // self._stride] for b in range(self._width * self._stride)]
         memo = {0: 1}
@@ -211,17 +222,25 @@ class Factorizer:
 
         self._mask = mask
 
+    def _fold(self, vec: tuple[int, ...]) -> tuple[int, ...]:
+        """phi(vec): the coordinates of g and -g summed onto the folded one."""
+        folded = [0] * self._width
+        for j, c in zip(self._source, vec):
+            folded[j] += c
+        return tuple(folded)
+
     def _pack(self, vec: tuple[int, ...]) -> int:
         return sum(c << (i * self._stride) for i, c in enumerate(vec))
 
     def _mask_of(self, vec: tuple[int, ...]) -> int:
         """Bitmask of the factorization lengths of an exponent vector over the atoms."""
-        if len(vec) != self._width or min(vec, default=0) < 0:
-            raise DomainError(f"expected a nonnegative exponent vector of length {self._width}, got {vec}")
-        top = max(vec, default=0)
+        if len(vec) != len(self._source) or min(vec, default=0) < 0:
+            raise DomainError(f"expected a nonnegative exponent vector of length {len(self._source)}, got {vec}")
+        folded = self._fold(vec)
+        top = max(folded, default=0)
         if top >= self._field_limit:
             self._set_field_bits(top.bit_length())
-        lengths = self._mask(self._pack(vec))
+        lengths = self._mask(self._pack(folded))
         if not lengths:
             raise AssertionError("a signed zero-sum element failed to factor over a complete atom set")
         return lengths

@@ -9,6 +9,7 @@ over atom vectors.
 from __future__ import annotations
 
 import math
+import random
 from itertools import product
 
 from pmzs import Group, Sequence, abelian_group_types, make_group
@@ -16,6 +17,67 @@ from pmzs import Group, Sequence, abelian_group_types, make_group
 
 def small_group_list(max_order: int) -> list[Group]:
     return [make_group(f) for order in range(2, max_order + 1) for f in abelian_group_types(order)]
+
+
+def mixed_unfolded_grounds(max_order: int, per_group: int, seed: int):
+    """Seeded (group, ground indices) pairs over every group of order <= max_order.
+
+    Each ground set holds, where the group has them, a merged pair {g, -g}, a
+    lone negative (the larger index of h and -h, without the smaller) and an
+    element of order 2, padded with random nonzero elements to at most five.
+    """
+    rng = random.Random(seed)
+    for group in small_group_list(max_order):
+        neg = group._neg_table
+        pairs = [i for i in range(1, group.order) if i < neg[i]]
+        involutions = [i for i in range(1, group.order) if i == neg[i]]
+        for _ in range(per_group):
+            ground = set()
+            if pairs:
+                g = rng.choice(pairs)
+                ground |= {g, neg[g]}
+                lone = [neg[h] for h in pairs if h != g]
+                if lone:
+                    ground.add(rng.choice(lone))
+            if involutions:
+                ground.add(rng.choice(involutions))
+            size = rng.randint(len(ground), max(len(ground), min(5, group.order - 1)))
+            while len(ground) < size:
+                ground.add(rng.randrange(1, group.order))
+            yield group, tuple(sorted(ground))
+
+
+def brute_automorphisms(group: Group) -> list[tuple[int, ...]]:
+    """Every automorphism as a permutation of element indices, in product order
+    over the images of the generators.
+
+    Each tuple of images x_k with n_k * x_k = 0 defines the homomorphism
+    sum c_k e_k -> sum c_k x_k, evaluated here coordinate by coordinate through
+    the addition table; the bijections are kept.
+    """
+    factors = group.invariant_factors
+    add = group._add_table
+
+    def times(c: int, x: int) -> int:
+        y = 0
+        for _ in range(c):
+            y = add[y][x]
+        return y
+
+    coords = [group.element_at(i).coords for i in range(group.order)]
+    killed = [[x for x in range(group.order) if times(n, x) == 0] for n in factors]
+    out = []
+    for images in product(*killed):
+        multiples = [[times(c, x) for c in range(n)] for n, x in zip(factors, images)]
+        perm = []
+        for cs in coords:
+            y = 0
+            for c, mult in zip(cs, multiples):
+                y = add[y][mult[c]]
+            perm.append(y)
+        if len(set(perm)) == group.order:
+            out.append(tuple(perm))
+    return out
 
 
 def brute_shift_mask(group: Group, mask: int, gi: int) -> int:

@@ -24,8 +24,14 @@ from pmzs import (
     parse_group,
     parse_subset,
 )
-from pmzs.atoms import atom_length_bound
-from helpers import brute_factorization_lengths, brute_is_atom, brute_is_pm_zero_sum, small_group_list
+from pmzs.atoms import _atom_vectors, _enumerate_atom_vectors, atom_length_bound
+from helpers import (
+    brute_factorization_lengths,
+    brute_is_atom,
+    brute_is_pm_zero_sum,
+    mixed_unfolded_grounds,
+    small_group_list,
+)
 
 
 def test_is_atom_examples():
@@ -73,6 +79,33 @@ def test_enumerate_atoms_matches_brute_force():
             key=lambda v: (sum(v), v),
         )
         assert list(atoms.vectors) == expected, format_group(group)
+
+
+def _unpruned(group, ground):
+    """Atoms over the unfolded ground set, no coordinate capped below the bound."""
+    bound = atom_length_bound(group, ground, Limits(max_support=9))
+    return bound, tuple(_enumerate_atom_vectors(group, ground, bound, (bound,) * len(ground)))
+
+
+def test_lifted_atoms_match_unpruned_enumeration_on_nonzero_sets():
+    for group in small_group_list(10):
+        ground = tuple(range(1, group.order))
+        bound, expected = _unpruned(group, ground)
+        assert _atom_vectors(group, ground, bound) == expected, format_group(group)
+
+
+def test_lifted_atoms_match_unpruned_enumeration_on_mixed_subsets():
+    # merged pairs {g, -g}, lone negatives -g (the larger index of the two) and
+    # order-2 elements, each present in many of the ground sets
+    kinds = {"pair": 0, "lone": 0, "order 2": 0}
+    for group, ground in mixed_unfolded_grounds(16, per_group=3, seed=41):
+        neg = group._neg_table
+        kinds["pair"] += any(neg[i] > i and neg[i] in ground for i in ground)
+        kinds["lone"] += any(neg[i] < i and neg[i] not in ground for i in ground)
+        kinds["order 2"] += any(neg[i] == i for i in ground)
+        bound, expected = _unpruned(group, ground)
+        assert _atom_vectors(group, ground, bound) == expected, (format_group(group), ground)
+    assert min(kinds.values()) >= 20, kinds
 
 
 def test_enumerate_atoms_single_generator_c5():

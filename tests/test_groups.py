@@ -20,7 +20,7 @@ from pmzs import (
     subgroup_generated,
 )
 from pmzs.groups import shift_mask, signed_shift_mask
-from helpers import brute_shift_mask, small_group_list
+from helpers import brute_automorphisms, brute_shift_mask, small_group_list
 
 
 def test_make_group_canonicalizes():
@@ -181,6 +181,13 @@ def test_automorphism_counts():
     assert len(automorphisms(make_group([3]), max_work=9)) == 2
     with pytest.raises(ResourceLimitError):
         automorphisms(make_group([3]), max_work=8)
+
+
+def test_automorphisms_match_full_product_oracle():
+    # the depth-first search drops an image choice as soon as it repeats an
+    # index; the list and its order are those of the full product
+    for g in small_group_list(16):
+        assert automorphisms(g) == brute_automorphisms(g), str(g)
 
 
 def test_automorphisms_permute_and_preserve_order():

@@ -27,7 +27,12 @@ from pmzs import (
 )
 from pmzs.limits import Limits
 from pmzs.relations import Factorizer, delta_of_lengths
-from helpers import brute_factorization_lengths, gcd_of_length_differences_up_to_3, small_group_list
+from helpers import (
+    brute_factorization_lengths,
+    gcd_of_length_differences_up_to_3,
+    mixed_unfolded_grounds,
+    small_group_list,
+)
 
 
 def subset_of(spec, literal):
@@ -198,6 +203,27 @@ def test_length_set_of_three_atom_products_matches_listing_and_oracle():
         for _ in range(12):
             a, b, c = (atoms.sequence(rng.randrange(len(atoms))) for _ in range(3))
             _assert_lengths_agree(fz, a.concat(b).concat(c), memo)
+
+
+def test_folded_length_sets_match_oracle_on_unfolded_subsets():
+    # the DP runs over the folded atoms; the oracle recurses over the unfolded ones
+    rng = random.Random(43)
+    instances = [subset_of("C9", "[(1),(8),(4)]"), subset_of("C2xC6", "[(1,1),(0,5),(1,0),(0,1)]")]
+    instances += [
+        (group, [group.element_at(i) for i in ground]) for group, ground in mixed_unfolded_grounds(12, 1, seed=47)
+    ]
+    for group, subset in instances:
+        atoms = enumerate_atoms(group, subset)
+        if len(atoms) > 100:
+            continue  # the oracle takes seconds on a product over C11's 232 atoms
+        fz, memo = Factorizer(atoms), {}
+        for _ in range(8):
+            product = rng.choice(atoms.vectors)
+            for _ in range(rng.randrange(1, 3)):
+                product = tuple(map(sum, zip(product, rng.choice(atoms.vectors))))
+            element = Sequence.from_items(group, [(g, m) for g, m in zip(atoms.ground, product) if m])
+            oracle = tuple(sorted(brute_factorization_lengths(product, atoms.vectors, memo)))
+            assert fz.length_set(element) == oracle, str(element)
 
 
 def test_rho_k_above_the_element_cap_matches_oracle():
