@@ -98,7 +98,11 @@ class AtomSet:
 
     def vector_of(self, seq: Sequence) -> tuple[int, ...]:
         """Exponent vector of a sequence over this ground set (0 entries not represented)."""
-        index_pos = {g.index: i for i, g in enumerate(self.ground)}
+        # the index -> ground position map is built on the first query and kept
+        # in the instance dict, which a frozen dataclass still lets us write
+        index_pos = self.__dict__.get("_positions")
+        if index_pos is None:
+            index_pos = self.__dict__["_positions"] = {g.index: i for i, g in enumerate(self.ground)}
         vec = [0] * len(self.ground)
         for idx, mult in seq.entries:
             if idx == 0:

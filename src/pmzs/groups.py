@@ -7,6 +7,13 @@ by a group element rotates each coordinate: the bits of coordinate k fall in
 blocks of n_k * stride_k consecutive indices (stride_k the product of the
 later factors), and adding c to that coordinate rotates every block by
 c * stride_k bits, which is one masked shift each way.
+
+A group builds its elements once, on first use, and hands out the same
+object for an index every time.  Subgroup spans are closed on bitmasks too:
+the span of a generating set is the fixpoint of ORing in the block rotations
+of the current mask by each generator, and its abstract type is read from
+popcounts of that mask against the elements killed by each divisor of the
+order.  Only the automorphism search builds the |G| x |G| addition table.
 """
 
 from __future__ import annotations
@@ -132,11 +139,7 @@ class Group:
     def element_at(self, index: int) -> "GroupElement":
         if not 0 <= index < self.order:
             raise DomainError(f"element index {index} out of range for {self}")
-        coords = []
-        for n in reversed(self.invariant_factors):
-            index, c = divmod(index, n)
-            coords.append(c)
-        return GroupElement(self, tuple(reversed(coords)))
+        return self._elements[index]
 
     def elements(self) -> Iterator["GroupElement"]:
         for i in range(self.order):
@@ -150,13 +153,36 @@ class Group:
 
     # -- dense arithmetic tables ----------------------------------------------
 
+    def _coords(self) -> Iterator[tuple[int, ...]]:
+        """The coordinate vectors of the elements, in index order."""
+        return product(*(range(n) for n in self.invariant_factors))
+
+    @cached_property
+    def _elements(self) -> tuple["GroupElement", ...]:
+        """The elements by index, built once so that :meth:`element_at` hands
+        out the same object for an index every time."""
+        return tuple(GroupElement(self, coords) for coords in self._coords())
+
     @cached_property
     def _order_table(self) -> tuple[int, ...]:
         """Element orders by index."""
         return tuple(
             math.lcm(*(n // math.gcd(n, c) for c, n in zip(coords, self.invariant_factors)))
-            for coords in product(*(range(n) for n in self.invariant_factors))
+            for coords in self._coords()
         )
+
+    @cached_property
+    def _killed_by(self) -> dict[int, int]:
+        """For each divisor d of the order, the bitmask of the elements x with d * x = 0,
+        that is, of those whose order divides d."""
+        by_order: dict[int, int] = {}
+        for i, o in enumerate(self._order_table):
+            by_order[o] = by_order.get(o, 0) | 1 << i
+        return {
+            d: sum(mask for o, mask in by_order.items() if d % o == 0)
+            for d in range(1, self.order + 1)
+            if self.order % d == 0
+        }
 
     @cached_property
     def _shift_steps(self) -> tuple[tuple[tuple[int, int, int, int], ...], ...]:
@@ -182,20 +208,20 @@ class Group:
             per_coord.append(steps)
         return tuple(
             tuple(steps[c] for steps, c in zip(per_coord, coords) if c)
-            for coords in product(*(range(n) for n in self.invariant_factors))
+            for coords in self._coords()
         )
 
     @cached_property
     def _neg_table(self) -> tuple[int, ...]:
-        table = []
-        for i in range(self.order):
-            coords = self.element_at(i).coords
-            table.append(self.index_of(tuple((-c) % n for c, n in zip(coords, self.invariant_factors))))
-        return tuple(table)
+        return tuple(
+            self.index_of(tuple((-c) % n for c, n in zip(coords, self.invariant_factors)))
+            for coords in self._coords()
+        )
 
     @cached_property
     def _add_table(self) -> tuple[tuple[int, ...], ...]:
-        coords_of = [self.element_at(i).coords for i in range(self.order)]
+        """The |G| x |G| table of sums by index; only the automorphism search needs it."""
+        coords_of = list(self._coords())
         rows = []
         for a in coords_of:
             row = [
@@ -260,7 +286,7 @@ class GroupElement:
             )
         object.__setattr__(self, "coords", tuple(int(c) % n for c, n in zip(self.coords, factors)))
 
-    @property
+    @cached_property
     def index(self) -> int:
         return self.group.index_of(self.coords)
 
@@ -401,38 +427,40 @@ def is_independent(elements: Iterable[GroupElement]) -> bool:
 
 
 def subgroup_generated(group: Group, elements: Iterable[GroupElement]) -> tuple[ElementSet, Group]:
-    """Closure of the given elements under addition, plus its abstract type."""
+    """Closure of the given elements under addition, plus its abstract type.
+
+    The closure is a bitmask fixpoint: starting from {0}, each round ORs in
+    the translates of the current mask by every generator (block rotations,
+    see :func:`shift_mask`) until the mask stops changing.  In a finite
+    group a set closed under adding each generator is the subgroup they span.
+    """
     elements = list(elements)
     for g in elements:
         if g.group != group:
             raise DomainError("generators must belong to the given group")
     gens = [g.index for g in elements]
-    seen = {0}
-    frontier = [0]
-    add = group._add_table
-    while frontier:
-        new = []
-        for x in frontier:
-            for gi in gens:
-                y = add[x][gi]
-                if y not in seen:
-                    seen.add(y)
-                    new.append(y)
-        frontier = new
-    mask = 0
-    for i in seen:
-        mask |= 1 << i
-    return ElementSet(group, mask), _classify_subgroup(group, seen)
+    mask, grown = 0, 1
+    while grown != mask:
+        mask = grown
+        for gi in gens:
+            grown |= shift_mask(group, mask, gi)
+    return ElementSet(group, mask), _classify_subgroup(group, mask)
 
 
-def _classify_subgroup(group: Group, indices: set[int]) -> Group:
-    """Identify the abstract type of a subgroup given as a set of element indices."""
-    m = len(indices)
+def _classify_subgroup(group: Group, mask: int) -> Group:
+    """Identify the abstract type of a subgroup given as a bitmask of element indices.
+
+    A finite abelian group H is determined by the counts |{x in H : d x = 0}|
+    over the divisors d of |H|, which for H = C_{n1} + ... + C_{nr} are
+    prod_i gcd(ni, d).  Each count is a popcount of the subgroup's mask
+    against the elements of G killed by d.
+    """
+    m = mask.bit_count()
     if m == 1:
         return _canonical_group(())
-    orders = [group._order_table[i] for i in indices]
+    killed_by = group._killed_by
     divisors = [d for d in range(1, m + 1) if m % d == 0]
-    counts = {d: sum(1 for o in orders if d % o == 0) for d in divisors}
+    counts = {d: (mask & killed_by[d]).bit_count() for d in divisors}
     for factors in abelian_group_types(m):
         if all(counts[d] == math.prod(math.gcd(n, d) for n in factors) for d in divisors):
             return _canonical_group(factors)

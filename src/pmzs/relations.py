@@ -255,11 +255,12 @@ class Factorizer:
             )
         zeros = 0
         stripped = element
-        if element.multiplicity(element.group.zero()) > 0:
+        # entries are sorted by index, so a 0 term comes first
+        if element.entries and element.entries[0][0] == 0:
             if not self.atom_set.includes_zero:
                 raise DomainError("element contains 0 but 0 is not in the ground set")
-            zeros = element.multiplicity(element.group.zero())
-            stripped = element.remove(Sequence.from_items(element.group, [(element.group.zero(), zeros)]))
+            zeros = element.entries[0][1]
+            stripped = Sequence(element.group, element.entries[1:])
         if not element.is_pm_zero_sum():
             raise DomainError("only signed zero-sum sequences factor in this monoid")
         return self.atom_set.vector_of(stripped), zeros

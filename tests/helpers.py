@@ -2,8 +2,9 @@
 
 These deliberately avoid the library's set-DP, kernel and memoized
 factorization code: translates come from the addition table, signed sums from
-explicit sign enumeration and factorization lengths from a naive recursion
-over atom vectors.
+explicit sign enumeration, subgroup spans from a breadth-first search over
+the addition table and factorization lengths from a naive recursion over atom
+vectors.
 """
 
 from __future__ import annotations
@@ -89,6 +90,36 @@ def brute_shift_mask(group: Group, mask: int, gi: int) -> int:
         out |= 1 << row[low.bit_length() - 1]
         mask ^= low
     return out
+
+
+def brute_subgroup_generated(group: Group, gens: list[int]) -> tuple[int, tuple[int, ...]]:
+    """The subgroup spanned by the given element indices, as a bitmask, and its
+    invariant factors.
+
+    The span is a breadth-first search from 0 over the addition table.  The
+    type is the abelian group of the same order whose multiset of element
+    orders equals the subgroup's; finite abelian groups with the same order
+    statistics are isomorphic.
+    """
+    add = group._add_table
+    seen = {0}
+    frontier = [0]
+    while frontier:
+        new = []
+        for x in frontier:
+            for gi in gens:
+                y = add[x][gi]
+                if y not in seen:
+                    seen.add(y)
+                    new.append(y)
+        frontier = new
+    mask = sum(1 << i for i in seen)
+    orders = sorted(group.element_at(i).order() for i in seen)
+    for factors in abelian_group_types(len(seen)):
+        candidate = make_group(factors)
+        if sorted(x.order() for x in candidate.elements()) == orders:
+            return mask, factors
+    raise AssertionError(f"no abelian group of order {len(seen)} has the element orders {orders}")
 
 
 def brute_signed_sums(seq: Sequence) -> set[tuple[int, ...]]:

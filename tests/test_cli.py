@@ -5,6 +5,7 @@ import time
 
 import pytest
 
+from pmzs import Group, min_delta
 from pmzs.cli import EXIT_DOMAIN, EXIT_OK, EXIT_RESOURCE, EXIT_VERIFY, main
 
 
@@ -95,6 +96,18 @@ def test_delta_star_refuses_automorphism_search_at_once(capsys, group):
     code, out, err = run_cli(capsys, "delta-star", group)
     assert time.perf_counter() - start < 1.0
     assert code == EXIT_RESOURCE and out == "" and "automorphism search" in err
+
+
+def test_min_delta_refuses_a_long_atom_bound_at_once(capsys):
+    # the span of the ground set is closed on bitmasks, so refusing C3000
+    # builds no table with |G|^2 entries
+    start = time.perf_counter()
+    code, out, err = run_cli(capsys, "min-delta", "C3000", "[(1)]")
+    assert time.perf_counter() - start < 1.0
+    assert code == EXIT_RESOURCE and out == "" and "exceeds the cap" in err
+    g = Group((17,))  # a fresh instance, so its tables are the ones this call builds
+    min_delta(g, [g.element(2), g.element(5), g.element(7)])
+    assert "_shift_steps" in vars(g) and "_add_table" not in vars(g)
 
 
 def test_davenport_command(capsys):

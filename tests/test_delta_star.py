@@ -327,7 +327,8 @@ def test_automorphism_cap_refuses_before_the_search():
             g = Group(factors)
             with pytest.raises(ResourceLimitError, match="automorphism search"):
                 sweep(g)
-            assert not {"_neg_table", "_add_table", "_order_table", "_shift_steps"} & set(vars(g))
+            tables = {"_neg_table", "_add_table", "_order_table", "_shift_steps", "_elements", "_killed_by"}
+            assert not tables & set(vars(g))
 
 
 def test_skipped_rows_for_resource_failures():

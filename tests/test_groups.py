@@ -20,7 +20,7 @@ from pmzs import (
     subgroup_generated,
 )
 from pmzs.groups import shift_mask, signed_shift_mask
-from helpers import brute_automorphisms, brute_shift_mask, small_group_list
+from helpers import brute_automorphisms, brute_shift_mask, brute_subgroup_generated, small_group_list
 
 
 def test_make_group_canonicalizes():
@@ -86,9 +86,17 @@ def test_shift_mask_matches_bit_loop():
 
 
 def test_index_round_trip():
-    for g in (make_group([5]), make_group([2, 4]), make_group([3, 6])):
+    # element_at hands out one interned element per index, equal and
+    # hash-equal to the element built from its coordinates
+    for g in [make_group([])] + small_group_list(32):
         for i in range(g.order):
-            assert g.element_at(i).index == i
+            x = g.element_at(i)
+            assert x.index == i and x is g.element_at(i), (str(g), i)
+            y = g.element(*x.coords)
+            assert y == x and hash(y) == hash(x) and y.index == i, (str(g), i)
+        for bad in (-1, g.order):
+            with pytest.raises(DomainError):
+                g.element_at(bad)
 
 
 def test_is_independent():
@@ -111,6 +119,20 @@ def test_subgroup_generated():
     assert len(closure) == 4 and kind.invariant_factors == (4,)
     closure, kind = subgroup_generated(g24, [g24.element(1, 0), g24.element(0, 1)])
     assert kind == g24
+
+
+def test_subgroup_generated_matches_breadth_first_oracle():
+    # the bitmask fixpoint and the popcount type against a search over the
+    # addition table: the empty set, every singleton, random sets of 2-4
+    rng = random.Random(43)
+    for g in [make_group([])] + small_group_list(32):
+        gen_sets = [[]] + [[i] for i in range(g.order)]
+        if g.order > 1:
+            gen_sets += [[rng.randrange(g.order) for _ in range(rng.randint(2, 4))] for _ in range(6)]
+        for gens in gen_sets:
+            closure, kind = subgroup_generated(g, [g.element_at(i) for i in gens])
+            mask, factors = brute_subgroup_generated(g, gens)
+            assert closure.mask == mask and kind.invariant_factors == factors, (str(g), gens)
 
 
 def test_subgroup_generated_checks_members_of_a_generator():
