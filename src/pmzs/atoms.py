@@ -42,7 +42,6 @@ atom (in fact prime); a zero in the ground set is stripped and tracked by the
 
 from __future__ import annotations
 
-import hashlib
 import json
 import math
 import os
@@ -298,8 +297,26 @@ def is_atom(seq: Sequence) -> bool:
     return vec in _enumerate_atom_vectors(seq.group, ground, len(seq), vec)
 
 
+def _fnv1a_64(data: bytes) -> int:
+    """The 64-bit FNV-1a digest of ``data``: fixed across processes and
+    platforms, unlike :func:`hash`, and needing no OpenSSL, unlike hashlib."""
+    h = 0xCBF29CE484222325
+    for byte in data:
+        h = (h ^ byte) * 0x100000001B3 & 0xFFFFFFFFFFFFFFFF
+    return h
+
+
 class AtomCache:
-    """Persistent JSON store for enumerated atom sets, keyed by content hash."""
+    """Persistent JSON store for enumerated atom sets.
+
+    An entry's file is named ``atoms-<16 hex digits>.json`` after the 64-bit
+    FNV-1a digest of its key (cache version, group, nonzero ground indices,
+    length bound).  Two keys with one name are harmless: :meth:`load`
+    checks the group, ground set and bound, so the other key's entry is a
+    miss and gets overwritten.  Entries written under the earlier sha256
+    names are not found; they are misses and are written again under the
+    new names, with unchanged contents, so ``CACHE_VERSION`` stays 1.
+    """
 
     def __init__(self, directory: str | Path):
         self.directory = Path(directory)
@@ -307,8 +324,7 @@ class AtomCache:
 
     def _path(self, group: Group, ground_indices: tuple[int, ...], bound: int) -> Path:
         key = f"{CACHE_VERSION}|{format_group(group)}|{','.join(map(str, ground_indices))}|{bound}"
-        digest = hashlib.sha256(key.encode()).hexdigest()[:24]
-        return self.directory / f"atoms-{digest}.json"
+        return self.directory / f"atoms-{_fnv1a_64(key.encode()):016x}.json"
 
     def load(self, group: Group, ground_indices: tuple[int, ...], bound: int) -> AtomSet | None:
         """The stored atom set, or None on a miss.

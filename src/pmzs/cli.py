@@ -12,11 +12,14 @@ from __future__ import annotations
 
 import argparse
 import csv
+import gc
 import io
 import json
+import locale  # noqa: F401  (see the gc.freeze() note below)
 import os
 import sys
 from contextlib import nullcontext
+from typing import Callable, Iterable
 
 from .atoms import AtomCache, atom_length_profile, davenport_monoid, enumerate_atoms
 from .delta_star import FAIL, NOT_APPLICABLE, delta_star
@@ -33,6 +36,13 @@ from .notation import (
 )
 from .relations import Factorizer, min_delta_of_atoms, rho_k
 from .suite import run_suite
+
+# Start-up ends here.  argparse imports locale on its first parse, through
+# gettext, so it is imported above with the rest; then the command loads no
+# module of its own.  gc.freeze() moves every object made so far, which lives
+# as long as the process, out of the collector's generations, so the
+# collections that a command triggers do not scan the imported modules again.
+gc.freeze()
 
 EXIT_OK = 0
 EXIT_DOMAIN = 1
@@ -149,17 +159,27 @@ def _subset_from(args, group):
     return parse_subset(group, args.subset)
 
 
-def _emit(args, payload: dict, table_lines: list[str], csv_rows: list[list] | None = None) -> None:
+def _emit(
+    args,
+    payload: dict,
+    table: Callable[[], Iterable[str]],
+    csv_rows: Callable[[], Iterable[list]] | None = None,
+) -> None:
+    """Print the report in the chosen format.
+
+    ``table`` and ``csv_rows`` build the table lines and the CSV rows, and
+    only the chosen format's builder runs.  Without ``csv_rows`` the CSV
+    holds one row per payload key.
+    """
     if args.format == "json":
         print(json.dumps(payload, sort_keys=True, indent=2))
     elif args.format == "csv":
         out = io.StringIO()
-        writer = csv.writer(out)
-        for row in csv_rows if csv_rows is not None else [[k, payload[k]] for k in sorted(payload)]:
-            writer.writerow(row)
+        rows = csv_rows() if csv_rows is not None else ([k, payload[k]] for k in sorted(payload))
+        csv.writer(out).writerows(rows)
         print(out.getvalue(), end="")
     else:
-        for line in table_lines:
+        for line in table():
             print(line)
 
 
@@ -181,15 +201,18 @@ def _cmd_group(args) -> int:
         "davenport": d_exact,
         "m_ranks": {str(p): r for p, r in info.m_ranks.items()},
     }
-    lines = [
-        f"group      {payload['group']}",
-        f"order      {info.order}",
-        f"exponent   {info.exponent}",
-        f"rank       {info.rank}",
-    ]
-    lines += [f"r_{p}        {r}" for p, r in info.m_ranks.items()]
-    lines += [f"D*         {info.d_star}", f"D          {d_text}"]
-    _emit(args, payload, lines)
+
+    def table():
+        yield f"group      {payload['group']}"
+        yield f"order      {info.order}"
+        yield f"exponent   {info.exponent}"
+        yield f"rank       {info.rank}"
+        for p, r in info.m_ranks.items():
+            yield f"r_{p}        {r}"
+        yield f"D*         {info.d_star}"
+        yield f"D          {d_text}"
+
+    _emit(args, payload, table)
     return EXIT_OK
 
 
@@ -204,12 +227,21 @@ def _cmd_atoms(args) -> int:
         "max_length": profile.max_length,
         "gcd_lengths_minus_2": profile.gcd_lengths_minus_2,
     })
-    lines = [f"{len(atoms)} atoms over {format_subset(atoms.ground)} in {format_group(group)}"
-             + (" (plus the prime atom (0))" if atoms.includes_zero else "")]
-    lines += [f"  {atoms.sequence(k)}   length {sum(atoms.vectors[k])}" for k in range(len(atoms))]
-    lines += [f"max length {profile.max_length}", f"gcd(length-2) {profile.gcd_lengths_minus_2}"]
-    csv_rows = [["atom", "length"]] + [[str(atoms.sequence(k)), sum(atoms.vectors[k])] for k in range(len(atoms))]
-    _emit(args, payload, lines, csv_rows)
+
+    def table():
+        yield (f"{len(atoms)} atoms over {format_subset(atoms.ground)} in {format_group(group)}"
+               + (" (plus the prime atom (0))" if atoms.includes_zero else ""))
+        for k in range(len(atoms)):
+            yield f"  {atoms.sequence(k)}   length {sum(atoms.vectors[k])}"
+        yield f"max length {profile.max_length}"
+        yield f"gcd(length-2) {profile.gcd_lengths_minus_2}"
+
+    def csv_rows():
+        yield ["atom", "length"]
+        for k in range(len(atoms)):
+            yield [str(atoms.sequence(k)), sum(atoms.vectors[k])]
+
+    _emit(args, payload, table, csv_rows)
     return EXIT_OK
 
 
@@ -224,7 +256,7 @@ def _cmd_min_delta(args) -> int:
         "min_delta": value,
     }
     text = "empty distance set" if value is None else str(value)
-    _emit(args, payload, [f"min delta = {text}"])
+    _emit(args, payload, lambda: [f"min delta = {text}"])
     return EXIT_OK
 
 
@@ -234,13 +266,12 @@ def _cmd_lengths(args) -> int:
     atoms = enumerate_atoms(group, seq.support, limits=_limits_from(args), cache=_cache_from(args))
     result = Factorizer(atoms).factorizations(seq)
     payload = result.to_json_dict()
-    lines = [
+    _emit(args, payload, lambda: [
         f"element        {seq}",
         f"factorizations {len(result.factorizations)}",
         f"lengths        {{{', '.join(map(str, result.lengths))}}}",
         f"delta          {{{', '.join(map(str, result.delta))}}}",
-    ]
-    _emit(args, payload, lines)
+    ])
     return EXIT_OK
 
 
@@ -249,7 +280,7 @@ def _cmd_rho(args) -> int:
     subset = _subset_from(args, group)
     value = rho_k(group, subset, args.k, limits=_limits_from(args), cache=_cache_from(args))
     payload = {"group": format_group(group), "k": args.k, "rho_k": value}
-    _emit(args, payload, [f"rho_{args.k} = {value}"])
+    _emit(args, payload, lambda: [f"rho_{args.k} = {value}"])
     return EXIT_OK
 
 
@@ -262,20 +293,23 @@ def _cmd_delta_star(args) -> int:
         prune=not args.no_prune,
         cache=_cache_from(args),
     )
-    payload = report.to_json_dict()
-    values = "{" + ", ".join(map(str, report.delta_star)) + "}"
-    lines = [
-        f"delta*({format_group(group)}) = {values}   max = {report.max_delta}"
-        + ("" if report.complete else "   [partial sweep]")
-        + ("   [evaluated rows only]" if report.evaluated_only else ""),
-    ]
-    for subset, value in report.table:
-        lines.append(f"  {format_subset(report.subset_elements(subset))}   min delta = {value}")
-    for subset, reason in report.skipped:
-        lines.append(f"  {format_subset(report.subset_elements(subset))}   skipped: {reason}")
-    csv_rows = [["subset", "min_delta"]]
-    csv_rows += [[format_subset(report.subset_elements(s)), "" if v is None else v] for s, v in report.table]
-    _emit(args, payload, lines, csv_rows)
+
+    def table():
+        values = "{" + ", ".join(map(str, report.delta_star)) + "}"
+        yield (f"delta*({format_group(group)}) = {values}   max = {report.max_delta}"
+               + ("" if report.complete else "   [partial sweep]")
+               + ("   [evaluated rows only]" if report.evaluated_only else ""))
+        for subset, value in report.table:
+            yield f"  {format_subset(report.subset_elements(subset))}   min delta = {value}"
+        for subset, reason in report.skipped:
+            yield f"  {format_subset(report.subset_elements(subset))}   skipped: {reason}"
+
+    def csv_rows():
+        yield ["subset", "min_delta"]
+        for subset, value in report.table:
+            yield [format_subset(report.subset_elements(subset)), "" if value is None else value]
+
+    _emit(args, report.to_json_dict(), table, csv_rows)
     return EXIT_OK
 
 
@@ -284,7 +318,7 @@ def _cmd_davenport(args) -> int:
     if args.subset is None:
         value = davenport(group, max_order=DEFAULT_LIMITS.max_davenport_order)
         payload = {"group": format_group(group), "davenport_group": value}
-        _emit(args, payload, [f"D({format_group(group)}) = {value}"])
+        _emit(args, payload, lambda: [f"D({format_group(group)}) = {value}"])
     else:
         subset = _subset_from(args, group)
         value = davenport_monoid(group, subset, limits=_limits_from(args), cache=_cache_from(args))
@@ -293,7 +327,7 @@ def _cmd_davenport(args) -> int:
             "subset": subset_to_json(subset),
             "davenport_monoid": value,
         }
-        _emit(args, payload, [f"D(monoid) = {value}"])
+        _emit(args, payload, lambda: [f"D(monoid) = {value}"])
     return EXIT_OK
 
 

@@ -35,7 +35,6 @@ every orbit representative, as a reference path.
 from __future__ import annotations
 
 import math
-from concurrent.futures import ProcessPoolExecutor
 from contextlib import nullcontext
 from dataclasses import dataclass, field
 from functools import cached_property
@@ -242,6 +241,20 @@ def _sweep_worker(payload) -> Row:
     return _evaluate_subset(group, rep, limits, cache)
 
 
+def _pool(jobs: int):
+    """A process pool of ``jobs`` workers, or a null context for one job.
+
+    The pool's modules (``concurrent.futures.process``, ``multiprocessing``)
+    are imported here, only for ``jobs > 1``: they add about 2.5 MB and 25 ms
+    to the start-up of every process that imports them.
+    """
+    if jobs <= 1:
+        return nullcontext()
+    from concurrent.futures import ProcessPoolExecutor
+
+    return ProcessPoolExecutor(max_workers=jobs)
+
+
 def delta_star(
     group: Group,
     *,
@@ -266,7 +279,7 @@ def delta_star(
     orbits = _FoldedOrbits(group, maps)
     cache_dir = str(cache.directory) if cache is not None else None
     rows: dict[tuple[int, ...], Row] = {}
-    with ProcessPoolExecutor(max_workers=jobs) if jobs > 1 else nullcontext() as pool:
+    with _pool(jobs) as pool:
 
         def down_set_rows(masks) -> set[int]:
             masks = _by_size(masks)

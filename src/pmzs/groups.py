@@ -14,6 +14,8 @@ the span of a generating set is the fixpoint of ORing in the block rotations
 of the current mask by each generator, and its abstract type is read from
 popcounts of that mask against the elements killed by each divisor of the
 order.  Only the automorphism search builds the |G| x |G| addition table.
+The rotations that translate by an element are built the first time a mask
+is translated by it, since each holds two |G|-bit masks.
 """
 
 from __future__ import annotations
@@ -185,31 +187,10 @@ class Group:
         }
 
     @cached_property
-    def _shift_steps(self) -> tuple[tuple[tuple[int, int, int, int], ...], ...]:
-        """Per element index, the block rotations that translate a bitmask by it.
-
-        A step ``(lo, up, hi, down)`` adds c to coordinate k: ``lo`` holds
-        the indices whose coordinate k is below n_k - c, which move up by
-        ``up = c * stride_k`` bits, and ``hi`` the rest, which wrap down by
-        ``down = (n_k - c) * stride_k`` bits.  One step per (k, c) with c != 0
-        is built, and the elements share them.
-        """
-        full = (1 << self.order) - 1
-        per_coord = []
-        stride = self.order
-        for n in self.invariant_factors:
-            stride //= n
-            block = n * stride
-            repeat = full // ((1 << block) - 1)  # a 1 at the start of every block
-            steps = [None]
-            for c in range(1, n):
-                lo = ((1 << ((n - c) * stride)) - 1) * repeat
-                steps.append((lo, c * stride, full ^ lo, (n - c) * stride))
-            per_coord.append(steps)
-        return tuple(
-            tuple(steps[c] for steps, c in zip(per_coord, coords) if c)
-            for coords in self._coords()
-        )
+    def _shift_steps(self) -> "_ShiftSteps":
+        """Per element index, the block rotations that translate a bitmask by
+        it, built on first use (see :class:`_ShiftSteps`)."""
+        return _ShiftSteps(self.invariant_factors)
 
     @cached_property
     def _neg_table(self) -> tuple[int, ...]:
@@ -238,6 +219,49 @@ class Group:
 
     def __repr__(self) -> str:
         return f"Group({list(self.invariant_factors)})"
+
+
+class _ShiftSteps(dict):
+    """Element index -> the block rotations that translate a bitmask by that
+    element, each built on its first lookup.
+
+    A step ``(lo, up, hi, down)`` adds c to coordinate k: ``lo`` holds the
+    indices whose coordinate k is below n_k - c, which move up by
+    ``up = c * stride_k`` bits, and ``hi`` the rest, which wrap down by
+    ``down = (n_k - c) * stride_k`` bits.  An element's tuple has one step per
+    nonzero coordinate.  The steps are built per (k, c) and shared by the
+    elements.  Each holds two |G|-bit masks, so building them only for the
+    elements actually shifted by keeps a span of one generator, as in a
+    refusal over a large cyclic group, at two masks instead of 2(|G| - 1).
+    """
+
+    def __init__(self, factors: tuple[int, ...]):
+        super().__init__()
+        order = math.prod(factors)
+        self._full = (1 << order) - 1
+        self._radix = []  # per coordinate: (n_k, stride_k, a 1 at the start of every block)
+        stride = order
+        for n in factors:
+            stride //= n
+            self._radix.append((n, stride, self._full // ((1 << (n * stride)) - 1)))
+        self._steps: dict[tuple[int, int], tuple[int, int, int, int]] = {}
+
+    def _step(self, k: int, c: int) -> tuple[int, int, int, int]:
+        step = self._steps.get((k, c))
+        if step is None:
+            n, stride, repeat = self._radix[k]
+            lo = ((1 << ((n - c) * stride)) - 1) * repeat
+            step = self._steps[k, c] = (lo, c * stride, self._full ^ lo, (n - c) * stride)
+        return step
+
+    def __missing__(self, index: int) -> tuple[tuple[int, int, int, int], ...]:
+        steps = tuple(
+            self._step(k, c)
+            for k, (n, stride, _) in enumerate(self._radix)
+            if (c := index // stride % n)
+        )
+        self[index] = steps
+        return steps
 
 
 @lru_cache(maxsize=None)
@@ -409,8 +433,19 @@ def shift_mask(group: Group, mask: int, gi: int) -> int:
 
 
 def signed_shift_mask(group: Group, mask: int, gi: int) -> int:
-    """(T + g) | (T - g) for a bitmask T; one step of the signed-sum recursion."""
-    return shift_mask(group, mask, gi) | shift_mask(group, mask, group._neg_table[gi])
+    """(T + g) | (T - g) for a bitmask T; one step of the signed-sum recursion.
+
+    The two rotations of :func:`shift_mask` are inlined: this is the atom
+    DFS's inner loop, and two calls fewer per step pay for the lookup in
+    the lazily filled step table.
+    """
+    steps = group._shift_steps
+    plus = minus = mask
+    for lo, up, hi, down in steps[gi]:
+        plus = (plus & lo) << up | (plus & hi) >> down
+    for lo, up, hi, down in steps[group._neg_table[gi]]:
+        minus = (minus & lo) << up | (minus & hi) >> down
+    return plus | minus
 
 
 def is_independent(elements: Iterable[GroupElement]) -> bool:

@@ -10,10 +10,35 @@ vectors.
 from __future__ import annotations
 
 import math
+import os
 import random
+import subprocess
+import sys
 from itertools import product
+from pathlib import Path
 
 from pmzs import Group, Sequence, abelian_group_types, make_group
+
+
+REPO = Path(__file__).resolve().parents[1]
+
+
+def run_fresh(snippet: str, *args: str, env: dict[str, str] | None = None) -> str:
+    """Run a Python snippet in a new interpreter and return its stdout.
+
+    The interpreter starts as a benchmark child process does
+    (``perfbench/child.py``): in the repository root, with
+    ``PYTHONPATH=src`` and every ``PMZS_*`` variable removed.  ``args``
+    become ``sys.argv[1:]``, and ``env`` adds variables.
+    """
+    child_env = {k: v for k, v in os.environ.items() if not k.startswith("PMZS_")}
+    child_env["PYTHONPATH"] = str(REPO / "src")
+    child_env.update(env or {})
+    done = subprocess.run(
+        [sys.executable, "-c", snippet, *args], cwd=REPO, env=child_env, capture_output=True, text=True
+    )
+    assert done.returncode == 0, done.stderr
+    return done.stdout
 
 
 def small_group_list(max_order: int) -> list[Group]:

@@ -15,6 +15,7 @@ from pmzs import (
     atom_length_profile,
     davenport,
     davenport_monoid,
+    delta_star,
     divides_pm,
     enumerate_atoms,
     fold_negatives,
@@ -24,12 +25,13 @@ from pmzs import (
     parse_group,
     parse_subset,
 )
-from pmzs.atoms import _atom_vectors, _enumerate_atom_vectors, atom_length_bound
+from pmzs.atoms import _atom_vectors, _enumerate_atom_vectors, _fnv1a_64, atom_length_bound
 from helpers import (
     brute_factorization_lengths,
     brute_is_atom,
     brute_is_pm_zero_sum,
     mixed_unfolded_grounds,
+    run_fresh,
     small_group_list,
 )
 
@@ -309,6 +311,54 @@ def test_tampered_cache_entry_is_rejected(tmp_path, tamper):
     entry.write_text(json.dumps(data))
     assert cache.load(g8, ground, cold.bound) is None
     assert enumerate_atoms(g8, subset, cache=cache) == cold
+
+
+def test_cache_digest_is_fnv1a_64():
+    # published FNV-1a 64-bit test vectors
+    assert _fnv1a_64(b"") == 0xCBF29CE484222325
+    assert _fnv1a_64(b"a") == 0xAF63DC4C8601EC8C
+    assert _fnv1a_64(b"foobar") == 0x85944171F73967E8
+
+
+PINNED_NAME = "atoms-56cb7b6bfc21fddd.json"  # key "1|C8|1,3|8"
+
+
+def test_cache_file_name_is_pinned(tmp_path):
+    g8 = make_group([8])
+    enumerate_atoms(g8, parse_subset(g8, "[(1),(3)]"), cache=AtomCache(tmp_path))
+    assert [p.name for p in tmp_path.iterdir()] == [PINNED_NAME]
+
+
+def test_cache_file_name_is_the_same_under_any_hash_seed(tmp_path):
+    snippet = f"""
+from pmzs import make_group
+from pmzs.atoms import AtomCache
+
+print(AtomCache({str(tmp_path)!r})._path(make_group([8]), (1, 3), 8).name)
+"""
+    names = {run_fresh(snippet, env={"PYTHONHASHSEED": seed}).strip() for seed in ("0", "4242")}
+    assert names == {PINNED_NAME}
+
+
+def test_cache_file_names_do_not_collide_over_sweeps(tmp_path):
+    # every key the C12, C13 and C4xC4 sweeps store, and more: each nonempty
+    # subset of G minus 0 with the largest length bound its group's sweep used
+    class RecordingCache(AtomCache):
+        def _path(self, group, ground_indices, bound):
+            used.add((group, ground_indices, bound))
+            return super()._path(group, ground_indices, bound)
+
+    used = set()
+    cache = RecordingCache(tmp_path)
+    for name in ("C12", "C13", "C4xC4"):
+        delta_star(parse_group(name), cache=cache)
+    keys = set(used)
+    for group in {g for g, _, _ in used}:
+        bound = max(b for g, _, b in used if g == group)
+        for mask in range(1, 1 << (group.order - 1)):
+            keys.add((group, tuple(i + 1 for i in range(group.order - 1) if mask >> i & 1), bound))
+    names = {AtomCache._path(cache, *key).name for key in keys}
+    assert used < keys and len(names) == len(keys)
 
 
 def test_atom_set_json_round_trip():

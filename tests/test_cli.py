@@ -5,7 +5,7 @@ import time
 
 import pytest
 
-from pmzs import Group, min_delta
+from pmzs import Group, ResourceLimitError, min_delta
 from pmzs.cli import EXIT_DOMAIN, EXIT_OK, EXIT_RESOURCE, EXIT_VERIFY, main
 
 
@@ -81,6 +81,79 @@ def test_delta_star_command_formats(capsys):
     assert data["delta_star"] == [1, 5] and data["complete"] is True
 
 
+C2XC4_TABLE = (
+    'delta*(C2xC4) = {1, 2}   max = 2\n'
+    '  [(0,1)]   min delta = None\n'
+    '  [(0,2)]   min delta = None\n'
+    '  [(1,0)]   min delta = None\n'
+    '  [(0,1), (0,2)]   min delta = 1\n'
+    '  [(0,1), (1,0)]   min delta = None\n'
+    '  [(0,1), (1,1)]   min delta = None\n'
+    '  [(0,2), (1,0)]   min delta = None\n'
+    '  [(1,0), (1,2)]   min delta = None\n'
+    '  [(0,1), (0,2), (1,0)]   min delta = 1\n'
+    '  [(0,1), (0,2), (1,1)]   min delta = 1\n'
+    '  [(0,1), (1,0), (1,1)]   min delta = 1\n'
+    '  [(0,1), (1,0), (1,2)]   min delta = 2\n'
+    '  [(0,2), (1,0), (1,2)]   min delta = 1\n'
+    '  [(0,1), (0,2), (1,0), (1,1)]   min delta = 1\n'
+    '  [(0,1), (0,2), (1,0), (1,2)]   min delta = 1\n'
+    '  [(0,1), (1,0), (1,1), (1,2)]   min delta = 1\n'
+    '  [(0,1), (0,2), (1,0), (1,1), (1,2)]   min delta = 1\n'
+)
+C2XC4_CSV = (
+    'subset,min_delta\r\n'
+    '"[(0,1)]",\r\n'
+    '"[(0,2)]",\r\n'
+    '"[(1,0)]",\r\n'
+    '"[(0,1), (0,2)]",1\r\n'
+    '"[(0,1), (1,0)]",\r\n'
+    '"[(0,1), (1,1)]",\r\n'
+    '"[(0,2), (1,0)]",\r\n'
+    '"[(1,0), (1,2)]",\r\n'
+    '"[(0,1), (0,2), (1,0)]",1\r\n'
+    '"[(0,1), (0,2), (1,1)]",1\r\n'
+    '"[(0,1), (1,0), (1,1)]",1\r\n'
+    '"[(0,1), (1,0), (1,2)]",2\r\n'
+    '"[(0,2), (1,0), (1,2)]",1\r\n'
+    '"[(0,1), (0,2), (1,0), (1,1)]",1\r\n'
+    '"[(0,1), (0,2), (1,0), (1,2)]",1\r\n'
+    '"[(0,1), (1,0), (1,1), (1,2)]",1\r\n'
+    '"[(0,1), (0,2), (1,0), (1,1), (1,2)]",1\r\n'
+)
+C2XC4_JSON = (
+    '{"complete":true,"delta_star":[1,2],"group":"C2xC4","max":2,"skipped":[],"table":['
+    '{"min_delta":null,"subset":[[0,1]]},'
+    '{"min_delta":null,"subset":[[0,2]]},'
+    '{"min_delta":null,"subset":[[1,0]]},'
+    '{"min_delta":1,"subset":[[0,1],[0,2]]},'
+    '{"min_delta":null,"subset":[[0,1],[1,0]]},'
+    '{"min_delta":null,"subset":[[0,1],[1,1]]},'
+    '{"min_delta":null,"subset":[[0,2],[1,0]]},'
+    '{"min_delta":null,"subset":[[1,0],[1,2]]},'
+    '{"min_delta":1,"subset":[[0,1],[0,2],[1,0]]},'
+    '{"min_delta":1,"subset":[[0,1],[0,2],[1,1]]},'
+    '{"min_delta":1,"subset":[[0,1],[1,0],[1,1]]},'
+    '{"min_delta":2,"subset":[[0,1],[1,0],[1,2]]},'
+    '{"min_delta":1,"subset":[[0,2],[1,0],[1,2]]},'
+    '{"min_delta":1,"subset":[[0,1],[0,2],[1,0],[1,1]]},'
+    '{"min_delta":1,"subset":[[0,1],[0,2],[1,0],[1,2]]},'
+    '{"min_delta":1,"subset":[[0,1],[1,0],[1,1],[1,2]]},'
+    '{"min_delta":1,"subset":[[0,1],[0,2],[1,0],[1,1],[1,2]]}],'
+    '"witnesses":{"1":[[0,1],[0,2]],"2":[[0,1],[1,0],[1,2]]}}'
+)
+
+
+def test_delta_star_prints_only_the_chosen_format(capsys):
+    # each format's output equals the bytes it had when every format's lines
+    # and rows were built on every call
+    for fmt, expected in (("table", C2XC4_TABLE), ("csv", C2XC4_CSV)):
+        code, out, _ = run_cli(capsys, "delta-star", "C2xC4", "--format", fmt)
+        assert code == EXIT_OK and out == expected
+    code, out, _ = run_cli(capsys, "delta-star", "C2xC4", "--format", "json")
+    assert code == EXIT_OK and out == json.dumps(json.loads(C2XC4_JSON), sort_keys=True, indent=2) + "\n"
+
+
 def test_delta_star_above_cap_reports_evaluated_rows(capsys):
     code, out, _ = run_cli(capsys, "delta-star", "C12", "--format", "json")
     data = json.loads(out)
@@ -108,6 +181,18 @@ def test_min_delta_refuses_a_long_atom_bound_at_once(capsys):
     g = Group((17,))  # a fresh instance, so its tables are the ones this call builds
     min_delta(g, [g.element(2), g.element(5), g.element(7)])
     assert "_shift_steps" in vars(g) and "_add_table" not in vars(g)
+
+
+def test_refusal_builds_shift_steps_only_for_its_generator():
+    # each element's steps hold two |G|-bit masks, so building them for every
+    # element would take |G|^2 / 4 bytes before the refusal
+    from pmzs.atoms import _span_davenport
+
+    _span_davenport.cache_clear()  # C3000 refused above: a memo hit would build nothing
+    g = Group((3000,))
+    with pytest.raises(ResourceLimitError, match="exceeds the cap"):
+        min_delta(g, [g.element(1)])
+    assert 1 <= len(vars(g)["_shift_steps"]) <= 2
 
 
 def test_davenport_command(capsys):

@@ -1,0 +1,64 @@
+"""What a CLI process loads: the modules of ``import pmzs.cli``, and no new
+module during a command, each checked in a fresh interpreter."""
+
+import json
+
+import pytest
+
+from helpers import run_fresh
+
+# Runs pmzs.cli.main(argv) and reports its exit code, its stdout and the
+# modules it imported that start-up had not.
+RUN_MAIN = """
+import contextlib, io, json, sys
+import pmzs.cli
+
+before = set(sys.modules)
+out = io.StringIO()
+with contextlib.redirect_stdout(out):
+    code = pmzs.cli.main(sys.argv[1:])
+print(json.dumps({"code": code, "out": out.getvalue(), "new": sorted(set(sys.modules) - before)}))
+"""
+
+
+def run_main(*argv: str) -> dict:
+    return json.loads(run_fresh(RUN_MAIN, *argv))
+
+
+def test_import_loads_no_pool_and_no_openssl():
+    snippet = """
+import sys
+import pmzs.cli
+
+print(" ".join(m for m in ("hashlib", "_hashlib", "concurrent.futures", "multiprocessing") if m in sys.modules))
+"""
+    assert run_fresh(snippet).split() == []
+
+
+@pytest.mark.parametrize("argv", [
+    ("delta-star", "C4xC4", "--format", "json"),
+    ("verify", "C5"),
+])
+def test_command_imports_no_new_module(argv):
+    # argparse imports locale (through gettext) on its first parse, so this
+    # fails if start-up stops importing it
+    result = run_main(*argv)
+    assert result["code"] == 0 and result["out"]
+    assert result["new"] == []
+
+
+def test_cache_runs_import_no_new_module(tmp_path):
+    argv = ("delta-star", "C12", "--cache-dir", str(tmp_path / "cache"))
+    cold = run_main(*argv)
+    assert list((tmp_path / "cache").glob("atoms-*.json"))
+    warm = run_main(*argv)
+    assert cold["code"] == warm["code"] == 0 and cold["out"] == warm["out"]
+    assert cold["new"] == [] and warm["new"] == []
+
+
+def test_jobs_above_one_loads_the_pool_and_prints_the_same_bytes():
+    serial = run_main("delta-star", "C2xC4", "--jobs", "1")
+    pooled = run_main("delta-star", "C2xC4", "--jobs", "2")
+    assert "concurrent.futures.process" not in serial["new"]
+    assert "concurrent.futures.process" in pooled["new"]
+    assert serial["code"] == pooled["code"] == 0 and serial["out"] == pooled["out"]
