@@ -16,14 +16,16 @@ sum, so it is in the set.  :func:`is_atom` runs the same rule over the
 sub-multisets of the queried sequence.
 
 Atoms are enumerated over the folded ground set fold S
-(:func:`pmzs.groups.fold_negatives`), once per folded set, and lifted back.
-The fold phi sends g and -g to min(g, -g) and sums their multiplicities.
+(:func:`pmzs.groups.fold_negatives`), once per folded set per process, and an
+:class:`AtomSet` holds that folded list; every invariant reads it.  The fold
+phi sends g and -g to min(g, -g) and sums their multiplicities.
 Giving the copies of -g the opposite sign turns a signed zero sum over fold S
 into one over S and back, so phi preserves and reflects zero sums; and any
 split phi(v) = x * y into zero sums lifts to v = c * w by handing out the
 copies of g and -g.  So phi is a transfer homomorphism (Geroldinger--Halter-
-Koch, *Non-Unique Factorizations*, 3.2): v is an atom iff phi(v) is, and the
-atoms over S are all preimages of the atoms over fold S.
+Koch, *Non-Unique Factorizations*, 3.2): v is an atom iff phi(v) is, the
+atoms over S are all preimages of the atoms over fold S, and L(v) = L(phi(v)).
+The atoms over S themselves are lifted only when asked for.
 
 Over the folded set the coordinate of g is capped at min(bound, ord g).  Take
 a signing that makes an atom v a zero sum.  If it gives g both signs, then
@@ -35,7 +37,8 @@ earlier-atom rule still finds it.
 Atom lengths are bounded by the Davenport constant of the subgroup generated
 by the ground set: in any longer signed zero sum, the first length-minus-one
 weighted terms already contain a proper nonempty zero-sum block, and both the
-block and its complement inherit signed zero sums.  The sequence (0) is an
+block and its complement inherit signed zero sums.  The support cap counts
+fold S, the set the walk runs over.  The sequence (0) is an
 atom (in fact prime); a zero in the ground set is stripped and tracked by the
 ``includes_zero`` flag since it never affects distances.
 """
@@ -46,7 +49,7 @@ import json
 import math
 import os
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from pathlib import Path
 from typing import Iterable
 
@@ -54,11 +57,12 @@ from .errors import DomainError, PmzsError, ResourceLimitError
 from .groups import (
     Group,
     GroupElement,
+    _classify_subgroup,
+    _span_mask,
     davenport,
     fold_negatives,
     fold_positions,
     signed_shift_mask,
-    subgroup_generated,
 )
 from .limits import DEFAULT_LIMITS, Limits
 from .notation import format_group, parse_group, subset_from_json, subset_to_json
@@ -71,16 +75,35 @@ CACHE_VERSION = 1
 class AtomSet:
     """The complete list of atoms over a ground set, as exponent vectors.
 
-    ``ground`` lists the distinct nonzero support elements in index order and
-    ``vectors[k][i]`` is the multiplicity of ``ground[i]`` in the k-th atom.
-    The length-1 atom (0) is tracked only by ``includes_zero``.
+    ``ground`` lists the distinct nonzero support elements S in index order.
+    ``folded`` lists the atoms over fold S, in :func:`_atom_order`;
+    ``folded[k][j]`` is the multiplicity of the j-th element of fold S.
+    ``vectors`` lists the atoms over S, lifted from ``folded`` on first use;
+    ``vectors[k][i]`` is the multiplicity of ``ground[i]``.  The length-1
+    atom (0) is tracked only by ``includes_zero``.
     """
 
     group: Group
     ground: tuple[GroupElement, ...]
-    vectors: tuple[tuple[int, ...], ...]
+    folded: tuple[tuple[int, ...], ...]
     includes_zero: bool
     bound: int
+
+    @cached_property
+    def source(self) -> tuple[int, ...]:
+        """The coordinate of fold S that each ground position folds onto."""
+        return fold_positions(self.group, tuple(g.index for g in self.ground))[1]
+
+    @cached_property
+    def vectors(self) -> tuple[tuple[int, ...], ...]:
+        """Every preimage of the folded atoms; ``folded`` itself when S is folded."""
+        if self.source == tuple(range(len(self.source))):
+            return self.folded
+        return _lift(self.source, self.folded)
+
+    @cached_property
+    def _positions(self) -> dict[int, int]:
+        return {g.index: i for i, g in enumerate(self.ground)}
 
     def __len__(self) -> int:
         return len(self.vectors)
@@ -97,11 +120,7 @@ class AtomSet:
 
     def vector_of(self, seq: Sequence) -> tuple[int, ...]:
         """Exponent vector of a sequence over this ground set (0 entries not represented)."""
-        # the index -> ground position map is built on the first query and kept
-        # in the instance dict, which a frozen dataclass still lets us write
-        index_pos = self.__dict__.get("_positions")
-        if index_pos is None:
-            index_pos = self.__dict__["_positions"] = {g.index: i for i, g in enumerate(self.ground)}
+        index_pos = self._positions
         vec = [0] * len(self.ground)
         for idx, mult in seq.entries:
             if idx == 0:
@@ -123,12 +142,16 @@ class AtomSet:
 
     @classmethod
     def from_json_dict(cls, data: dict) -> "AtomSet":
+        """The atom set of a dict over a folded ground set, such as a cache entry."""
         group = parse_group(data["group"])
         ground = subset_from_json(group, data["ground_set"])
+        indices = tuple(g.index for g in ground)
+        if fold_negatives(group, indices) != indices:
+            raise DomainError("an atom set is read back only over a folded ground set")
         return cls(
             group=group,
             ground=ground,
-            vectors=tuple(tuple(int(x) for x in v) for v in data["atoms"]),
+            folded=tuple(tuple(int(x) for x in v) for v in data["atoms"]),
             includes_zero=bool(data["includes_zero"]),
             bound=int(data["bound"]),
         )
@@ -235,14 +258,6 @@ def _lift(source: tuple[int, ...], atoms: tuple[tuple[int, ...], ...]) -> tuple[
     return tuple(sorted(out, key=_atom_order))
 
 
-@lru_cache(maxsize=1024)
-def _atom_vectors(group: Group, ground_indices: tuple[int, ...], bound: int) -> tuple[tuple[int, ...], ...]:
-    """The complete atom list over a nonzero ground set, lifted from its folded
-    set; each folded set is enumerated once per process."""
-    folded, source = fold_positions(group, ground_indices)
-    return _lift(source, _folded_atom_vectors(group, folded, bound))
-
-
 def _atom_order(vec: tuple[int, ...]) -> tuple[int, tuple[int, ...]]:
     """Sort key of atom lists: by length, then by exponent vector."""
     return sum(vec), vec
@@ -307,10 +322,11 @@ def _fnv1a_64(data: bytes) -> int:
 
 
 class AtomCache:
-    """Persistent JSON store for enumerated atom sets.
+    """Persistent JSON store for enumerated atom sets, one entry per folded
+    ground set: an atom set over fold S, whatever S a caller asked for.
 
     An entry's file is named ``atoms-<16 hex digits>.json`` after the 64-bit
-    FNV-1a digest of its key (cache version, group, nonzero ground indices,
+    FNV-1a digest of its key (cache version, group, folded ground indices,
     length bound).  Two keys with one name are harmless: :meth:`load`
     checks the group, ground set and bound, so the other key's entry is a
     miss and gets overwritten.  Entries written under the earlier sha256
@@ -327,7 +343,7 @@ class AtomCache:
         return self.directory / f"atoms-{_fnv1a_64(key.encode()):016x}.json"
 
     def load(self, group: Group, ground_indices: tuple[int, ...], bound: int) -> AtomSet | None:
-        """The stored atom set, or None on a miss.
+        """The stored atom set over a folded ground set, or None on a miss.
 
         An entry that cannot be read, decoded or parsed, that describes a
         different group, ground set or bound, or whose atom list fails
@@ -345,12 +361,13 @@ class AtomCache:
             atom_set.group == group
             and atom_set.bound == bound
             and tuple(g.index for g in atom_set.ground) == ground_indices
-            and _is_valid_atom_list(group, ground_indices, bound, atom_set.vectors)
+            and _is_valid_atom_list(group, ground_indices, bound, atom_set.folded)
         )
         return atom_set if valid else None
 
     def store(self, atom_set: AtomSet) -> None:
-        """Write the entry atomically, so an interrupted run never leaves a partial file."""
+        """Write the entry of an atom set over a folded ground set atomically,
+        so an interrupted run never leaves a partial file."""
         ground_indices = tuple(g.index for g in atom_set.ground)
         path = self._path(atom_set.group, ground_indices, atom_set.bound)
         tmp = path.with_name(f"{path.name}.{os.getpid()}.tmp")
@@ -365,22 +382,24 @@ class AtomCache:
 def _span_davenport(group: Group, ground_indices: tuple[int, ...], max_order: int) -> int:
     """D of the subgroup generated by a folded ground set (<S> = <fold S>), once
     per folded set per process; a refused search raises on every call, since
-    raising caches nothing."""
-    _, span = subgroup_generated(group, [group.element_at(i) for i in ground_indices])
-    return davenport(span, max_order=max_order)
+    raising caches nothing.  The span is closed and typed on element indices,
+    so no element object is built."""
+    return davenport(_classify_subgroup(group, _span_mask(group, ground_indices)), max_order=max_order)
 
 
 def atom_length_bound(group: Group, ground_indices: tuple[int, ...], limits: Limits = DEFAULT_LIMITS) -> int:
-    """Davenport bound on atom lengths over a nonzero ground set, within the caps.
+    """Davenport bound on atom lengths over a nonzero ground set S, within the caps.
 
-    Raises :class:`ResourceLimitError` when the support size or the length
-    bound exceeds the configured caps.
+    Raises :class:`ResourceLimitError` when fold S, the set the enumeration
+    walks, has more elements than the support cap, or when the length bound
+    exceeds its cap.
     """
-    if len(ground_indices) > limits.max_support:
+    folded = fold_negatives(group, ground_indices)
+    if len(folded) > limits.max_support:
         raise ResourceLimitError(
-            f"atom enumeration capped at {limits.max_support} support elements, got {len(ground_indices)}"
+            f"atom enumeration capped at {limits.max_support} support elements, got {len(folded)}"
         )
-    bound = _span_davenport(group, fold_negatives(group, ground_indices), limits.max_davenport_order)
+    bound = _span_davenport(group, folded, limits.max_davenport_order)
     if bound > limits.max_atom_length:
         raise ResourceLimitError(
             f"atom length bound {bound} exceeds the cap {limits.max_atom_length} for {format_group(group)}"
@@ -398,11 +417,11 @@ def enumerate_atoms(
     """Complete atom list of the signed zero-sum monoid over the given subset.
 
     Zero is stripped first and recorded in the flag.  Raises
-    :class:`ResourceLimitError` when the support size or the length bound
-    exceeds the configured caps, rather than returning a partial list.  The
-    atoms are lifted from those of the folded ground set, which is enumerated
-    once per process; a ``cache`` miss that the process already enumerated is
-    still stored.
+    :class:`ResourceLimitError` when the size of the folded ground set or the
+    length bound exceeds the configured caps, rather than returning a partial
+    list.  The atoms are enumerated once per process over the folded ground
+    set, which also keys the ``cache``; a cache miss that the process already
+    enumerated is still stored.
     """
     indices = set()
     includes_zero = False
@@ -414,26 +433,27 @@ def enumerate_atoms(
         else:
             indices.add(g.index)
     ground_indices = tuple(sorted(indices))
-    bound = atom_length_bound(group, ground_indices, limits)
-    ground = tuple(group.element_at(i) for i in ground_indices)
-    if cache is not None:
-        cached = cache.load(group, ground_indices, bound)
-        if cached is not None:
-            return AtomSet(group, ground, cached.vectors, includes_zero, bound)
-    vectors = _atom_vectors(group, ground_indices, bound)
-    atom_set = AtomSet(group, ground, vectors, includes_zero, bound)
-    if cache is not None:
-        cache.store(atom_set)
-    return atom_set
+    folded_indices = fold_negatives(group, ground_indices)
+    bound = atom_length_bound(group, folded_indices, limits)
+    entry = cache.load(group, folded_indices, bound) if cache is not None else None
+    if entry is not None:
+        folded = entry.folded
+    else:
+        folded = _folded_atom_vectors(group, folded_indices, bound)
+        if cache is not None:
+            folded_ground = tuple(map(group.element_at, folded_indices))
+            cache.store(AtomSet(group, folded_ground, folded, includes_zero, bound))
+    return AtomSet(group, tuple(map(group.element_at, ground_indices)), folded, includes_zero, bound)
 
 
 def atom_length_profile(atom_set: AtomSet) -> LengthProfile:
-    """Maximum atom length and gcd of (length - 2) over the listed atoms.
+    """Maximum atom length and gcd of (length - 2) over the atoms.
 
-    The flag atom (0) contributes its length 1 only when it is the sole atom;
-    the gcd of an empty collection is reported as 0.
+    The fold keeps atom lengths, so both are read off the folded atoms.  The
+    flag atom (0) contributes its length 1 only when it is the sole atom; the
+    gcd of an empty collection is reported as 0.
     """
-    lengths = atom_set.lengths()
+    lengths = [sum(v) for v in atom_set.folded]
     if lengths:
         max_length = max(lengths)
     elif atom_set.includes_zero:
@@ -452,20 +472,6 @@ def davenport_monoid(
     *,
     limits: Limits = DEFAULT_LIMITS,
     cache: AtomCache | None = None,
-    reduce_signs: bool = True,
 ) -> int:
-    """Largest atom length of the signed zero-sum monoid over the subset.
-
-    With ``reduce_signs`` the ground set is first folded by g -> -g merging,
-    which preserves all atom lengths (see :func:`pmzs.groups.fold_negatives`)
-    and often halves the support.
-    """
-    elems = list(subset)
-    if reduce_signs:
-        indices = fold_negatives(group, [g.index for g in elems if not g.is_zero])
-        has_zero = any(g.is_zero for g in elems)
-        elems = [group.element_at(i) for i in indices]
-        if has_zero:
-            elems.append(group.zero())
-    atom_set = enumerate_atoms(group, elems, limits=limits, cache=cache)
-    return atom_length_profile(atom_set).max_length
+    """Largest atom length of the signed zero-sum monoid over the subset."""
+    return atom_length_profile(enumerate_atoms(group, subset, limits=limits, cache=cache)).max_length

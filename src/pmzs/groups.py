@@ -473,13 +473,19 @@ def subgroup_generated(group: Group, elements: Iterable[GroupElement]) -> tuple[
     for g in elements:
         if g.group != group:
             raise DomainError("generators must belong to the given group")
-    gens = [g.index for g in elements]
+    mask = _span_mask(group, tuple(g.index for g in elements))
+    return ElementSet(group, mask), _classify_subgroup(group, mask)
+
+
+def _span_mask(group: Group, indices: tuple[int, ...]) -> int:
+    """Bitmask of the subgroup spanned by the elements with the given indices:
+    the fixpoint of ORing in the translates of the mask of {0} by each one."""
     mask, grown = 0, 1
     while grown != mask:
         mask = grown
-        for gi in gens:
+        for gi in indices:
             grown |= shift_mask(group, mask, gi)
-    return ElementSet(group, mask), _classify_subgroup(group, mask)
+    return mask
 
 
 def _classify_subgroup(group: Group, mask: int) -> Group:

@@ -108,10 +108,6 @@ def parse_sequence(group: Group, text: str) -> Sequence:
     return Sequence.from_items(group, items)
 
 
-def format_element(g: GroupElement) -> str:
-    return str(g)
-
-
 def format_subset(elements) -> str:
     return "[" + ", ".join(str(g) for g in elements) + "]"
 
@@ -122,9 +118,6 @@ def format_sequence(seq: Sequence) -> str:
 
 # -- JSON forms -----------------------------------------------------------------
 
-
-def element_to_json(g: GroupElement) -> list[int]:
-    return list(g.coords)
 
 def subset_to_json(elements) -> list[list[int]]:
     return [list(g.coords) for g in sorted(elements, key=lambda g: g.index)]

@@ -8,6 +8,10 @@ factorizations z, z' of one element give the kernel vector z - z'.  The set
 of length differences is therefore exactly the image of the kernel lattice
 under the coordinate-sum functional, an ideal of Z, and the minimal distance
 (which equals the gcd of the distance set) is the gcd of the basis images.
+
+Every invariant here reads the atoms over the folded ground set that an
+:class:`~pmzs.atoms.AtomSet` holds: the fold is a transfer homomorphism (see
+:mod:`pmzs.atoms`), so it keeps every set of lengths.
 """
 
 from __future__ import annotations
@@ -20,7 +24,7 @@ from typing import Iterable, Sequence as SequenceABC
 
 from .atoms import AtomCache, AtomSet, enumerate_atoms, atom_length_profile
 from .errors import DomainError, ResourceLimitError
-from .groups import Group, GroupElement, fold_negatives, fold_positions
+from .groups import Group, GroupElement
 from .limits import DEFAULT_LIMITS, Limits
 from .sequences import Sequence
 
@@ -28,8 +32,9 @@ ZERO_ATOM = -1  # marker index for the prime atom (0) in factorization listings
 
 
 def atom_matrix(atom_set: AtomSet) -> list[list[int]]:
-    """Exponent matrix with one row per ground element and one column per atom."""
-    return [[vec[i] for vec in atom_set.vectors] for i in range(len(atom_set.ground))]
+    """Exponent matrix of the folded atoms, with one row per element of the
+    folded ground set and one column per atom."""
+    return [list(row) for row in zip(*atom_set.folded)]
 
 
 def integer_kernel_basis(matrix: SequenceABC[SequenceABC[int]]) -> list[list[int]]:
@@ -85,7 +90,7 @@ def min_delta_of_atoms(atom_set: AtomSet) -> int | None:
 
     None means the distance set is empty (the monoid is half-factorial).
     """
-    if not atom_set.vectors:
+    if not atom_set.folded:
         return None
     basis = integer_kernel_basis(atom_matrix(atom_set))
     g = 0
@@ -100,19 +105,13 @@ def min_delta(
     *,
     limits: Limits = DEFAULT_LIMITS,
     cache: AtomCache | None = None,
-    reduce_signs: bool = True,
 ) -> int | None:
     """Exact min of the distance set of the signed zero-sum monoid over the subset.
 
     Computed from the kernel lattice of the atom matrix; ``None`` when the
-    distance set is empty.  ``reduce_signs`` folds g with -g first, which
-    preserves the value.
+    distance set is empty.
     """
-    elems = [g for g in subset if not g.is_zero]
-    if reduce_signs:
-        elems = [group.element_at(i) for i in fold_negatives(group, [g.index for g in elems])]
-    atom_set = enumerate_atoms(group, elems, limits=limits, cache=cache)
-    return min_delta_of_atoms(atom_set)
+    return min_delta_of_atoms(enumerate_atoms(group, subset, limits=limits, cache=cache))
 
 
 @dataclass(frozen=True)
@@ -164,31 +163,27 @@ class Factorizer:
     dropped, when a query has a coordinate that does not fit.  The full
     listing is kept for :meth:`factorizations`.
 
-    The DP runs over the folded ground set (:func:`pmzs.groups.fold_negatives`):
-    the fold phi sums the coordinates of g and -g onto min(g, -g).  A signing
-    of a sequence over the folded set lifts to one of any preimage by giving
-    the copies of -g the opposite sign, so phi preserves and reflects zero
-    sums, and any factorization phi(v) = x * y lifts to v = c * w by handing
-    out the copies of g and -g.  So phi is a transfer homomorphism: the images
-    phi(A) of the atoms, deduplicated, are the atoms over the folded set, and
-    L(v) = L(phi(v)).  Queries are answered at phi(v).
+    The DP runs over the atoms of the folded ground set that the atom set
+    holds: the fold phi sums the coordinates of g and -g onto min(g, -g), and
+    it is a transfer homomorphism (see :mod:`pmzs.atoms`), so
+    L(v) = L(phi(v)).  Queries are answered at phi(v).  Only the listing of
+    :meth:`factorizations` reads the atoms over the ground set itself.
     """
 
     def __init__(self, atom_set: AtomSet):
         self.atom_set = atom_set
-        self.vectors = atom_set.vectors
-        folded, self._source = fold_positions(atom_set.group, tuple(g.index for g in atom_set.ground))
-        self._width = len(folded)
-        self._folded_atoms = tuple(sorted({self._fold(vec) for vec in self.vectors}))
+        self._source = atom_set.source
+        self._width = len(set(self._source))
         self._set_field_bits((8 * max(atom_set.bound, 1)).bit_length())
 
         @lru_cache(maxsize=1 << 17)
         def suffix_factorizations(residual: tuple[int, ...], start: int) -> tuple[tuple[int, ...], ...]:
             if not any(residual):
                 return ((),)
+            vectors = atom_set.vectors
             out = []
-            for k in range(start, len(self.vectors)):
-                vec = self.vectors[k]
+            for k in range(start, len(vectors)):
+                vec = vectors[k]
                 if all(a >= b for a, b in zip(residual, vec)):
                     rest = tuple(a - b for a, b in zip(residual, vec))
                     for suffix in suffix_factorizations(rest, k):
@@ -203,7 +198,7 @@ class Factorizer:
         self._field_limit = 1 << bits
         self._stride = bits + 1
         guards = sum(1 << (i * self._stride + bits) for i in range(self._width))
-        per_field = [tuple(self._pack(vec) for vec in self._folded_atoms if vec[i]) for i in range(self._width)]
+        per_field = [tuple(self._pack(vec) for vec in self.atom_set.folded if vec[i]) for i in range(self._width)]
         # the atoms that cover the field holding each bit
         covering = [per_field[b // self._stride] for b in range(self._width * self._stride)]
         memo = {0: 1}
@@ -233,10 +228,13 @@ class Factorizer:
         return sum(c << (i * self._stride) for i, c in enumerate(vec))
 
     def _mask_of(self, vec: tuple[int, ...]) -> int:
-        """Bitmask of the factorization lengths of an exponent vector over the atoms."""
+        """Bitmask of the factorization lengths of an exponent vector over the ground set."""
         if len(vec) != len(self._source) or min(vec, default=0) < 0:
             raise DomainError(f"expected a nonnegative exponent vector of length {len(self._source)}, got {vec}")
-        folded = self._fold(vec)
+        return self._folded_mask(self._fold(vec))
+
+    def _folded_mask(self, folded: tuple[int, ...]) -> int:
+        """Bitmask of the factorization lengths of an exponent vector over the folded ground set."""
         top = max(folded, default=0)
         if top >= self._field_limit:
             self._set_field_bits(top.bit_length())
@@ -312,8 +310,7 @@ def is_half_factorial(
     Equivalent to an empty distance set, and to a monoid Davenport constant
     of at most 2; both are computed and cross-checked.
     """
-    elems = [group.element_at(i) for i in fold_negatives(group, [g.index for g in subset if not g.is_zero])]
-    atom_set = enumerate_atoms(group, elems, limits=limits, cache=cache)
+    atom_set = enumerate_atoms(group, subset, limits=limits, cache=cache)
     by_delta = min_delta_of_atoms(atom_set) is None
     by_davenport = atom_length_profile(atom_set).max_length <= 2
     if by_delta != by_davenport:
@@ -328,12 +325,13 @@ def rho_k(
     *,
     limits: Limits = DEFAULT_LIMITS,
     cache: AtomCache | None = None,
-    reduce_signs: bool = True,
 ) -> int:
     """Largest factorization length among elements that are products of k atoms.
 
     Exact for every k: an element with k in its length set is such a product.
-    k = 1 returns 1.  k above the configured cap raises ResourceLimitError.
+    The products range over the folded atoms, whose elements have the same
+    sets of lengths.  k = 1 returns 1.  k above the configured cap raises
+    ResourceLimitError.
     """
     if k < 1:
         raise DomainError(f"rho_k requires k >= 1, got {k}")
@@ -341,23 +339,12 @@ def rho_k(
         raise ResourceLimitError(f"rho_k capped at k <= {limits.rho_cap}, got {k}")
     if k == 1:
         return 1
-    all_elems = list(subset)
-    has_zero = any(g.is_zero for g in all_elems)
-    elems = [g for g in all_elems if not g.is_zero]
-    if reduce_signs:
-        elems = [group.element_at(i) for i in fold_negatives(group, [g.index for g in elems])]
-    atom_set = enumerate_atoms(group, elems, limits=limits, cache=cache)
-    if not atom_set.vectors:
+    atom_set = enumerate_atoms(group, subset, limits=limits, cache=cache)
+    if not atom_set.folded:
         # only the prime atom (0) can be present; its powers have single lengths
-        return k if has_zero else 0
+        return k if atom_set.includes_zero else 0
     fz = Factorizer(atom_set)
-    width = len(atom_set.ground)
     best = k
-    for combo in combinations_with_replacement(range(len(atom_set.vectors)), k):
-        total = [0] * width
-        for idx in combo:
-            vec = atom_set.vectors[idx]
-            for i in range(width):
-                total[i] += vec[i]
-        best = max(best, fz.max_length_of_vector(tuple(total)))
+    for combo in combinations_with_replacement(atom_set.folded, k):
+        best = max(best, fz._folded_mask(tuple(map(sum, zip(*combo)))).bit_length() - 1)
     return best

@@ -25,7 +25,7 @@ from pmzs import (
     parse_group,
     parse_subset,
 )
-from pmzs.atoms import _atom_vectors, _enumerate_atom_vectors, _fnv1a_64, atom_length_bound
+from pmzs.atoms import _enumerate_atom_vectors, _fnv1a_64, atom_length_bound
 from helpers import (
     brute_factorization_lengths,
     brute_is_atom,
@@ -83,17 +83,18 @@ def test_enumerate_atoms_matches_brute_force():
         assert list(atoms.vectors) == expected, format_group(group)
 
 
-def _unpruned(group, ground):
-    """Atoms over the unfolded ground set, no coordinate capped below the bound."""
-    bound = atom_length_bound(group, ground, Limits(max_support=9))
-    return bound, tuple(_enumerate_atom_vectors(group, ground, bound, (bound,) * len(ground)))
+def _lifted_and_unpruned(group, ground):
+    """The lifted atoms of an atom set over the ground set, and the atoms
+    enumerated over the unfolded ground set, no coordinate capped below the bound."""
+    atoms = enumerate_atoms(group, [group.element_at(i) for i in ground])
+    bound = atoms.bound
+    return atoms.vectors, tuple(_enumerate_atom_vectors(group, ground, bound, (bound,) * len(ground)))
 
 
 def test_lifted_atoms_match_unpruned_enumeration_on_nonzero_sets():
     for group in small_group_list(10):
-        ground = tuple(range(1, group.order))
-        bound, expected = _unpruned(group, ground)
-        assert _atom_vectors(group, ground, bound) == expected, format_group(group)
+        lifted, expected = _lifted_and_unpruned(group, tuple(range(1, group.order)))
+        assert lifted == expected, format_group(group)
 
 
 def test_lifted_atoms_match_unpruned_enumeration_on_mixed_subsets():
@@ -105,8 +106,8 @@ def test_lifted_atoms_match_unpruned_enumeration_on_mixed_subsets():
         kinds["pair"] += any(neg[i] > i and neg[i] in ground for i in ground)
         kinds["lone"] += any(neg[i] < i and neg[i] not in ground for i in ground)
         kinds["order 2"] += any(neg[i] == i for i in ground)
-        bound, expected = _unpruned(group, ground)
-        assert _atom_vectors(group, ground, bound) == expected, (format_group(group), ground)
+        lifted, expected = _lifted_and_unpruned(group, ground)
+        assert lifted == expected, (format_group(group), ground)
     assert min(kinds.values()) >= 20, kinds
 
 
@@ -249,8 +250,19 @@ def test_davenport_monoid_values():
         group = parse_group(spec)
         nonzero = [group.element_at(i) for i in range(1, group.order)]
         assert davenport_monoid(group, nonzero) == expected, spec
-        if spec in ("C5", "C8"):
-            assert davenport_monoid(group, nonzero, reduce_signs=False) == expected
+
+
+def test_davenport_monoid_is_the_longest_lifted_atom():
+    # davenport_monoid reads the folded atoms; the oracle is the lifted list
+    checked = 0
+    for group, ground in mixed_unfolded_grounds(16, per_group=2, seed=53):
+        subset = [group.element_at(i) for i in ground]
+        atoms = enumerate_atoms(group, subset)
+        if atoms.source == tuple(range(len(ground))) or len(atoms) > 150:
+            continue
+        assert davenport_monoid(group, subset) == max(atoms.lengths()), (format_group(group), ground)
+        checked += 1
+    assert checked >= 30, checked
 
 
 def test_resource_caps():

@@ -185,7 +185,8 @@ def test_min_delta_refuses_a_long_atom_bound_at_once(capsys):
 
 def test_refusal_builds_shift_steps_only_for_its_generator():
     # each element's steps hold two |G|-bit masks, so building them for every
-    # element would take |G|^2 / 4 bytes before the refusal
+    # element would take |G|^2 / 4 bytes before the refusal; the span is
+    # closed and typed on indices, so no element object is built either
     from pmzs.atoms import _span_davenport
 
     _span_davenport.cache_clear()  # C3000 refused above: a memo hit would build nothing
@@ -193,6 +194,7 @@ def test_refusal_builds_shift_steps_only_for_its_generator():
     with pytest.raises(ResourceLimitError, match="exceeds the cap"):
         min_delta(g, [g.element(1)])
     assert 1 <= len(vars(g)["_shift_steps"]) <= 2
+    assert "_elements" not in vars(g)
 
 
 def test_davenport_command(capsys):
@@ -254,17 +256,32 @@ def test_cache_dir_flag(capsys, tmp_path):
 
 
 def test_cache_entry_written_when_atoms_are_memoized(capsys, tmp_path):
-    from pmzs.atoms import _atom_vectors
+    from pmzs.atoms import _folded_atom_vectors
 
     argv = ("min-delta", "C8", "[(1),(3)]")
     code, plain, _ = run_cli(capsys, *argv)
     assert code == EXIT_OK
-    hits = _atom_vectors.cache_info().hits
+    hits = _folded_atom_vectors.cache_info().hits
     cache_dir = tmp_path / "cache"
     code, cached, _ = run_cli(capsys, *argv, "--cache-dir", str(cache_dir))
     assert code == EXIT_OK and cached == plain
-    assert _atom_vectors.cache_info().hits > hits
+    assert _folded_atom_vectors.cache_info().hits > hits
     assert len(list(cache_dir.glob("atoms-*.json"))) == 1
+
+
+def test_sets_with_one_fold_share_one_cache_entry(capsys, tmp_path):
+    # {1, 5} and {1, 3} both fold onto {1, 3} in C8 (5 = -3), which keys the entry
+    cache_dir = tmp_path / "cache"
+    for subset in ("[(1),(5)]", "[(1),(3)]"):
+        code, out, _ = run_cli(capsys, "min-delta", "C8", subset, "--cache-dir", str(cache_dir))
+        assert code == EXIT_OK and out == "min delta = 2\n"
+    assert [p.name for p in cache_dir.iterdir()] == ["atoms-56cb7b6bfc21fddd.json"]
+
+
+def test_support_cap_counts_the_folded_set(capsys):
+    # C10 minus 0 has 9 elements, over the cap of 8, but folds onto 5
+    code, out, _ = run_cli(capsys, "min-delta", "C10", "all")
+    assert code == EXIT_OK and out == "min delta = 1\n"
 
 
 def test_truncated_cache_entry_is_a_miss(capsys, tmp_path):

@@ -98,12 +98,31 @@ def test_min_delta_full_group_is_one():
         assert min_delta(group, nonzero) == 1, str(group)
 
 
-def test_min_delta_reduce_toggle():
-    group, subset = subset_of("C9", "[(1),(3)]")
-    assert min_delta(group, subset, reduce_signs=False) == min_delta(group, subset)
+def test_min_delta_and_rho_2_match_oracles_over_lifted_atoms():
+    # both read the folded atoms; the oracles work on the lifted list over the
+    # unfolded ground set: the kernel of its matrix, and brute-force lengths
+    # of every product of two lifted atoms
+    checked = 0
+    for group, ground in mixed_unfolded_grounds(16, per_group=2, seed=53):
+        subset = [group.element_at(i) for i in ground]
+        atoms = enumerate_atoms(group, subset)
+        lifted = atoms.vectors
+        if atoms.source == tuple(range(len(ground))) or len(lifted) > 150:
+            continue
+        g = 0
+        for v in integer_kernel_basis([list(row) for row in zip(*lifted)]):
+            g = math.gcd(g, sum(v))
+        assert min_delta(group, subset) == (g or None), (str(group), ground)
+        memo = {}
+        rho_2 = max(
+            max(brute_factorization_lengths(tuple(map(sum, zip(a, b))), lifted, memo))
+            for a, b in combinations_with_replacement(lifted, 2)
+        )
+        assert rho_k(group, subset, 2) == rho_2, (str(group), ground)
+        checked += 1
+    assert checked >= 30, checked
     g5 = make_group([5])
-    pair = parse_subset(g5, "[(1),(4)]")  # folds onto {e}
-    assert min_delta(g5, pair, reduce_signs=False) == min_delta(g5, pair) == 3
+    assert min_delta(g5, parse_subset(g5, "[(1),(4)]")) == 3  # folds onto {e}
 
 
 def test_factorizations_c5_tenth_power():
