@@ -331,7 +331,8 @@ class AtomCache:
     checks the group, ground set and bound, so the other key's entry is a
     miss and gets overwritten.  Entries written under the earlier sha256
     names are not found; they are misses and are written again under the
-    new names, with unchanged contents, so ``CACHE_VERSION`` stays 1.
+    new names, with unchanged contents, so ``CACHE_VERSION`` stays 1.  A
+    cache pickles as its directory; unpickling it makes no directory.
     """
 
     def __init__(self, directory: str | Path):

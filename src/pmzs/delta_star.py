@@ -35,9 +35,8 @@ every orbit representative, as a reference path.
 from __future__ import annotations
 
 import math
-from contextlib import nullcontext
 from dataclasses import dataclass, field
-from functools import cached_property
+from functools import cached_property, partial
 from itertools import combinations_with_replacement
 from operator import itemgetter
 
@@ -215,7 +214,7 @@ class DeltaStarReport:
 Row = tuple[tuple[int, ...], int | None, str | None]
 
 
-def _evaluate_subset(group: Group, rep: tuple[int, ...], limits: Limits, cache: AtomCache | None) -> Row:
+def _evaluate_subset(group: Group, limits: Limits, cache: AtomCache | None, rep: tuple[int, ...]) -> Row:
     try:
         value = min_delta(group, [group.element_at(i) for i in rep], limits=limits, cache=cache)
         return rep, value, None
@@ -234,32 +233,11 @@ def _inherited_row(group: Group, rep: tuple[int, ...], limits: Limits) -> Row:
         return rep, None, str(exc)
 
 
-def _sweep_worker(payload) -> Row:
-    factors, rep, limits, cache_dir = payload
-    group = make_group(factors)
-    cache = AtomCache(cache_dir) if cache_dir else None
-    return _evaluate_subset(group, rep, limits, cache)
-
-
-def _pool(jobs: int):
-    """A process pool of ``jobs`` workers, or a null context for one job.
-
-    The pool's modules (``concurrent.futures.process``, ``multiprocessing``)
-    are imported here, only for ``jobs > 1``: they add about 2.5 MB and 25 ms
-    to the start-up of every process that imports them.
-    """
-    if jobs <= 1:
-        return nullcontext()
-    from concurrent.futures import ProcessPoolExecutor
-
-    return ProcessPoolExecutor(max_workers=jobs)
-
-
 def delta_star(
     group: Group,
     *,
     limits: Limits = DEFAULT_LIMITS,
-    jobs: int = 1,
+    map_rows=map,
     prune: bool = True,
     cache: AtomCache | None = None,
 ) -> DeltaStarReport:
@@ -270,6 +248,9 @@ def delta_star(
     in the value table, and the report is complete iff nothing was skipped.
     ``prune=False`` evaluates every orbit representative instead, and raises
     :class:`ResourceLimitError` above the sweep cap.
+
+    Each level's rows go through one ``map_rows(function, reps)`` call; an
+    executor's ``map`` spreads them over processes, with the same report.
     """
     maps = folded_automorphisms(group, limits=limits)
     listed = group.order <= limits.max_sweep_order
@@ -277,35 +258,30 @@ def delta_star(
         _check_orbit_listing(group, limits)
 
     orbits = _FoldedOrbits(group, maps)
-    cache_dir = str(cache.directory) if cache is not None else None
+    evaluate = partial(_evaluate_subset, group, limits, cache)
     rows: dict[tuple[int, ...], Row] = {}
-    with _pool(jobs) as pool:
 
-        def down_set_rows(masks) -> set[int]:
-            masks = _by_size(masks)
-            reps = [orbits.members(mask) for mask in masks]
-            if pool is None:
-                found = [_evaluate_subset(group, rep, limits, cache) for rep in reps]
-            else:
-                found = list(pool.map(_sweep_worker, [(group.invariant_factors, rep, limits, cache_dir) for rep in reps]))
-            rows.update((row[0], row) for row in found)
-            # a skipped row is over a cap, and so is every superset of it
-            return {mask for mask, (_, value, error) in zip(masks, found) if error is None and value != 1}
+    def down_set_rows(masks) -> set[int]:
+        masks = _by_size(masks)
+        found = list(map_rows(evaluate, [orbits.members(mask) for mask in masks]))
+        rows.update((row[0], row) for row in found)
+        # a skipped row is over a cap, and so is every superset of it
+        return {mask for mask, (_, value, error) in zip(masks, found) if error is None and value != 1}
 
-        if not prune:
-            down_set_rows(orbits.representatives)
-        else:
-            units = orbits.units
-            down = down_set_rows({orbits.canonical(unit) for unit in units})
-            while down:
-                # a largest image minus its lowest bit (its largest element) is
-                # a largest image, so extending by lower bits reaches every
-                # canonical candidate
-                extensions = {orbits.canonical(rep | unit) for rep in down for unit in units if unit < rep & -rep}
-                down = down_set_rows(
-                    ext for ext in extensions
-                    if all(orbits.canonical(ext ^ unit) in down for unit in units if ext & unit)
-                )
+    if not prune:
+        down_set_rows(orbits.representatives)
+    else:
+        units = orbits.units
+        down = down_set_rows({orbits.canonical(unit) for unit in units})
+        while down:
+            # a largest image minus its lowest bit (its largest element) is
+            # a largest image, so extending by lower bits reaches every
+            # canonical candidate
+            extensions = {orbits.canonical(rep | unit) for rep in down for unit in units if unit < rep & -rep}
+            down = down_set_rows(
+                ext for ext in extensions
+                if all(orbits.canonical(ext ^ unit) in down for unit in units if ext & unit)
+            )
 
     if listed:
         reps = (orbits.members(mask) for mask in orbits.representatives)

@@ -220,6 +220,10 @@ class Group:
     def __repr__(self) -> str:
         return f"Group({list(self.invariant_factors)})"
 
+    def __reduce__(self):
+        # pickle as the invariant factors, without the cached tables; unpickling gives the interned group
+        return _canonical_group, (self.invariant_factors,)
+
 
 class _ShiftSteps(dict):
     """Element index -> the block rotations that translate a bitmask by that

@@ -272,11 +272,11 @@ def group_checks(
     group: Group,
     *,
     limits: Limits = DEFAULT_LIMITS,
-    jobs: int = 1,
+    map_rows=map,
     prune: bool = True,
     cache: AtomCache | None = None,
 ) -> tuple[list[CheckReport], DeltaStarReport]:
-    report = delta_star(group, limits=limits, jobs=jobs, prune=prune, cache=cache)
+    report = delta_star(group, limits=limits, map_rows=map_rows, prune=prune, cache=cache)
     checks = [
         _delta_star_floor(group, report),
         _delta_star_ceiling(group, report, limits, cache),
@@ -293,16 +293,17 @@ def run_suite(
     target: str,
     *,
     limits: Limits = DEFAULT_LIMITS,
-    jobs: int = 1,
+    map_rows=map,
     prune: bool = True,
     cache: AtomCache | None = None,
 ) -> SuiteResult:
-    """Run the verification suite for one group literal or for ``all-small``."""
+    """Run the verification suite for one group literal or for ``all-small``;
+    every sweep maps its rows through ``map_rows`` (see :func:`delta_star`)."""
     checks: list[CheckReport] = []
     reports: dict[str, DeltaStarReport] = {}
     if target == "all-small":
         for group in small_groups(10):
-            group_result, report = group_checks(group, limits=limits, jobs=jobs, prune=prune, cache=cache)
+            group_result, report = group_checks(group, limits=limits, map_rows=map_rows, prune=prune, cache=cache)
             checks.extend(group_result)
             reports[format_group(group)] = report
         checks.extend(_small_max_classification(reports))
@@ -312,7 +313,7 @@ def run_suite(
         checks.extend(_paired_generator_squares(limits, cache))
     else:
         group = parse_group(target)
-        group_result, report = group_checks(group, limits=limits, jobs=jobs, prune=prune, cache=cache)
+        group_result, report = group_checks(group, limits=limits, map_rows=map_rows, prune=prune, cache=cache)
         checks.extend(group_result)
         reports[format_group(group)] = report
     return SuiteResult(target=target, checks=tuple(checks), reports=reports)

@@ -1,6 +1,7 @@
 """Atomicity, complete atom enumeration, length profiles, monoid Davenport."""
 
 import json
+import pickle
 import random
 from dataclasses import replace
 from itertools import product
@@ -300,6 +301,15 @@ def test_atom_cache_round_trip(tmp_path):
     warm = enumerate_atoms(g8, subset, cache=cache)
     assert cold == warm
     assert list(tmp_path.glob("atoms-*.json"))
+
+
+def test_atom_cache_pickles_as_its_directory(tmp_path):
+    # a pool worker unpickles the cache once per row, so unpickling makes no directory
+    directory = tmp_path / "cache"
+    data = pickle.dumps(AtomCache(directory))
+    directory.rmdir()
+    cache = pickle.loads(data)
+    assert cache.directory == directory and not directory.exists()
 
 
 @pytest.mark.parametrize("tamper", [

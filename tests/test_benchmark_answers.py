@@ -34,3 +34,14 @@ def test_benchmark_operation_passes_its_check(capsys, op):
     out = capsys.readouterr().out
     assert code == op.exit_code, op.name
     assert op.check(out.encode()) == [], op.name
+
+
+@pytest.mark.parametrize("op", OPS, ids=lambda op: op.name)
+def test_benchmark_operation_prints_the_same_at_two_jobs(capsys, op):
+    argv = list(op.argv)
+    at = argv.index("--jobs")
+    assert argv[at + 1] == "1", op.name
+    serial = main(argv), capsys.readouterr().out
+    argv[at + 1] = "2"
+    pooled = main(argv), capsys.readouterr().out
+    assert pooled == serial, op.name

@@ -208,6 +208,9 @@ def test_verify_single_group(capsys):
     code, out, _ = run_cli(capsys, "verify", "C5")
     assert code == EXIT_OK
     assert "0 failed" in out
+    code, out, _ = run_cli(capsys, "verify", "C5", "--format", "csv")
+    assert code == EXIT_OK
+    assert out.startswith("check,group,status\r\ndelta-star-floor,C5,pass\r\n") and out.endswith(",pass\r\n")
 
 
 def test_verify_c2_all_not_applicable_or_pass(capsys):
@@ -343,6 +346,37 @@ def test_jobs_below_one_rejected(capsys, monkeypatch):
     monkeypatch.setenv("PMZS_JOBS", "0")
     code, out, _ = run_cli(capsys, "delta-star", "C5")
     assert code == EXIT_DOMAIN and out == ""
+
+
+def test_jobs_are_capped_at_the_cpu_count(capsys, monkeypatch):
+    # the stand-in executor records its size and maps in this process, so a
+    # huge --jobs starts no process
+    import concurrent.futures
+
+    made = []
+
+    class RecordingExecutor:
+        def __init__(self, max_workers):
+            made.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, *iterables):
+            return map(fn, *iterables)
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingExecutor)
+    monkeypatch.setattr("os.cpu_count", lambda: 2)
+    code, serial, _ = run_cli(capsys, "delta-star", "C5", "--jobs", "1", "--format", "json")
+    assert code == EXIT_OK and made == []
+    code, pooled, _ = run_cli(capsys, "delta-star", "C5", "--jobs", "100000", "--format", "json")
+    assert code == EXIT_OK and pooled == serial and made == [2]
+    monkeypatch.setattr("os.cpu_count", lambda: None)
+    code, pooled, _ = run_cli(capsys, "delta-star", "C5", "--jobs", "3", "--format", "json")
+    assert code == EXIT_OK and pooled == serial and made == [2, 1]
 
 
 def test_verify_out_artifact(capsys, tmp_path):

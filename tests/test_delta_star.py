@@ -2,12 +2,14 @@
 
 import random
 import time
+from concurrent.futures import ProcessPoolExecutor
 from dataclasses import replace
 from itertools import combinations
 
 import pytest
 
 from pmzs import (
+    AtomCache,
     Limits,
     canonical_subset,
     char_compare,
@@ -184,11 +186,14 @@ def test_canonical_subset_matches_least_folded_image():
             assert canonical_subset(group, subset, maps) == least_folded_image(group, subset, auts), (spec, subset)
 
 
-def test_parallel_sweep_deterministic():
+def test_parallel_sweep_deterministic(tmp_path):
+    # the rows go through an executor's map; the workers write the cache entries
     g = parse_group("C9")
-    serial = delta_star(g, jobs=1).to_json_dict()
-    parallel = delta_star(g, jobs=4).to_json_dict()
+    serial = delta_star(g).to_json_dict()
+    with ProcessPoolExecutor(max_workers=2) as pool:
+        parallel = delta_star(g, map_rows=pool.map, cache=AtomCache(tmp_path)).to_json_dict()
     assert serial == parallel
+    assert list(tmp_path.glob("atoms-*.json"))
 
 
 def test_complete_sweep_above_cap():

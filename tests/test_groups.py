@@ -1,6 +1,7 @@
 """Group construction, arithmetic, structural invariants, Davenport, automorphisms."""
 
 import math
+import pickle
 import random
 
 import pytest
@@ -12,6 +13,7 @@ from pmzs import (
     abelian_group_types,
     automorphisms,
     davenport,
+    delta_star,
     davenport_exhaustive,
     fold_negatives,
     group_invariants,
@@ -39,6 +41,18 @@ def test_make_group_rejects_bad_orders():
         make_group([1])
     with pytest.raises(DomainError):
         make_group([-3])
+
+
+def test_group_pickles_as_its_invariant_factors():
+    g = make_group([4, 4])
+    size = len(pickle.dumps(g))
+    assert pickle.loads(pickle.dumps(g)) is g
+    delta_star(g)  # builds the element, negation and addition tables
+    assert {"_elements", "_neg_table", "_add_table"} <= set(vars(g))
+    data = pickle.dumps(g)
+    assert len(data) == size and pickle.loads(data) is g
+    element = pickle.loads(pickle.dumps(g.element(1, 3)))
+    assert element.group is g and element == g.element(1, 3)
 
 
 def test_group_shape_c2xc4():

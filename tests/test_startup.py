@@ -38,6 +38,7 @@ print(" ".join(m for m in ("hashlib", "_hashlib", "concurrent.futures", "multipr
 @pytest.mark.parametrize("argv", [
     ("delta-star", "C4xC4", "--format", "json"),
     ("verify", "C5"),
+    ("group", "C4", "--jobs", "2"),  # a command that runs no sweep opens no pool
 ])
 def test_command_imports_no_new_module(argv):
     # argparse imports locale (through gettext) on its first parse, so this
@@ -54,6 +55,35 @@ def test_cache_runs_import_no_new_module(tmp_path):
     warm = run_main(*argv)
     assert cold["code"] == warm["code"] == 0 and cold["out"] == warm["out"]
     assert cold["new"] == [] and warm["new"] == []
+
+
+# Runs pmzs.cli.main(argv) and reports its exit code, its stdout and how many
+# process pools it constructed.
+COUNT_POOLS = """
+import concurrent.futures, contextlib, io, json, sys
+import pmzs.cli
+
+made = []
+
+class CountingExecutor(concurrent.futures.ProcessPoolExecutor):
+    def __init__(self, *args, **kwargs):
+        made.append(1)
+        super().__init__(*args, **kwargs)
+
+concurrent.futures.ProcessPoolExecutor = CountingExecutor
+out = io.StringIO()
+with contextlib.redirect_stdout(out):
+    code = pmzs.cli.main(sys.argv[1:])
+print(json.dumps({"code": code, "out": out.getvalue(), "pools": len(made)}))
+"""
+
+
+def test_verify_opens_one_pool_per_run():
+    argv = ("verify", "all-small", "--format", "json", "--jobs")
+    serial = json.loads(run_fresh(COUNT_POOLS, *argv, "1"))
+    pooled = json.loads(run_fresh(COUNT_POOLS, *argv, "2"))
+    assert serial["pools"] == 0 and pooled["pools"] == 1
+    assert serial["code"] == pooled["code"] == 3 and serial["out"] == pooled["out"]
 
 
 def test_jobs_above_one_loads_the_pool_and_prints_the_same_bytes():
