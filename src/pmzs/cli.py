@@ -88,7 +88,44 @@ def _env_choice(parser: _Parser, name: str, choices: tuple[str, ...]) -> str:
     return value
 
 
-def _build_parser() -> _Parser:
+# each command's help line and its own arguments, as (name, add_argument
+# keywords); every command also takes the common flags
+_ARGUMENTS = {
+    "group": ("structural invariants of a group", [("group", {})]),
+    "atoms": ("complete atom list over a subset", [
+        ("group", {}),
+        ("subset", {"help": "subset literal like '[(1),(3)]', or 'all' for G minus 0"}),
+    ]),
+    "min-delta": ("exact minimal distance over a subset", [("group", {}), ("subset", {})]),
+    "lengths": ("set of factorization lengths of a sequence", [
+        ("group", {}),
+        ("sequence", {"help": "sequence literal like '[(1)^10]'"}),
+    ]),
+    "rho": ("k-th local elasticity", [
+        ("group", {}),
+        ("subset", {"nargs": "?", "default": "all"}),
+        ("-k", {"type": int, "default": 2}),
+    ]),
+    "delta-star": ("sweep minimal distances over subsets", [("group", {})]),
+    "davenport": ("Davenport constant of the group or of the monoid over a subset", [
+        ("group", {}),
+        ("subset", {"nargs": "?", "default": None}),
+    ]),
+    "verify": ("run the mechanical verification suite", [
+        ("target", {"help": "a group literal, or 'all-small'"}),
+        ("--out", {"default": None, "help": "also write the JSON report to this path"}),
+    ]),
+}
+
+
+def _build_parser(command: str | None = None) -> _Parser:
+    """The parser of every command, or of ``command`` alone when it names one.
+
+    ``main`` passes the first word of argv: each subparser copies the common
+    flags, so building all of them costs a run several milliseconds.  The
+    metavar keeps the full parser's usage line, which an error in the top
+    parser prints.
+    """
     parser = _Parser(prog="pmzs", description="Invariants of plus-minus weighted zero-sum sequence monoids.")
     common = argparse.ArgumentParser(add_help=False)
     formats = ("table", "json", "csv")
@@ -103,38 +140,17 @@ def _build_parser() -> _Parser:
     common.add_argument("--rho-cap", type=int, default=_env_default("RHO_CAP", str(DEFAULT_LIMITS.rho_cap)))
     common.add_argument("--max-support", type=int, default=_env_default("MAX_SUPPORT", str(DEFAULT_LIMITS.max_support)))
 
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("group", parents=[common], help="structural invariants of a group")
-    p.add_argument("group")
-
-    p = sub.add_parser("atoms", parents=[common], help="complete atom list over a subset")
-    p.add_argument("group")
-    p.add_argument("subset", help="subset literal like '[(1),(3)]', or 'all' for G minus 0")
-
-    p = sub.add_parser("min-delta", parents=[common], help="exact minimal distance over a subset")
-    p.add_argument("group")
-    p.add_argument("subset")
-
-    p = sub.add_parser("lengths", parents=[common], help="set of factorization lengths of a sequence")
-    p.add_argument("group")
-    p.add_argument("sequence", help="sequence literal like '[(1)^10]'")
-
-    p = sub.add_parser("rho", parents=[common], help="k-th local elasticity")
-    p.add_argument("group")
-    p.add_argument("subset", nargs="?", default="all")
-    p.add_argument("-k", type=int, default=2)
-
-    p = sub.add_parser("delta-star", parents=[common], help="sweep minimal distances over subsets")
-    p.add_argument("group")
-
-    p = sub.add_parser("davenport", parents=[common], help="Davenport constant of the group or of the monoid over a subset")
-    p.add_argument("group")
-    p.add_argument("subset", nargs="?", default=None)
-
-    p = sub.add_parser("verify", parents=[common], help="run the mechanical verification suite")
-    p.add_argument("target", help="a group literal, or 'all-small'")
-    p.add_argument("--out", default=None, help="also write the JSON report to this path")
+    if command in _ARGUMENTS:
+        names = (command,)
+        sub = parser.add_subparsers(dest="command", required=True, metavar="{" + ",".join(_ARGUMENTS) + "}")
+    else:
+        names = tuple(_ARGUMENTS)
+        sub = parser.add_subparsers(dest="command", required=True)
+    for name in names:
+        help_text, arguments = _ARGUMENTS[name]
+        p = sub.add_parser(name, parents=[common], help=help_text)
+        for arg, kwargs in arguments:
+            p.add_argument(arg, **kwargs)
     return parser
 
 
@@ -391,8 +407,10 @@ _COMMANDS = {
 
 
 def main(argv: list[str] | None = None) -> int:
+    if argv is None:
+        argv = sys.argv[1:]
     try:
-        args = _build_parser().parse_args(argv)
+        args = _build_parser(argv[0] if argv else None).parse_args(argv)
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else EXIT_DOMAIN
     try:

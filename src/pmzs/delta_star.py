@@ -2,8 +2,8 @@
 
 Every divisor-closed submonoid of the signed zero-sum monoid over G is the
 signed zero-sum monoid over some subset of G, so the set of minimal distances
-is swept by running the kernel computation over subsets of the nonzero
-elements.  Two facts about these monoids decide the sweep:
+is swept by computing min Delta over subsets of the nonzero elements.  Two
+facts about these monoids decide the sweep:
 
 * orbit reduction: an automorphism of G maps the monoid over S isomorphically
   onto the monoid over phi(S), and folding an element onto its negative
@@ -14,7 +14,7 @@ elements.  Two facts about these monoids decide the sweep:
   The listing of every orbit walks the masks upwards and lists each orbit
   once, from its first mask, at one pass over the maps per orbit;
 * the down-set: for S a subset of T, the monoid over S is divisor-closed in
-  the monoid over T, so Delta(S) is contained in Delta(T).  The kernel
+  the monoid over T, so Delta(S) is contained in Delta(T).  The lattice
   computation yields gcd Delta, which equals min Delta, so the subsets whose
   value is not 1 (min Delta >= 2 or an empty distance set) are closed under
   taking subsets; Delta* minus {1} is read off them.
@@ -225,12 +225,20 @@ def _evaluate_subset(group: Group, limits: Limits, cache: AtomCache | None, rep:
 def _inherited_row(group: Group, rep: tuple[int, ...], limits: Limits) -> Row:
     """Value 1 for a representative over a value-1 subset, unless atom
     enumeration over it would hit a cap: a capped subset is skipped whether
-    or not it inherits, so the report does not depend on ``prune``."""
-    try:
-        atom_length_bound(group, rep, limits)
-        return rep, 1, None
-    except ResourceLimitError as exc:
-        return rep, None, str(exc)
+    or not it inherits, so the report does not depend on ``prune``.
+
+    D(H) <= |H| for every group H: of the |H| prefix sums of a sequence of
+    length |H|, two are equal or one is 0.  So when |G| is within the length
+    and Davenport-order caps, only the support cap can bind, and D(<S>) is
+    computed only for a representative over the support cap, whose skip
+    message :func:`atom_length_bound` gives.
+    """
+    if group.order > min(limits.max_atom_length, limits.max_davenport_order) or len(rep) > limits.max_support:
+        try:
+            atom_length_bound(group, rep, limits)
+        except ResourceLimitError as exc:
+            return rep, None, str(exc)
+    return rep, 1, None
 
 
 def delta_star(

@@ -1,13 +1,20 @@
 """Factorizations, sets of lengths, and the exact minimal distance.
 
 The minimal distance of a monoid with a known complete atom list comes out of
-the integer kernel of the atom exponent matrix M: an integer vector v with
-M v = 0 splits as v = v+ - v-, and v+ and v- are two factorizations of the
-same element whose lengths differ by sum(v).  Conversely any two
-factorizations z, z' of one element give the kernel vector z - z'.  The set
-of length differences is therefore exactly the image of the kernel lattice
-under the coordinate-sum functional, an ideal of Z, and the minimal distance
-(which equals the gcd of the distance set) is the gcd of the basis images.
+the lattice Lambda spanned by the vectors (a, 1) over the atoms a, with the
+length coordinate last.  An integer vector z with sum z_a a = 0 (in the
+kernel of the atom exponent matrix) splits as z = z+ - z-, and z+ and z- are
+two factorizations of the same element whose lengths differ by sum(z).
+Conversely any two factorizations z, z' of one element give the kernel vector
+z - z'.  The set of length differences therefore generates the ideal dZ of the
+sums of kernel vectors, and d is the minimal distance (which equals the gcd
+of the distance set).  Since sum z_a (a, 1) = (sum z_a a, sum z_a), the
+vectors of Lambda that vanish off the length coordinate are exactly 0 x dZ.
+In an echelon basis of Lambda those are the multiples of the row whose pivot
+lies in the length column, so d is that last pivot, and no row there means
+an empty distance set.  The basis is built one atom at a time and holds at
+most one row per coordinate.  :func:`integer_kernel_basis` computes a kernel
+basis instead; the tests use it as the oracle.
 
 Every invariant here reads the atoms over the folded ground set that an
 :class:`~pmzs.atoms.AtomSet` holds: the fold is a transfer homomorphism (see
@@ -16,7 +23,6 @@ Every invariant here reads the atoms over the folded ground set that an
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import combinations_with_replacement
@@ -85,18 +91,46 @@ def integer_kernel_basis(matrix: SequenceABC[SequenceABC[int]]) -> list[list[int
     return basis
 
 
+def _echelon_rows(vectors: Iterable[SequenceABC[int]]) -> dict[int, list[int]]:
+    """An echelon basis of the lattice the vectors span, as its rows by pivot column.
+
+    Each vector is reduced against the rows in column order.  Where a row
+    already holds a pivot in its leading column, Euclid's algorithm runs on
+    the two: the row minus the quotient times the vector, then swap, until
+    the vector's entry is 0.  Each step is unimodular, so the rows keep
+    spanning the same lattice.  A vector with no row at its leading column
+    becomes that row.  A pivot may be negative.
+    """
+    rows: dict[int, list[int]] = {}
+    for vec in vectors:
+        v = list(vec)
+        for c in range(len(v)):
+            if not v[c]:
+                continue
+            row = rows.get(c)
+            if row is None:
+                rows[c] = v
+                break
+            while v[c]:
+                q = row[c] // v[c]
+                row, v = v, [a - q * b for a, b in zip(row, v)]
+            rows[c] = row
+    return rows
+
+
 def min_delta_of_atoms(atom_set: AtomSet) -> int | None:
     """Minimal distance of the monoid with the given complete atom list.
 
-    None means the distance set is empty (the monoid is half-factorial).
+    The last pivot of an echelon basis of the lattice spanned by the vectors
+    (a, 1) over the folded atoms a, with the length coordinate last (see
+    the module docstring).  None means the distance set is empty (the monoid
+    is half-factorial).
     """
     if not atom_set.folded:
         return None
-    basis = integer_kernel_basis(atom_matrix(atom_set))
-    g = 0
-    for v in basis:
-        g = math.gcd(g, sum(v))
-    return g if g else None
+    width = len(atom_set.folded[0])
+    last = _echelon_rows(vec + (1,) for vec in atom_set.folded).get(width)
+    return abs(last[width]) if last else None
 
 
 def min_delta(
@@ -108,8 +142,8 @@ def min_delta(
 ) -> int | None:
     """Exact min of the distance set of the signed zero-sum monoid over the subset.
 
-    Computed from the kernel lattice of the atom matrix; ``None`` when the
-    distance set is empty.
+    Read off the echelon form of :func:`min_delta_of_atoms`; ``None`` when
+    the distance set is empty.
     """
     return min_delta_of_atoms(enumerate_atoms(group, subset, limits=limits, cache=cache))
 

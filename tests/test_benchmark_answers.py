@@ -1,30 +1,36 @@
-"""The benchmark's four operations give the answers its checks accept.
+"""The benchmark's four operations give the answers its checks accept, and
+the names its tracer wraps exist.
 
 ``perfbench/workloads.py`` pins each operation's argv, which ends in its
 ``CAPS``, its exit code and a check against ``perfbench/reference/``.  The
-module is loaded by path and only read, so these tests run the operations
-exactly as the benchmark does, through ``pmzs.cli.main`` in this process.
+benchmark's modules are loaded by path and only read, so these tests run the
+operations exactly as the benchmark does, through ``pmzs.cli.main`` in this
+process, and a renamed method fails here rather than in a traced run.
 """
 
+import importlib
 import importlib.util
 import sys
 
 import pytest
 
+from pmzs import enumerate_atoms, make_group
 from pmzs.cli import main
+from pmzs.relations import Factorizer
 from helpers import REPO
 
 
-def _workloads():
-    path = REPO / "perfbench" / "workloads.py"
-    spec = importlib.util.spec_from_file_location("perfbench_workloads", path)
+def _load(name):
+    path = REPO / "perfbench" / f"{name}.py"
+    spec = importlib.util.spec_from_file_location(f"perfbench_{name}", path)
     module = importlib.util.module_from_spec(spec)
     sys.modules[spec.name] = module  # dataclasses look their module up by name
     spec.loader.exec_module(module)
     return module
 
 
-WORKLOADS = _workloads()
+WORKLOADS = _load("workloads")
+TRACER = _load("tracer")
 OPS = (WORKLOADS.VERIFY, WORKLOADS.C4XC4, WORKLOADS.C12, WORKLOADS.C13)
 
 
@@ -45,3 +51,13 @@ def test_benchmark_operation_prints_the_same_at_two_jobs(capsys, op):
     argv[at + 1] = "2"
     pooled = main(argv), capsys.readouterr().out
     assert pooled == serial, op.name
+
+
+def test_tracer_methods_exist():
+    for layer, cls_name, methods in TRACER.METHODS:
+        cls = getattr(importlib.import_module(f"pmzs.{layer}"), cls_name)
+        for method in methods:
+            assert method in vars(cls), f"{layer}.{cls_name}.{method}"
+    # the tracer times each Factorizer's factorization search through this attribute
+    group = make_group([5])
+    assert callable(Factorizer(enumerate_atoms(group, [group.element(1)]))._suffixes)

@@ -1,12 +1,14 @@
 """CLI surface: commands, formats, exit codes, env overrides, determinism."""
 
+import argparse
 import json
 import time
 
 import pytest
 
+import pmzs.cli
 from pmzs import Group, ResourceLimitError, min_delta
-from pmzs.cli import EXIT_DOMAIN, EXIT_OK, EXIT_RESOURCE, EXIT_VERIFY, main
+from pmzs.cli import EXIT_DOMAIN, EXIT_OK, EXIT_RESOURCE, EXIT_VERIFY, _build_parser, main
 
 
 def run_cli(capsys, *argv):
@@ -433,3 +435,35 @@ def test_bad_env_values_are_usage_errors(capsys, monkeypatch, name, value):
     code, out, err = run_cli(capsys, "group", "C4")
     assert code == EXIT_DOMAIN and out == ""
     assert "error:" in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize("env, argv", [
+    ({}, ["--help"]),
+    ({}, []),
+    ({}, ["nonsense", "C4"]),
+    ({}, ["delta-star", "--help"]),
+    ({}, ["group", "C4", "extra"]),
+    ({}, ["delta-star", "C5", "--jobs", "x"]),
+    ({"PMZS_FORMAT": "xml"}, ["group", "C4"]),
+    ({"PMZS_NO_PRUNE": "x"}, ["group", "C4"]),
+])
+def test_named_command_parser_prints_what_the_full_parser_prints(capsys, monkeypatch, env, argv):
+    for name, value in env.items():
+        monkeypatch.setenv(name, value)
+    one = run_cli(capsys, *argv)
+    monkeypatch.setattr(pmzs.cli, "_build_parser", lambda command=None: _build_parser())
+    full = run_cli(capsys, *argv)
+    assert one == full
+    assert one[0] in (EXIT_OK, EXIT_DOMAIN) and one[1] + one[2]
+
+
+def _subparser_names(parser):
+    (action,) = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+    return list(action.choices)
+
+
+def test_named_command_builds_one_subparser():
+    every = _subparser_names(_build_parser())
+    assert len(every) == 8 and _subparser_names(_build_parser("nonsense")) == every
+    for name in every:
+        assert _subparser_names(_build_parser(name)) == [name]

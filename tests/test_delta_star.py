@@ -112,8 +112,10 @@ def test_witnesses_point_at_achieving_subsets():
 
 def test_prune_toggle_identical_reports():
     # inheriting min delta = 1 from a subset against evaluating every representative;
-    # C4xC4 adds a representative skipped by the support cap on both paths
+    # C4xC4 adds a representative skipped by the support cap on both paths;
+    # with a length cap below |G|, inherited rows over it are skipped too
     cases = [(g, Limits(max_sweep_order=12)) for g in small_group_list(12)]
+    cases.append((parse_group("C4xC4"), Limits(max_sweep_order=16, max_atom_length=6)))
     cases.append((parse_group("C4xC4"), Limits(max_sweep_order=16)))
     for g, limits in cases:
         pruned = delta_star(g, limits=limits, prune=True).to_json_dict()

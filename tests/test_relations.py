@@ -2,7 +2,7 @@
 
 import math
 import random
-from itertools import combinations_with_replacement
+from itertools import combinations, combinations_with_replacement
 
 import pytest
 
@@ -25,6 +25,7 @@ from pmzs import (
     parse_subset,
     rho_k,
 )
+from pmzs.groups import fold_negatives
 from pmzs.limits import Limits
 from pmzs.relations import Factorizer, delta_of_lengths
 from helpers import (
@@ -88,6 +89,35 @@ def test_min_delta_empty_cases():
     g8 = make_group([8])
     assert min_delta(g8, [g8.element(1)]) is None  # even order generator
     assert min_delta(g8, []) is None
+
+
+def _kernel_min_delta(atoms):
+    """gcd of the coordinate sums of an integer_kernel_basis of the atom matrix, as the test oracle."""
+    g = 0
+    for v in integer_kernel_basis(atom_matrix(atoms)) if atoms.folded else []:
+        g = math.gcd(g, sum(v))
+    return g or None
+
+
+def test_echelon_min_delta_matches_kernel_on_every_folded_subset():
+    values = []
+    for group in small_group_list(12):
+        universe = fold_negatives(group, range(1, group.order))
+        for size in range(len(universe) + 1):
+            for subset in combinations(universe, size):
+                atoms = enumerate_atoms(group, [group.element_at(i) for i in subset])
+                value = min_delta_of_atoms(atoms)
+                assert value == _kernel_min_delta(atoms), (str(group), subset)
+                values.append(value)
+    # empty and half-factorial sets (None) and values up to 9 (C11 {e}) occur
+    assert len(values) >= 484 and None in values and max(filter(None, values)) >= 9
+
+
+@pytest.mark.parametrize("group", [g for g in small_group_list(17) if g.order >= 13], ids=str)
+def test_echelon_min_delta_matches_kernel_on_whole_sets(group):
+    nonzero = [group.element_at(i) for i in range(1, group.order)]
+    atoms = enumerate_atoms(group, nonzero, limits=Limits(max_support=16, max_atom_length=64))
+    assert min_delta_of_atoms(atoms) == _kernel_min_delta(atoms) == 1
 
 
 def test_min_delta_full_group_is_one():
