@@ -439,9 +439,9 @@ def shift_mask(group: Group, mask: int, gi: int) -> int:
 def signed_shift_mask(group: Group, mask: int, gi: int) -> int:
     """(T + g) | (T - g) for a bitmask T; one step of the signed-sum recursion.
 
-    The two rotations of :func:`shift_mask` are inlined: this is the atom
-    DFS's inner loop, and two calls fewer per step pay for the lookup in
-    the lazily filled step table.
+    The two rotations of :func:`shift_mask` are inlined: this is the inner
+    loop of the earlier-atom walk behind :func:`pmzs.atoms.is_atom`, and two
+    calls fewer per step pay for the lookup in the lazily filled step table.
     """
     steps = group._shift_steps
     plus = minus = mask
@@ -557,36 +557,82 @@ def group_invariants(group: Group) -> GroupSummary:
     )
 
 
-@lru_cache(maxsize=None)
-def _longest_zero_sum_free(group: Group) -> int:
-    """Length of the longest zero-sum-free sequence, by pruned DFS.
+def _minimal_zero_sums(group: Group, folded: tuple[int, ...], weights: tuple[int, ...]) -> dict[int, int]:
+    """The minimal zero-sum sequences w over U = F u -F, for F a folded set
+    of nonzero element indices, one of each pair {w, -w}, counted by their
+    image under the fold: w adds 1 at the key sum_j weights[j] * phi(w)_j,
+    where phi(w)_j counts the terms f_j and -f_j of w.
 
-    The DFS extends sequences with non-decreasing element index and carries
-    the set of nonempty-subsequence sums as a bitmask; a branch dies as soon
-    as 0 becomes a subsequence sum.
+    The walk runs over the zero-sum-free sequences T over U by non-decreasing
+    position in the order f_0, -f_0, f_1, -f_1, ..., with the elements of
+    order 2 last.  It carries the negatives of the sums of T's subsequences,
+    the empty one included, as a bitmask, and -sigma(T) as an index.  T * u
+    is zero-sum free iff the bit of u is clear in that mask, so the test
+    comes before any shift; extending by u translates the mask and the index
+    by -u with the same block rotations (:func:`shift_mask`).  T * u is a
+    zero sum iff u = -sigma(T), and then it is minimal: a proper zero-sum
+    subsequence would contain u, and T minus the rest of it would be a
+    nonempty zero sum in T.  Every minimal zero-sum sequence w is met exactly
+    once, as T * u with u the last term of w, since every subsequence of T
+    is zero-sum free.  Zero-sum-free sequences are shorter than D(G), so the
+    walk stops by itself.
+
+    Only sequences whose first term lies in F are walked.  Negation swaps
+    the positions of f and -f, so unless w = -w exactly one of w and -w has
+    its first term in F; and w = -w only for f * -f, which starts at f, and
+    for sequences of elements of order 2, which come last.
     """
-    best = 0
-    order = group.order
+    steps = group._shift_steps
+    neg = group._neg_table
+    elements: list[int] = []
+    keys: list[int] = []
+    heads: list[int] = []  # the positions of the elements of F
+    for gi, weight in sorted(zip(folded, weights), key=lambda pair: neg[pair[0]] == pair[0]):
+        heads.append(len(elements))
+        pair = (gi,) if neg[gi] == gi else (gi, neg[gi])
+        elements += pair
+        keys += (weight,) * len(pair)
+    position = [-1] * group.order
+    for p, gi in enumerate(elements):
+        position[gi] = p
+    # from each position on: the term, its key and the rotations that translate by -u
+    terms = [(p, gi, keys[p], steps[neg[gi]]) for p, gi in enumerate(elements)]
+    tails = [terms[p:] for p in range(len(terms))]
+    found: dict[int, int] = {}
 
-    def extend(min_index: int, length: int, sums: int) -> None:
-        nonlocal best
-        if length > best:
-            best = length
-        for gi in range(min_index, order):
-            new_sums = sums | shift_mask(group, sums, gi) | (1 << gi)
-            if new_sums & 1:
+    def walk(start: int, minus_sums: int, target: int, key: int) -> None:
+        p = position[target]
+        if p >= start:
+            done = key + keys[p]
+            found[done] = found.get(done, 0) + 1
+        for p, gi, weight, back in tails[start]:
+            if minus_sums >> gi & 1:
                 continue
-            extend(gi, length + 1, new_sums)
+            shifted, t = minus_sums, target
+            for lo, up, hi, down in back:
+                shifted = (shifted & lo) << up | (shifted & hi) >> down
+                t = t + up if lo >> t & 1 else t - down
+            walk(p, minus_sums | shifted, t, key + weight)
 
-    extend(1, 0, 0)
-    return best
+    for p in heads:
+        walk(p, 1 | 1 << neg[elements[p]], neg[elements[p]], keys[p])
+    return found
+
+
+@lru_cache(maxsize=None)
+def _longest_minimal_zero_sum(group: Group) -> int:
+    """Length of the longest minimal zero-sum sequence over G minus 0, by the
+    walk of :func:`_minimal_zero_sums` with every weight 1."""
+    folded = fold_negatives(group, range(1, group.order))
+    return max(_minimal_zero_sums(group, folded, (1,) * len(folded)))
 
 
 def davenport_exhaustive(group: Group) -> int:
-    """Davenport constant by exhaustive zero-sum-free search (no formula shortcut)."""
+    """Davenport constant by exhaustive zero-sum-free search (no formula shortcut):
+    the length of the longest minimal zero-sum sequence."""
     if group.order == 1:
         return 1
-    return _longest_zero_sum_free(group) + 1
+    return _longest_minimal_zero_sum(group)
 
 
 def davenport(group: Group, *, max_order: int = 20) -> int:

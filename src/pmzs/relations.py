@@ -25,7 +25,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import combinations_with_replacement
+from itertools import chain, combinations_with_replacement, product
 from typing import Iterable, Sequence as SequenceABC
 
 from .atoms import AtomCache, AtomSet, enumerate_atoms, atom_length_profile
@@ -364,8 +364,11 @@ def rho_k(
 
     Exact for every k: an element with k in its length set is such a product.
     The products range over the folded atoms, whose elements have the same
-    sets of lengths.  k = 1 returns 1.  k above the configured cap raises
-    ResourceLimitError.
+    sets of lengths.  They are visited by decreasing total length t, and the
+    search stops once floor(t / 2) is at most the best length found: every
+    folded atom has length at least 2, so an element of length t has no
+    factorization longer than floor(t / 2).  k = 1 returns 1.  k above the
+    configured cap raises ResourceLimitError.
     """
     if k < 1:
         raise DomainError(f"rho_k requires k >= 1, got {k}")
@@ -378,7 +381,17 @@ def rho_k(
         # only the prime atom (0) can be present; its powers have single lengths
         return k if atom_set.includes_zero else 0
     fz = Factorizer(atom_set)
+    by_length: dict[int, list[tuple[int, ...]]] = {}
+    for vec in atom_set.folded:
+        by_length.setdefault(sum(vec), []).append(vec)
+    # the multisets of k atom lengths, by decreasing total
+    shapes = sorted(combinations_with_replacement(sorted(by_length, reverse=True), k), key=sum, reverse=True)
     best = k
-    for combo in combinations_with_replacement(atom_set.folded, k):
-        best = max(best, fz._folded_mask(tuple(map(sum, zip(*combo)))).bit_length() - 1)
+    for shape in shapes:
+        if sum(shape) // 2 <= best:
+            break
+        per_length = [combinations_with_replacement(by_length[l], shape.count(l)) for l in sorted(set(shape))]
+        for parts in product(*per_length):
+            total = tuple(map(sum, zip(*chain.from_iterable(parts))))
+            best = max(best, fz._folded_mask(total).bit_length() - 1)
     return best

@@ -14,7 +14,8 @@ import os
 import random
 import subprocess
 import sys
-from itertools import product
+from collections import Counter
+from itertools import combinations_with_replacement, product
 from pathlib import Path
 
 from pmzs import Group, Sequence, abelian_group_types, make_group
@@ -145,6 +146,47 @@ def brute_subgroup_generated(group: Group, gens: list[int]) -> tuple[int, tuple[
         if sorted(x.order() for x in candidate.elements()) == orders:
             return mask, factors
     raise AssertionError(f"no abelian group of order {len(seen)} has the element orders {orders}")
+
+
+def brute_minimal_zero_sums(group: Group, folded: tuple[int, ...]) -> dict[tuple[int, ...], int]:
+    """The minimal zero-sum sequences w over U = F u -F, one of each pair
+    {w, -w}, counted by their image over F (the multiplicities of f and -f
+    summed), for a folded set F of nonzero element indices.
+
+    Every multiset over U of length at most |G| is summed through the
+    addition table, and a zero sum is kept when no proper nonempty
+    sub-multiset sums to 0.
+    """
+    add, neg = group._add_table, group._neg_table
+    slot = {}
+    for j, f in enumerate(folded):
+        slot[f] = slot[neg[f]] = j
+    universe = sorted(slot)
+
+    def total(terms) -> int:
+        s = 0
+        for x in terms:
+            s = add[s][x]
+        return s
+
+    pairs: dict[tuple[int, ...], set] = {}
+    for length in range(1, group.order + 1):
+        for terms in combinations_with_replacement(universe, length):
+            if total(terms):
+                continue
+            counts = sorted(Counter(terms).items())
+            proper = (
+                [x for x, c in zip(counts, taken) for x in [x[0]] * c]
+                for taken in product(*(range(c + 1) for _, c in counts))
+            )
+            if any(0 < len(sub) < length and total(sub) == 0 for sub in proper):
+                continue
+            image = [0] * len(folded)
+            for x in terms:
+                image[slot[x]] += 1
+            negated = tuple(sorted(neg[x] for x in terms))
+            pairs.setdefault(tuple(image), set()).add(min(terms, negated))
+    return {image: len(ws) for image, ws in pairs.items()}
 
 
 def brute_signed_sums(seq: Sequence) -> set[tuple[int, ...]]:

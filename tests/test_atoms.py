@@ -1,15 +1,18 @@
 """Atomicity, complete atom enumeration, length profiles, monoid Davenport."""
 
+import contextlib
+import io
 import json
 import pickle
 import random
 from dataclasses import replace
-from itertools import product
+from itertools import combinations, product
 
 import pytest
 
 from pmzs import (
     AtomCache,
+    Group,
     Limits,
     ResourceLimitError,
     Sequence,
@@ -26,7 +29,15 @@ from pmzs import (
     parse_group,
     parse_subset,
 )
-from pmzs.atoms import _enumerate_atom_vectors, _fnv1a_64, atom_length_bound
+import pmzs.atoms
+from pmzs import cli
+from pmzs.atoms import (
+    _enumerate_atom_vectors,
+    _fnv1a_64,
+    _minimal_zero_sum_atom_vectors,
+    _span_davenport,
+    atom_length_bound,
+)
 from helpers import (
     brute_factorization_lengths,
     brute_is_atom,
@@ -110,6 +121,100 @@ def test_lifted_atoms_match_unpruned_enumeration_on_mixed_subsets():
         lifted, expected = _lifted_and_unpruned(group, ground)
         assert lifted == expected, (format_group(group), ground)
     assert min(kinds.values()) >= 20, kinds
+
+
+def _earlier_atom_rule(group, folded):
+    """The atoms over a folded ground set by the earlier-atom rule, each
+    coordinate capped at min(D(<S>), ord g), as the test oracle."""
+    bound = _span_davenport(group, folded, 64)
+    caps = tuple(min(bound, group._order_table[gi]) for gi in folded)
+    return _enumerate_atom_vectors(group, folded, bound, caps)
+
+
+def test_minimal_zero_sum_atoms_match_earlier_atom_rule_on_every_folded_subset():
+    checked = 0
+    for group in small_group_list(12):
+        universe = fold_negatives(group, range(1, group.order))
+        for size in range(1, len(universe) + 1):
+            for subset in combinations(universe, size):
+                assert _minimal_zero_sum_atom_vectors(group, subset) == _earlier_atom_rule(group, subset), (
+                    format_group(group), subset)
+                checked += 1
+    assert checked == 484, checked
+
+
+@pytest.mark.parametrize("group", [g for g in small_group_list(17) if g.order >= 13], ids=str)
+def test_minimal_zero_sum_atoms_match_earlier_atom_rule_on_whole_sets(group):
+    universe = fold_negatives(group, range(1, group.order))
+    assert _minimal_zero_sum_atom_vectors(group, universe) == _earlier_atom_rule(group, universe)
+
+
+BENCHMARK_CAPS = ("--jobs", "1", "--max-order", "16", "--max-support", "8", "--max-atom-len", "20", "--rho-cap", "3")
+
+
+def _evaluated_rows(monkeypatch, argv):
+    """The (group, folded ground set) pairs whose atoms a CLI run asks for."""
+    rows = []
+    memo = pmzs.atoms._folded_atom_vectors
+
+    def recording(group, folded):
+        rows.append((group, folded))
+        return memo(group, folded)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(pmzs.atoms, "_folded_atom_vectors", recording)
+        with contextlib.redirect_stdout(io.StringIO()):
+            cli.main(list(argv))
+    return list(dict.fromkeys(rows))
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("verify", "all-small") + BENCHMARK_CAPS,
+        ("delta-star", "C4xC4") + BENCHMARK_CAPS,
+        ("delta-star", "C12") + BENCHMARK_CAPS,
+        ("delta-star", "C13") + BENCHMARK_CAPS,
+        ("delta-star", "C64", "--max-atom-len", "64"),
+        ("delta-star", "C8xC8", "--max-atom-len", "64"),
+    ],
+    ids=lambda argv: " ".join(argv[:2]),
+)
+def test_minimal_zero_sum_atoms_match_earlier_atom_rule_on_evaluated_rows(monkeypatch, argv):
+    rows = _evaluated_rows(monkeypatch, argv)
+    assert rows
+    for group, folded in rows:
+        assert _minimal_zero_sum_atom_vectors(group, folded) == _earlier_atom_rule(group, folded), (
+            format_group(group), folded)
+
+
+def test_atom_enumeration_runs_only_the_minimal_zero_sum_search(monkeypatch):
+    # the earlier-atom rule stays as the oracle and behind is_atom; no row of
+    # a verify run reaches it
+    searched = []
+    search = pmzs.atoms._minimal_zero_sum_atom_vectors
+
+    def counting(group, folded):
+        searched.append((group, folded))
+        return search(group, folded)
+
+    def refuse(*args):
+        raise AssertionError("an atom list was enumerated by the earlier-atom rule")
+
+    pmzs.atoms._folded_atom_vectors.cache_clear()
+    monkeypatch.setattr(pmzs.atoms, "_minimal_zero_sum_atom_vectors", counting)
+    monkeypatch.setattr(pmzs.atoms, "_enumerate_atom_vectors", refuse)
+    with contextlib.redirect_stdout(io.StringIO()):
+        cli.main(["verify", "all-small", *BENCHMARK_CAPS])
+    assert len(set(searched)) == 178  # every folded ground set of the run
+
+
+def test_minimal_zero_sum_search_builds_no_addition_table():
+    group = Group((64,))  # a fresh instance, so its tables are the ones this search builds
+    folded = (1, 3, 5, 7)
+    assert atom_length_bound(group, folded, Limits(max_atom_length=64)) == 64
+    assert _minimal_zero_sum_atom_vectors(group, folded)
+    assert "_shift_steps" in vars(group) and "_add_table" not in vars(group)
 
 
 def test_enumerate_atoms_single_generator_c5():

@@ -3,6 +3,7 @@
 import math
 import pickle
 import random
+from itertools import combinations
 
 import pytest
 
@@ -21,8 +22,14 @@ from pmzs import (
     make_group,
     subgroup_generated,
 )
-from pmzs.groups import shift_mask, signed_shift_mask
-from helpers import brute_automorphisms, brute_shift_mask, brute_subgroup_generated, small_group_list
+from pmzs.groups import _minimal_zero_sums, shift_mask, signed_shift_mask
+from helpers import (
+    brute_automorphisms,
+    brute_minimal_zero_sums,
+    brute_shift_mask,
+    brute_subgroup_generated,
+    small_group_list,
+)
 
 
 def test_make_group_canonicalizes():
@@ -191,6 +198,33 @@ def test_davenport_search_agrees_with_formula_up_to_16():
     # formula is exact there and the search must reproduce it
     for g in small_group_list(16):
         assert davenport_exhaustive(g) == g.d_star, str(g)
+
+
+def test_davenport_exhaustive_on_groups_past_the_formula():
+    # C2 + C2 + C2n has D = 2n + 2 = d_star; the default order cap refuses the search here
+    g = make_group([2, 2, 6])
+    assert davenport_exhaustive(g) == davenport(g, max_order=24) == g.d_star == 8
+
+
+def test_minimal_zero_sums_match_brute_force():
+    # one of each pair {w, -w}, keyed by the image over F; C8 is left out, its oracle alone takes seconds
+    checked = 0
+    for group in small_group_list(8):
+        if group.invariant_factors == (8,):
+            continue
+        universe = fold_negatives(group, range(1, group.order))
+        base = group.order + 1
+        for size in range(1, len(universe) + 1):
+            for folded in combinations(universe, size):
+                weights = tuple(base**j for j in range(size))
+                found = _minimal_zero_sums(group, folded, weights)
+                expected = {
+                    sum(w * m for w, m in zip(weights, image)): count
+                    for image, count in brute_minimal_zero_sums(group, folded).items()
+                }
+                assert found == expected, (str(group), folded)
+                checked += 1
+    assert checked == 187, checked
 
 
 def test_davenport_cap():

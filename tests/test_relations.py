@@ -329,6 +329,34 @@ def test_rho_k():
         rho_k(g5, nonzero5, 0)
 
 
+def _rho_over_every_product(atoms, k):
+    """The largest length of the products of k folded atoms, every product
+    queried, as the oracle of the early-stopped search."""
+    fz = Factorizer(atoms)
+    return max(
+        fz._folded_mask(tuple(map(sum, zip(*combo)))).bit_length() - 1
+        for combo in combinations_with_replacement(atoms.folded, k)
+    )
+
+
+def test_rho_k_stopped_by_length_matches_every_product():
+    checked = 0
+    for group in small_group_list(10):
+        universe = fold_negatives(group, range(1, group.order))
+        for size in range(1, len(universe) + 1):
+            for ground in combinations(universe, size):
+                subset = [group.element_at(i) for i in ground]
+                atoms = enumerate_atoms(group, subset)
+                for k in (2, 3) if group.order <= 8 else (2,):
+                    assert rho_k(group, subset, k) == _rho_over_every_product(atoms, k), (str(group), ground, k)
+                    checked += 1
+    assert checked == 465, checked
+    group, subset = subset_of("C6", "[(0),(1),(2)]")
+    atoms = enumerate_atoms(group, subset)
+    assert atoms.includes_zero
+    assert rho_k(group, subset, 3) == _rho_over_every_product(atoms, 3) == 4
+
+
 def test_delta_of_lengths():
     assert delta_of_lengths([2, 5, 7]) == (3, 2)
     assert delta_of_lengths([3]) == ()
