@@ -44,11 +44,9 @@ from .atoms import (
 from .relations import (
     FactorizationSet,
     Factorizer,
-    atom_matrix,
     delta_of_element,
     delta_of_lengths,
     factorizations,
-    integer_kernel_basis,
     is_half_factorial,
     length_set,
     min_delta,

@@ -39,31 +39,8 @@ f * -f or has only terms of order 2, so it is minimal only when it is
 f * -f or the sole preimage.  So the walk visits one of each pair {w, -w},
 and v is kept iff N(v) = 1 or N(v) is twice the number of pairs found.
 Zero-sum-free sequences are shorter than D(<S>), so the walk needs no
-length bound; it builds no |G| x |G| table.
-
-This search replaced a depth-first walk over the exponent vectors over F up
-to the length bound, which collected every signed zero sum and kept those
-that no earlier atom divides (:func:`_enumerate_atom_vectors`, below).  On a
-2-core machine (Python 3.11), summed over the atom lists of the evaluated
-rows, the walk over zero-sum-free sequences took 8.5 ms against 22 ms on
-``verify all-small`` at the benchmark caps, 1.0 against 1.2 ms on C4xC4,
-and at ``--max-atom-len 64`` 0.09 against 1.6 s on C64, 0.18 against
-0.35 s on C8xC8, 1.3 against 2.7 s on C2xC4xC8, 1.3 against 4.1 s on
-C2xC2xC16, 0.85 against 6.8 s on C2xC32 and 0.26 against 7.4 s on C60.
-It lost only on single rows of small groups, by microseconds, so no row
-is routed to the earlier walk.
-
-The earlier walk stays as the test oracle and behind :func:`is_atom`.  Taken
-in order of length, a zero sum v is an atom iff no atom a already kept, with
-a <= v, leaves a remainder v - a that is a zero sum.  The rule is exact.  If
-v = c * (v - c) with c a proper zero-sum divisor, then c = a * (c - a) for
-some atom a, and v - a = (c - a) * (v - c) is a shorter zero sum, so it is
-in the set.  Over a folded set its coordinate of g may be capped at
-min(bound, ord g).  Take a signing that makes an atom v a zero sum.  If it
-gives g both signs, then v - g^2 is a zero sum; if all copies of g have one
-sign and v_g >= ord g, then v - g^ord(g) is one.  Either way v is reducible
-unless v = g^2 or v = g^ord(g).  Every remainder v - a <= v stays within the
-caps, so the earlier-atom rule still finds it.
+length bound; it builds no |G| x |G| table.  :func:`is_atom` reads the same
+fact off a single sequence, signing by signing.
 
 Atom lengths are bounded by the Davenport constant of the subgroup generated
 by the ground set: in any longer signed zero sum, the first length-minus-one
@@ -82,6 +59,7 @@ import math
 import os
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
+from itertools import product
 from pathlib import Path
 from typing import Iterable
 
@@ -95,6 +73,7 @@ from .groups import (
     davenport,
     fold_negatives,
     fold_positions,
+    shift_mask,
     signed_shift_mask,
 )
 from .limits import DEFAULT_LIMITS, Limits
@@ -196,84 +175,37 @@ class LengthProfile:
     gcd_lengths_minus_2: int
 
 
-def _enumerate_atom_vectors(
-    group: Group, ground_indices: tuple[int, ...], bound: int, caps: tuple[int, ...]
-) -> list[tuple[int, ...]]:
-    """Atoms among the exponent vectors v <= caps of length at most bound, in
-    :func:`_atom_order`, by the earlier-atom rule of the module docstring.
+def _add_index(group: Group, x: int, y: int) -> int:
+    """The index of x + y, moved by the block rotations that translate by y."""
+    for lo, up, hi, down in group._shift_steps[y]:
+        x = x + up if lo >> x & 1 else x - down
+    return x
 
-    A vector is packed into one int, ground position 0 in the most
-    significant field, so int order is tuple order.  A field holds values up
-    to ``bound`` and has a guard bit on top: ``d = (v | G) - a`` keeps every
-    guard bit iff ``a <= v``, and then ``d ^ G`` is ``v - a``.  Every
-    remainder v - a is shorter than v and within the caps, so the one dict of
-    zero sums collected here answers every lookup.
 
-    Only the atoms that cover one field of v, the field of its lowest set bit,
-    are tried.  If v = c * w with c and w nonempty zero sums, one of them
-    covers that field, and so does one of its atoms a; v - a is then a shorter
-    nonempty zero sum.
-    """
-    n = len(ground_indices)
-    bits = bound.bit_length()
-    field = (1 << bits) - 1
-    offsets = [(n - 1 - j) * (bits + 1) for j in range(n)]
-    units = [1 << off for off in offsets]
-    guards = sum(unit << bits for unit in units)
-    zero_sums: dict[int, int] = {}  # packed vector -> length
-
-    def extend(min_pos: int, length: int, vec: int, mask: int) -> None:
-        if length and mask & 1:
-            zero_sums[vec] = length
-        if length == bound:
-            return
-        for j in range(min_pos, n):
-            if (vec >> offsets[j]) & field < caps[j]:
-                extend(j, length + 1, vec + units[j], signed_shift_mask(group, mask, ground_indices[j]))
-
-    extend(0, 0, 0, 1)
-    atoms: list[int] = []
-    covering: list[list[int]] = [[] for _ in range(n)]  # the atoms with a nonzero field j
-    # the list for the field that holds each bit, found from a vector's lowest set bit
-    covering_bit = [covering[n - 1 - b // (bits + 1)] for b in range(n * (bits + 1))]
-    for _, v in sorted((length, vec) for vec, length in zero_sums.items()):
-        guarded = v | guards
-        # a remainder of an atom a not <= v loses a guard bit
-        if not any(
-            (d := guarded - a) & guards == guards and (d ^ guards) in zero_sums
-            for a in covering_bit[(v & -v).bit_length() - 1]
-        ):
-            atoms.append(v)
-            for j, off in enumerate(offsets):
-                if (v >> off) & field:
-                    covering[j].append(v)
-    return [tuple((a >> off) & field for off in offsets) for a in atoms]
+def _signed_multiples(group: Group, f: int, m: int) -> list[int]:
+    """The sums (2k - m) f, by index, of the splits of m copies of f into k
+    copies of f and m - k of -f, for k = 0..m; the one sum m f when 2f = 0."""
+    neg = group._neg_table
+    if neg[f] == f:
+        return [f if m % 2 else 0]
+    e = 0
+    for _ in range(m):
+        e = _add_index(group, e, neg[f])
+    twice = _add_index(group, f, f)
+    out = [e]
+    for _ in range(m):
+        e = _add_index(group, e, twice)
+        out.append(e)
+    return out
 
 
 @lru_cache(maxsize=4096)
 def _split_sums(group: Group, f: int, m: int) -> dict[int, int]:
-    """The sums (2k - m) f over the splits of m copies of f into k copies of f
-    and m - k of -f, k = 0..m, by index, with the number of splits giving
-    each; one split when 2f = 0.  The memo hands every caller the same dict,
-    so callers only read it."""
-    steps = group._shift_steps
-    neg = group._neg_table
-
-    def add(x: int, y: int) -> int:
-        for lo, up, hi, down in steps[y]:
-            x = x + up if lo >> x & 1 else x - down
-        return x
-
-    if neg[f] == f:
-        return {f if m % 2 else 0: 1}
-    e = 0
-    for _ in range(m):
-        e = add(e, neg[f])
-    twice = add(f, f)
+    """The sums of :func:`_signed_multiples`, with the number of splits giving
+    each.  The memo hands every caller the same dict, so callers only read it."""
     out: dict[int, int] = {}
-    for _ in range(m + 1):
+    for e in _signed_multiples(group, f, m):
         out[e] = out.get(e, 0) + 1
-        e = add(e, twice)
     return out
 
 
@@ -405,15 +337,39 @@ def _is_valid_atom_list(
 def is_atom(seq: Sequence) -> bool:
     """True iff the sequence is an irreducible element of the signed zero-sum monoid.
 
-    Decided by the earlier-atom rule over the sub-multisets of the sequence.
-    The single-term sequence (0) is an atom; any longer sequence containing 0
-    splits off (0) and is reducible.
+    Decided by the fact of the module docstring: v is an atom iff every
+    zero-sum signing w of phi(v) over U = F u -F, F = fold S, is a minimal
+    zero-sum sequence.  Write w = T * u with u its last term.  Then w is a
+    zero sum iff -sigma(T) = u, and it is minimal iff T is zero-sum free,
+    which the step of :func:`pmzs.groups._minimal_zero_sums` tests term by
+    term.  The single-term sequence (0) is an atom; any longer sequence
+    containing 0 splits off (0) and is reducible.
     """
-    if not seq.is_pm_zero_sum():
+    if not seq.is_pm_zero_sum() or not seq.entries:
         return False
-    ground = tuple(idx for idx, _ in seq.entries)
-    vec = tuple(mult for _, mult in seq.entries)
-    return vec in _enumerate_atom_vectors(seq.group, ground, len(seq), vec)
+    if seq.entries[0][0] == 0:  # entries are sorted by index, so a 0 term comes first
+        return len(seq) == 1
+    group = seq.group
+    neg = group._neg_table
+    folded, source = fold_positions(group, tuple(idx for idx, _ in seq.entries))
+    image = [0] * len(folded)
+    for j, (_, m) in zip(source, seq.entries):
+        image[j] += m
+    per_coordinate = [_signed_multiples(group, f, m) for f, m in zip(folded, image)]
+    for ks in product(*(range(len(sums)) for sums in per_coordinate)):
+        total = 0
+        for sums, k in zip(per_coordinate, ks):
+            total = _add_index(group, total, sums[k])
+        if total:
+            continue
+        # k copies of f and m - k of -f; all m are f when 2f = 0 (one choice, k = 0)
+        terms = [x for f, m, k in zip(folded, image, ks) for x in (f,) * k + (neg[f],) * (m - k)]
+        minus_sums = 1
+        for x in terms[:-1]:
+            if minus_sums >> x & 1:
+                return False
+            minus_sums |= shift_mask(group, minus_sums, neg[x])
+    return True
 
 
 def _fnv1a_64(data: bytes) -> int:
@@ -484,12 +440,12 @@ class AtomCache:
 
 
 @lru_cache(maxsize=4096)
-def _span_davenport(group: Group, ground_indices: tuple[int, ...], max_order: int) -> int:
+def _span_davenport(group: Group, ground_indices: tuple[int, ...]) -> int:
     """D of the subgroup generated by a folded ground set (<S> = <fold S>), once
     per folded set per process; a refused search raises on every call, since
     raising caches nothing.  The span is closed and typed on element indices,
     so no element object is built."""
-    return davenport(_classify_subgroup(group, _span_mask(group, ground_indices)), max_order=max_order)
+    return davenport(_classify_subgroup(group, _span_mask(group, ground_indices)))
 
 
 def atom_length_bound(group: Group, ground_indices: tuple[int, ...], limits: Limits = DEFAULT_LIMITS) -> int:
@@ -504,7 +460,7 @@ def atom_length_bound(group: Group, ground_indices: tuple[int, ...], limits: Lim
         raise ResourceLimitError(
             f"atom enumeration capped at {limits.max_support} support elements, got {len(folded)}"
         )
-    bound = _span_davenport(group, folded, limits.max_davenport_order)
+    bound = _span_davenport(group, folded)
     if bound > limits.max_atom_length:
         raise ResourceLimitError(
             f"atom length bound {bound} exceeds the cap {limits.max_atom_length} for {format_group(group)}"

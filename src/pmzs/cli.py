@@ -216,7 +216,7 @@ def _cmd_group(args) -> int:
     group = parse_group(args.group)
     info = group_invariants(group)
     try:
-        d_exact = davenport(group, max_order=DEFAULT_LIMITS.max_davenport_order)
+        d_exact = davenport(group)
         d_text = str(d_exact)
     except ResourceLimitError as exc:
         d_exact = None
@@ -345,7 +345,7 @@ def _cmd_delta_star(args) -> int:
 def _cmd_davenport(args) -> int:
     group = parse_group(args.group)
     if args.subset is None:
-        value = davenport(group, max_order=DEFAULT_LIMITS.max_davenport_order)
+        value = davenport(group)
         payload = {"group": format_group(group), "davenport_group": value}
         _emit(args, payload, lambda: [f"D({format_group(group)}) = {value}"])
     else:
@@ -418,7 +418,7 @@ def main(argv: list[str] | None = None) -> int:
         with _pool(args.jobs if args.command in ("delta-star", "verify") else 1) as pool:
             args.map_rows = map if pool is None else pool.map
             return _COMMANDS[args.command](args)
-    except ResourceLimitError as exc:
+    except (ResourceLimitError, RecursionError) as exc:  # a search deeper than Python's recursion limit
         print(f"resource limit: {exc}", file=sys.stderr)
         return EXIT_RESOURCE
     except (PmzsError, OSError) as exc:  # OSError: an unwritable --out path or a --cache-dir that is a file

@@ -43,6 +43,7 @@ from operator import itemgetter
 from .atoms import AtomCache, atom_length_bound, davenport_monoid
 from .errors import ResourceLimitError
 from .groups import (
+    MAX_DAVENPORT_ORDER,
     Group,
     GroupElement,
     automorphisms,
@@ -59,13 +60,13 @@ from .relations import min_delta
 # -- canonical subsets and orbits -------------------------------------------------
 
 
-def folded_automorphisms(group: Group, *, limits: Limits = DEFAULT_LIMITS) -> list[tuple[int, ...]]:
+def folded_automorphisms(group: Group) -> list[tuple[int, ...]]:
     """The maps i -> min(p[i], -p[i]) over the automorphisms p of G.
 
     p and -p give the same map, so there are half as many maps as
     automorphisms unless negation is the identity.
     """
-    auts = automorphisms(group, max_work=limits.max_automorphism_work)  # refused before any table is built
+    auts = automorphisms(group)  # refused before any table is built
     fold = [min(j, neg) for j, neg in enumerate(group._neg_table)]
     return list({tuple(map(fold.__getitem__, perm)) for perm in auts})
 
@@ -163,7 +164,7 @@ def subset_orbits(group: Group, *, limits: Limits = DEFAULT_LIMITS) -> list[tupl
     :class:`ResourceLimitError` when the automorphism search is over its cap
     or the group order is over ``max_sweep_order``.
     """
-    maps = folded_automorphisms(group, limits=limits)
+    maps = folded_automorphisms(group)
     _check_orbit_listing(group, limits)
     orbits = _FoldedOrbits(group, maps)
     return [orbits.members(mask) for mask in orbits.representatives]
@@ -233,7 +234,7 @@ def _inherited_row(group: Group, rep: tuple[int, ...], limits: Limits) -> Row:
     computed only for a representative over the support cap, whose skip
     message :func:`atom_length_bound` gives.
     """
-    if group.order > min(limits.max_atom_length, limits.max_davenport_order) or len(rep) > limits.max_support:
+    if group.order > min(limits.max_atom_length, MAX_DAVENPORT_ORDER) or len(rep) > limits.max_support:
         try:
             atom_length_bound(group, rep, limits)
         except ResourceLimitError as exc:
@@ -260,7 +261,7 @@ def delta_star(
     Each level's rows go through one ``map_rows(function, reps)`` call; an
     executor's ``map`` spreads them over processes, with the same report.
     """
-    maps = folded_automorphisms(group, limits=limits)
+    maps = folded_automorphisms(group)
     listed = group.order <= limits.max_sweep_order
     if not prune:
         _check_orbit_listing(group, limits)
@@ -490,7 +491,7 @@ def char_invariants(group: Group, *, limits: Limits = DEFAULT_LIMITS, cache: Ato
         group=format_group(group),
         order=group.order,
         exponent=group.exponent,
-        davenport_group=davenport(group, max_order=limits.max_davenport_order),
+        davenport_group=davenport(group),
         davenport_monoid=d_monoid,
         delta_star=report.delta_star,
         max_delta_star=report.max_delta,

@@ -439,9 +439,8 @@ def shift_mask(group: Group, mask: int, gi: int) -> int:
 def signed_shift_mask(group: Group, mask: int, gi: int) -> int:
     """(T + g) | (T - g) for a bitmask T; one step of the signed-sum recursion.
 
-    The two rotations of :func:`shift_mask` are inlined: this is the inner
-    loop of the earlier-atom walk behind :func:`pmzs.atoms.is_atom`, and two
-    calls fewer per step pay for the lookup in the lazily filled step table.
+    The two rotations of :func:`shift_mask` are inlined, so a step makes no
+    call beyond the lookups in the lazily filled step table.
     """
     steps = group._shift_steps
     plus = minus = mask
@@ -575,7 +574,8 @@ def _minimal_zero_sums(group: Group, folded: tuple[int, ...], weights: tuple[int
     nonempty zero sum in T.  Every minimal zero-sum sequence w is met exactly
     once, as T * u with u the last term of w, since every subsequence of T
     is zero-sum free.  Zero-sum-free sequences are shorter than D(G), so the
-    walk stops by itself.
+    walk stops by itself; it keeps the sequences still to extend on a list,
+    so their length is not bounded by Python's recursion limit.
 
     Only sequences whose first term lies in F are walked.  Negation swaps
     the positions of f and -f, so unless w = -w exactly one of w and -w has
@@ -599,8 +599,10 @@ def _minimal_zero_sums(group: Group, folded: tuple[int, ...], weights: tuple[int
     terms = [(p, gi, keys[p], steps[neg[gi]]) for p, gi in enumerate(elements)]
     tails = [terms[p:] for p in range(len(terms))]
     found: dict[int, int] = {}
-
-    def walk(start: int, minus_sums: int, target: int, key: int) -> None:
+    # the sequences T still to extend, as (last position, mask, -sigma(T), key)
+    stack = [(p, 1 | 1 << neg[elements[p]], neg[elements[p]], keys[p]) for p in heads]
+    while stack:
+        start, minus_sums, target, key = stack.pop()
         p = position[target]
         if p >= start:
             done = key + keys[p]
@@ -612,10 +614,7 @@ def _minimal_zero_sums(group: Group, folded: tuple[int, ...], weights: tuple[int
             for lo, up, hi, down in back:
                 shifted = (shifted & lo) << up | (shifted & hi) >> down
                 t = t + up if lo >> t & 1 else t - down
-            walk(p, minus_sums | shifted, t, key + weight)
-
-    for p in heads:
-        walk(p, 1 | 1 << neg[elements[p]], neg[elements[p]], keys[p])
+            stack.append((p, minus_sums | shifted, t, key + weight))
     return found
 
 
@@ -635,7 +634,11 @@ def davenport_exhaustive(group: Group) -> int:
     return _longest_minimal_zero_sum(group)
 
 
-def davenport(group: Group, *, max_order: int = 20) -> int:
+MAX_DAVENPORT_ORDER = 24
+"""The largest order at which :func:`davenport` runs the exhaustive search."""
+
+
+def davenport(group: Group, *, max_order: int = MAX_DAVENPORT_ORDER) -> int:
     """Exact Davenport constant D(G).
 
     For p-groups and groups of rank at most two this equals the d_star

@@ -17,8 +17,6 @@ class Limits:
 
     max_support: int = 8
     max_atom_length: int = 20
-    max_davenport_order: int = 24
-    max_automorphism_work: int = 2**22  # image tuples x |G|, see groups.automorphisms
     max_sweep_order: int = 10
     rho_cap: int = 3
 

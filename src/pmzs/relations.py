@@ -13,8 +13,8 @@ vectors of Lambda that vanish off the length coordinate are exactly 0 x dZ.
 In an echelon basis of Lambda those are the multiples of the row whose pivot
 lies in the length column, so d is that last pivot, and no row there means
 an empty distance set.  The basis is built one atom at a time and holds at
-most one row per coordinate.  :func:`integer_kernel_basis` computes a kernel
-basis instead; the tests use it as the oracle.
+most one row per coordinate.  :func:`_echelon_rows` is the one lattice
+routine here; the tests check it against a kernel basis.
 
 Every invariant here reads the atoms over the folded ground set that an
 :class:`~pmzs.atoms.AtomSet` holds: the fold is a transfer homomorphism (see
@@ -35,60 +35,6 @@ from .limits import DEFAULT_LIMITS, Limits
 from .sequences import Sequence
 
 ZERO_ATOM = -1  # marker index for the prime atom (0) in factorization listings
-
-
-def atom_matrix(atom_set: AtomSet) -> list[list[int]]:
-    """Exponent matrix of the folded atoms, with one row per element of the
-    folded ground set and one column per atom."""
-    return [list(row) for row in zip(*atom_set.folded)]
-
-
-def integer_kernel_basis(matrix: SequenceABC[SequenceABC[int]]) -> list[list[int]]:
-    """Lattice basis of {v integer : M v = 0}, by unimodular row reduction.
-
-    Works on [M^T | I] with exact integer arithmetic (Python integers are
-    arbitrary precision, so entry growth during elimination is harmless) and
-    returns the right-hand blocks of the rows whose left half vanished.  Every
-    returned vector is re-multiplied against M as a self-check.
-    """
-    rows = [list(r) for r in matrix]
-    m = len(rows)
-    n = len(rows[0]) if rows else 0
-    if any(len(r) != n for r in rows):
-        raise DomainError("kernel computation requires a rectangular matrix")
-    if n == 0:
-        return []
-    work = [[rows[i][j] for i in range(m)] + [1 if t == j else 0 for t in range(n)] for j in range(n)]
-    r = 0
-    for c in range(m):
-        while True:
-            pivot = None
-            for i in range(r, n):
-                if work[i][c] and (pivot is None or abs(work[i][c]) < abs(work[pivot][c])):
-                    pivot = i
-            if pivot is None:
-                break
-            work[r], work[pivot] = work[pivot], work[r]
-            done = True
-            for i in range(r + 1, n):
-                if work[i][c]:
-                    q = work[i][c] // work[r][c]
-                    work[i] = [a - q * b for a, b in zip(work[i], work[r])]
-                    if work[i][c]:
-                        done = False
-            if done:
-                r += 1
-                break
-    basis = []
-    for i in range(r, n):
-        if any(work[i][c] for c in range(m)):
-            raise AssertionError("row reduction left a nonzero entry outside the pivot block")
-        basis.append(work[i][m:])
-    for v in basis:
-        for row in rows:
-            if sum(a * b for a, b in zip(row, v)) != 0:
-                raise AssertionError("kernel basis vector fails re-multiplication check")
-    return basis
 
 
 def _echelon_rows(vectors: Iterable[SequenceABC[int]]) -> dict[int, list[int]]:

@@ -87,7 +87,7 @@ def _davenport_checks(group: Group, limits: Limits, cache) -> list[CheckReport]:
     nonzero = [group.element_at(i) for i in range(1, group.order)]
     d_monoid = davenport_monoid(group, nonzero, limits=limits, cache=cache)
     if group.order % 2 == 1 and group.order > 1:
-        d_group = davenport(group, max_order=limits.max_davenport_order)
+        d_group = davenport(group)
         out.append(_check(
             "monoid-davenport-odd", name, d_monoid == d_group,
             {"monoid": d_monoid, "group": d_group},
@@ -168,15 +168,24 @@ def _golden_min_distances(limits: Limits, cache) -> list[CheckReport]:
 
 
 def _single_generator_law(limits: Limits) -> CheckReport:
-    """Atoms over a single generator: {g^2, g^ord} for odd order, {g^2} otherwise."""
+    """Atoms over a single generator: {g^2, g^ord} for odd order, {g^2} otherwise.
+
+    g and -g fold onto one ground set, and the fold keeps lengths and min
+    delta, so each pair is computed once; a failure is still reported for
+    each element.
+    """
     failures = []
     for group in small_groups(16):
+        neg = group._neg_table
+        by_fold: dict[int, tuple[list[int], int | None]] = {}
         for i in range(1, group.order):
             g = group.element_at(i)
             d = g.order()
-            atoms = enumerate_atoms(group, [g], limits=limits)
-            lengths = sorted(atoms.lengths())
-            md = min_delta_of_atoms(atoms)
+            j = min(i, neg[i])
+            if j not in by_fold:
+                atoms = enumerate_atoms(group, [group.element_at(j)], limits=limits)
+                by_fold[j] = sorted(atoms.lengths()), min_delta_of_atoms(atoms)
+            lengths, md = by_fold[j]
             if d % 2 == 1:
                 ok = lengths == [2, d] and md == d - 2
             else:

@@ -1,10 +1,13 @@
-"""Independent brute-force oracles used to cross-check the library paths.
+"""Independent oracles used to cross-check the library paths.
 
-These deliberately avoid the library's set-DP, kernel and memoized
+The brute-force ones avoid the library's set-DP, lattice and memoized
 factorization code: translates come from the addition table, signed sums from
 explicit sign enumeration, subgroup spans from a breadth-first search over
 the addition table and factorization lengths from a naive recursion over atom
-vectors.
+vectors.  Two are second mechanisms for a library result: the earlier-atom
+rule (:func:`_enumerate_atom_vectors`) lists atoms by another search than
+the minimal-zero-sum walk, and :func:`integer_kernel_basis` computes the
+lattice of relations that the echelon form behind min delta reads.
 """
 
 from __future__ import annotations
@@ -18,7 +21,8 @@ from collections import Counter
 from itertools import combinations_with_replacement, product
 from pathlib import Path
 
-from pmzs import Group, Sequence, abelian_group_types, make_group
+from pmzs import AtomSet, DomainError, Group, Sequence, abelian_group_types, make_group
+from pmzs.groups import signed_shift_mask
 
 
 REPO = Path(__file__).resolve().parents[1]
@@ -275,3 +279,123 @@ def gcd_of_length_differences_up_to_3(atom_vectors: tuple[tuple[int, ...], ...])
             for a, b in zip(lengths, lengths[1:]):
                 g = math.gcd(g, b - a)
     return g if g else None
+
+
+def _enumerate_atom_vectors(
+    group: Group, ground_indices: tuple[int, ...], bound: int, caps: tuple[int, ...]
+) -> list[tuple[int, ...]]:
+    """Atoms among the exponent vectors v <= caps of length at most bound, by
+    length and then by vector, by the earlier-atom rule.
+
+    Taken in order of length, a zero sum v is an atom iff no atom a already
+    kept, with a <= v, leaves a remainder v - a that is a zero sum.  The rule
+    is exact.  If v = c * (v - c) with c a proper zero-sum divisor, then
+    c = a * (c - a) for some atom a, and v - a = (c - a) * (v - c) is a
+    shorter zero sum, so it is in the set.  Over a folded set the coordinate
+    of g may be capped at min(bound, ord g).  Take a signing that makes an
+    atom v a zero sum.  If it gives g both signs, then v - g^2 is a zero sum;
+    if all copies of g have one sign and v_g >= ord g, then v - g^ord(g) is
+    one.  Either way v is reducible unless v = g^2 or v = g^ord(g).  Every
+    remainder v - a <= v stays within the caps, so the earlier-atom rule
+    still finds it.
+
+    A vector is packed into one int, ground position 0 in the most
+    significant field, so int order is tuple order.  A field holds values up
+    to ``bound`` and has a guard bit on top: ``d = (v | G) - a`` keeps every
+    guard bit iff ``a <= v``, and then ``d ^ G`` is ``v - a``.  Every
+    remainder v - a is shorter than v and within the caps, so the one dict of
+    zero sums collected here answers every lookup.
+
+    Only the atoms that cover one field of v, the field of its lowest set bit,
+    are tried.  If v = c * w with c and w nonempty zero sums, one of them
+    covers that field, and so does one of its atoms a; v - a is then a shorter
+    nonempty zero sum.
+    """
+    n = len(ground_indices)
+    bits = bound.bit_length()
+    field = (1 << bits) - 1
+    offsets = [(n - 1 - j) * (bits + 1) for j in range(n)]
+    units = [1 << off for off in offsets]
+    guards = sum(unit << bits for unit in units)
+    zero_sums: dict[int, int] = {}  # packed vector -> length
+
+    def extend(min_pos: int, length: int, vec: int, mask: int) -> None:
+        if length and mask & 1:
+            zero_sums[vec] = length
+        if length == bound:
+            return
+        for j in range(min_pos, n):
+            if (vec >> offsets[j]) & field < caps[j]:
+                extend(j, length + 1, vec + units[j], signed_shift_mask(group, mask, ground_indices[j]))
+
+    extend(0, 0, 0, 1)
+    atoms: list[int] = []
+    covering: list[list[int]] = [[] for _ in range(n)]  # the atoms with a nonzero field j
+    # the list for the field that holds each bit, found from a vector's lowest set bit
+    covering_bit = [covering[n - 1 - b // (bits + 1)] for b in range(n * (bits + 1))]
+    for _, v in sorted((length, vec) for vec, length in zero_sums.items()):
+        guarded = v | guards
+        # a remainder of an atom a not <= v loses a guard bit
+        if not any(
+            (d := guarded - a) & guards == guards and (d ^ guards) in zero_sums
+            for a in covering_bit[(v & -v).bit_length() - 1]
+        ):
+            atoms.append(v)
+            for j, off in enumerate(offsets):
+                if (v >> off) & field:
+                    covering[j].append(v)
+    return [tuple((a >> off) & field for off in offsets) for a in atoms]
+
+
+def atom_matrix(atom_set: AtomSet) -> list[list[int]]:
+    """Exponent matrix of the folded atoms, with one row per element of the
+    folded ground set and one column per atom."""
+    return [list(row) for row in zip(*atom_set.folded)]
+
+
+def integer_kernel_basis(matrix: list[list[int]]) -> list[list[int]]:
+    """Lattice basis of {v integer : M v = 0}, by unimodular row reduction.
+
+    Works on [M^T | I] with exact integer arithmetic (Python integers are
+    arbitrary precision, so entry growth during elimination is harmless) and
+    returns the right-hand blocks of the rows whose left half vanished.  Every
+    returned vector is re-multiplied against M as a self-check.
+    """
+    rows = [list(r) for r in matrix]
+    m = len(rows)
+    n = len(rows[0]) if rows else 0
+    if any(len(r) != n for r in rows):
+        raise DomainError("kernel computation requires a rectangular matrix")
+    if n == 0:
+        return []
+    work = [[rows[i][j] for i in range(m)] + [1 if t == j else 0 for t in range(n)] for j in range(n)]
+    r = 0
+    for c in range(m):
+        while True:
+            pivot = None
+            for i in range(r, n):
+                if work[i][c] and (pivot is None or abs(work[i][c]) < abs(work[pivot][c])):
+                    pivot = i
+            if pivot is None:
+                break
+            work[r], work[pivot] = work[pivot], work[r]
+            done = True
+            for i in range(r + 1, n):
+                if work[i][c]:
+                    q = work[i][c] // work[r][c]
+                    work[i] = [a - q * b for a, b in zip(work[i], work[r])]
+                    if work[i][c]:
+                        done = False
+            if done:
+                r += 1
+                break
+    basis = []
+    for i in range(r, n):
+        if any(work[i][c] for c in range(m)):
+            raise AssertionError("row reduction left a nonzero entry outside the pivot block")
+        basis.append(work[i][m:])
+    for v in basis:
+        for row in rows:
+            if sum(a * b for a, b in zip(row, v)) != 0:
+                raise AssertionError("kernel basis vector fails re-multiplication check")
+    return basis

@@ -19,12 +19,10 @@ from itertools import combinations, combinations_with_replacement
 from pmzs import (
     Sequence,
     atom_length_profile,
-    atom_matrix,
     davenport,
     davenport_monoid,
     delta_star,
     enumerate_atoms,
-    integer_kernel_basis,
     make_group,
     min_delta,
     min_delta_of_atoms,
@@ -35,7 +33,13 @@ from pmzs import (
 from pmzs.cli import main as cli_main
 from pmzs.relations import Factorizer
 from pmzs.suite import _small_max_classification, small_groups
-from helpers import brute_factorization_lengths, brute_is_atom, gcd_of_length_differences_up_to_3
+from helpers import (
+    atom_matrix,
+    brute_factorization_lengths,
+    brute_is_atom,
+    gcd_of_length_differences_up_to_3,
+    integer_kernel_basis,
+)
 
 
 def _report(criterion: str, ok: bool, detail: str = "") -> bool:

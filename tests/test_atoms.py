@@ -30,15 +30,16 @@ from pmzs import (
     parse_subset,
 )
 import pmzs.atoms
+import pmzs.relations
 from pmzs import cli
 from pmzs.atoms import (
-    _enumerate_atom_vectors,
     _fnv1a_64,
     _minimal_zero_sum_atom_vectors,
     _span_davenport,
     atom_length_bound,
 )
 from helpers import (
+    _enumerate_atom_vectors,
     brute_factorization_lengths,
     brute_is_atom,
     brute_is_pm_zero_sum,
@@ -59,6 +60,10 @@ def test_is_atom_examples():
     assert is_atom(Sequence.from_items(g5, [(g5.element(1), 5)]))
     assert not is_atom(Sequence.from_items(g5, [(g5.element(1), 4)]))
     assert not is_atom(Sequence.empty(g5))
+    # far longer than Python's recursion limit
+    g1001, g1002 = make_group([1001]), make_group([1002])
+    assert is_atom(Sequence.from_items(g1001, [(g1001.element(1), 1001)]))
+    assert not is_atom(Sequence.from_items(g1002, [(g1002.element(1), 1002)]))
 
 
 def test_zero_is_prime_atom():
@@ -76,6 +81,20 @@ def test_is_atom_matches_brute_force():
             terms = [group.element_at(rng.randrange(group.order)) for _ in range(rng.randrange(1, 7))]
             seq = Sequence.of(group, *terms)
             assert is_atom(seq) == brute_is_atom(seq), str(seq)
+    # the earlier-atom rule over the sequence's own support, capped at its exponents
+    rng = random.Random(7)
+    outcomes = {"atom": 0, "reducible zero sum": 0}
+    for group in small_group_list(16):
+        for _ in range(40):
+            terms = [group.element_at(rng.randrange(group.order)) for _ in range(rng.randrange(1, 9))]
+            seq = Sequence.of(group, *terms)
+            ground = tuple(idx for idx, _ in seq.entries)
+            vec = tuple(mult for _, mult in seq.entries)
+            expected = vec in _enumerate_atom_vectors(group, ground, len(seq), vec)
+            assert is_atom(seq) == expected, str(seq)
+            if seq.is_pm_zero_sum():
+                outcomes["atom" if expected else "reducible zero sum"] += 1
+    assert min(outcomes.values()) >= 80, outcomes
 
 
 def test_enumerate_atoms_matches_brute_force():
@@ -126,7 +145,7 @@ def test_lifted_atoms_match_unpruned_enumeration_on_mixed_subsets():
 def _earlier_atom_rule(group, folded):
     """The atoms over a folded ground set by the earlier-atom rule, each
     coordinate capped at min(D(<S>), ord g), as the test oracle."""
-    bound = _span_davenport(group, folded, 64)
+    bound = _span_davenport(group, folded)
     caps = tuple(min(bound, group._order_table[gi]) for gi in folded)
     return _enumerate_atom_vectors(group, folded, bound, caps)
 
@@ -189,8 +208,9 @@ def test_minimal_zero_sum_atoms_match_earlier_atom_rule_on_evaluated_rows(monkey
 
 
 def test_atom_enumeration_runs_only_the_minimal_zero_sum_search(monkeypatch):
-    # the earlier-atom rule stays as the oracle and behind is_atom; no row of
-    # a verify run reaches it
+    # the earlier-atom rule and the kernel basis are test oracles only
+    assert not hasattr(pmzs.atoms, "_enumerate_atom_vectors")
+    assert not hasattr(pmzs.relations, "integer_kernel_basis")
     searched = []
     search = pmzs.atoms._minimal_zero_sum_atom_vectors
 
@@ -198,12 +218,8 @@ def test_atom_enumeration_runs_only_the_minimal_zero_sum_search(monkeypatch):
         searched.append((group, folded))
         return search(group, folded)
 
-    def refuse(*args):
-        raise AssertionError("an atom list was enumerated by the earlier-atom rule")
-
     pmzs.atoms._folded_atom_vectors.cache_clear()
     monkeypatch.setattr(pmzs.atoms, "_minimal_zero_sum_atom_vectors", counting)
-    monkeypatch.setattr(pmzs.atoms, "_enumerate_atom_vectors", refuse)
     with contextlib.redirect_stdout(io.StringIO()):
         cli.main(["verify", "all-small", *BENCHMARK_CAPS])
     assert len(set(searched)) == 178  # every folded ground set of the run
@@ -384,18 +400,20 @@ def test_resource_caps():
 def test_atom_length_bound_caps_hold_on_every_call():
     # D(<S>) is computed once per ground set, but the caps are checked on every
     # call, and a refused Davenport search is refused again
+    big = parse_group("C2xC2xC10")
+    generators = tuple(sorted(big.element(c).index for c in ((1, 0, 0), (0, 1, 0), (0, 0, 1))))
+    for _ in range(2):
+        with pytest.raises(ResourceLimitError, match="Davenport search capped at order 24"):
+            atom_length_bound(big, generators)
     g = parse_group("C2xC2xC6")
     ground = tuple(sorted(g.element(c).index for c in ((1, 0, 0), (0, 1, 0), (0, 0, 1))))
-    for _ in range(2):
-        with pytest.raises(ResourceLimitError, match="Davenport search capped at order 20"):
-            atom_length_bound(g, ground, Limits(max_davenport_order=20))
-    bound = atom_length_bound(g, ground, Limits(max_davenport_order=24))
-    assert bound == davenport(g, max_order=24)
-    assert atom_length_bound(g, ground, Limits(max_davenport_order=24)) == bound
+    bound = atom_length_bound(g, ground)
+    assert bound == davenport(g) == 8
+    assert atom_length_bound(g, ground) == bound
     with pytest.raises(ResourceLimitError, match="support elements"):
-        atom_length_bound(g, ground, Limits(max_support=2, max_davenport_order=24))
+        atom_length_bound(g, ground, Limits(max_support=2))
     with pytest.raises(ResourceLimitError, match="exceeds the cap"):
-        atom_length_bound(g, ground, Limits(max_atom_length=bound - 1, max_davenport_order=24))
+        atom_length_bound(g, ground, Limits(max_atom_length=bound - 1))
 
 
 def test_atom_cache_round_trip(tmp_path):

@@ -2,13 +2,15 @@
 
 import argparse
 import json
+import os
 import time
 
 import pytest
 
 import pmzs.cli
-from pmzs import Group, ResourceLimitError, min_delta
-from pmzs.cli import EXIT_DOMAIN, EXIT_OK, EXIT_RESOURCE, EXIT_VERIFY, _build_parser, main
+from pmzs import DEFAULT_LIMITS, Group, ResourceLimitError, min_delta
+from pmzs.cli import EXIT_DOMAIN, EXIT_OK, EXIT_RESOURCE, EXIT_VERIFY, _build_parser, _limits_from, main
+from helpers import run_fresh
 
 
 def run_cli(capsys, *argv):
@@ -467,3 +469,40 @@ def test_named_command_builds_one_subparser():
     assert len(every) == 8 and _subparser_names(_build_parser("nonsense")) == every
     for name in every:
         assert _subparser_names(_build_parser(name)) == [name]
+
+
+# Runs pmzs.cli.main(argv) and reports its exit code, stdout and stderr.
+RUN_CAPTURED = """
+import contextlib, io, json, sys
+import pmzs.cli
+
+out, err = io.StringIO(), io.StringIO()
+with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+    code = pmzs.cli.main(sys.argv[1:])
+print(json.dumps([code, out.getvalue(), err.getvalue()]))
+"""
+
+
+@pytest.mark.parametrize("argv, code, out", [
+    (("min-delta", "C1500", "[(1)]"), EXIT_OK, "min delta = empty distance set\n"),
+    (("min-delta", "C1501", "[(1)]"), EXIT_OK, "min delta = 1499\n"),
+    # the factorization DPs still recurse once per atom
+    (("rho", "C1501", "[(1)]", "-k", "3"), EXIT_RESOURCE, ""),
+    (("lengths", "C1501", "[(1)^2400]"), EXIT_RESOURCE, ""),
+], ids=["min-delta C1500", "min-delta C1501", "rho C1501", "lengths C1501"])
+def test_searches_deeper_than_the_recursion_limit_end_without_a_traceback(argv, code, out):
+    got_code, got_out, err = json.loads(run_fresh(RUN_CAPTURED, *argv, "--max-atom-len", "2000"))
+    assert (got_code, got_out) == (code, out), err
+    assert "Traceback" not in err
+    assert err == "" if code == EXIT_OK else err.startswith("resource limit: ")
+
+
+@pytest.mark.parametrize("argv", [
+    ["group", "C4"], ["atoms", "C4", "all"], ["min-delta", "C4", "all"], ["lengths", "C4", "[(1)^2]"],
+    ["rho", "C4"], ["delta-star", "C4"], ["davenport", "C4"], ["verify", "C4"],
+], ids=lambda argv: argv[0])
+def test_cli_defaults_are_the_library_defaults(monkeypatch, argv):
+    for name in os.environ:
+        if name.startswith("PMZS_"):
+            monkeypatch.delenv(name)
+    assert _limits_from(_build_parser(argv[0]).parse_args(argv)) == DEFAULT_LIMITS

@@ -228,10 +228,11 @@ def test_minimal_zero_sums_match_brute_force():
 
 
 def test_davenport_cap():
-    g = make_group([2, 2, 6])  # rank 3, not a p-group: the search branch, over the cap
-    with pytest.raises(ResourceLimitError) as err:
+    g = make_group([2, 2, 10])  # rank 3, not a p-group: the search branch, over the cap
+    with pytest.raises(ResourceLimitError, match="capped at order 24") as err:
         davenport(g)
-    assert err.value.lower_bound == g.d_star
+    assert err.value.lower_bound == g.d_star == 12
+    assert davenport(make_group([2, 2, 6])) == 8  # order 24, within the cap
     # formula-branch groups are exact at any order
     assert davenport(make_group([2, 64])) == 65
     assert davenport(make_group([3, 3, 3, 3])) == 9

@@ -11,11 +11,9 @@ from pmzs import (
     ResourceLimitError,
     Sequence,
     atom_length_profile,
-    atom_matrix,
     delta_of_element,
     enumerate_atoms,
     factorizations,
-    integer_kernel_basis,
     is_half_factorial,
     length_set,
     make_group,
@@ -29,8 +27,10 @@ from pmzs.groups import fold_negatives
 from pmzs.limits import Limits
 from pmzs.relations import Factorizer, delta_of_lengths
 from helpers import (
+    atom_matrix,
     brute_factorization_lengths,
     gcd_of_length_differences_up_to_3,
+    integer_kernel_basis,
     mixed_unfolded_grounds,
     small_group_list,
 )
