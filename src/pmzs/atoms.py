@@ -45,11 +45,13 @@ fact off a single sequence, signing by signing.
 Atom lengths are bounded by the Davenport constant of the subgroup generated
 by the ground set: in any longer signed zero sum, the first length-minus-one
 weighted terms already contain a proper nonempty zero-sum block, and both the
-block and its complement inherit signed zero sums.  The bound caps the length
-of a row (:func:`atom_length_bound`) and sizes :class:`AtomSet`.  The support
-cap counts fold S.  The sequence (0) is an atom (in fact prime); a zero in
-the ground set is stripped and tracked by the ``includes_zero`` flag since it
-never affects distances.
+block and its complement inherit signed zero sums.  The walk does not read
+the bound.  It is the refusal rule of :func:`check_atom_caps`, which computes
+it only where the length cap could bind, and :attr:`AtomSet.bound` computes
+it on first read, for the cache key, the factorization query cap and the
+JSON form.  The support cap counts fold S.  The sequence (0) is an atom (in
+fact prime); a zero in the ground set is stripped and tracked by the
+``includes_zero`` flag since it never affects distances.
 """
 
 from __future__ import annotations
@@ -65,6 +67,7 @@ from typing import Iterable
 
 from .errors import DomainError, PmzsError, ResourceLimitError
 from .groups import (
+    MAX_DAVENPORT_ORDER,
     Group,
     GroupElement,
     _classify_subgroup,
@@ -99,7 +102,11 @@ class AtomSet:
     ground: tuple[GroupElement, ...]
     folded: tuple[tuple[int, ...], ...]
     includes_zero: bool
-    bound: int
+
+    @cached_property
+    def bound(self) -> int:
+        """D(<S>), the Davenport bound on atom lengths, computed on first read."""
+        return _span_davenport(self.group, fold_negatives(self.group, tuple(g.index for g in self.ground)))
 
     @cached_property
     def source(self) -> tuple[int, ...]:
@@ -165,7 +172,6 @@ class AtomSet:
             ground=ground,
             folded=tuple(tuple(int(x) for x in v) for v in data["atoms"]),
             includes_zero=bool(data["includes_zero"]),
-            bound=int(data["bound"]),
         )
 
 
@@ -413,14 +419,13 @@ class AtomCache:
         path = self._path(group, ground_indices, bound)
         try:
             data = json.loads(path.read_text())
-            if data.get("version") != CACHE_VERSION:
+            if data.get("version") != CACHE_VERSION or int(data["bound"]) != bound:
                 return None
             atom_set = AtomSet.from_json_dict(data)
         except (OSError, ValueError, KeyError, TypeError, AttributeError, PmzsError):
             return None
         valid = (
             atom_set.group == group
-            and atom_set.bound == bound
             and tuple(g.index for g in atom_set.ground) == ground_indices
             and _is_valid_atom_list(group, ground_indices, bound, atom_set.folded)
         )
@@ -448,24 +453,28 @@ def _span_davenport(group: Group, ground_indices: tuple[int, ...]) -> int:
     return davenport(_classify_subgroup(group, _span_mask(group, ground_indices)))
 
 
-def atom_length_bound(group: Group, ground_indices: tuple[int, ...], limits: Limits = DEFAULT_LIMITS) -> int:
-    """Davenport bound on atom lengths over a nonzero ground set S, within the caps.
+def check_atom_caps(group: Group, ground_indices: tuple[int, ...], limits: Limits = DEFAULT_LIMITS) -> None:
+    """Refuse atom enumeration over a nonzero ground set S past the caps.
 
     Raises :class:`ResourceLimitError` when fold S, the set the enumeration
-    walks, has more elements than the support cap, or when the length bound
-    exceeds its cap.
+    walks, has more elements than the support cap, or when D(<S>) exceeds the
+    length cap or its Davenport search is refused.  D(H) <= |H| for every
+    group H: of the |H| prefix sums of a sequence of length |H|, two are
+    equal or one is 0.  So when |G| is within the length cap and the
+    Davenport-order bound, neither can refuse, and D(<S>) is computed only
+    above them.
     """
     folded = fold_negatives(group, ground_indices)
     if len(folded) > limits.max_support:
         raise ResourceLimitError(
             f"atom enumeration capped at {limits.max_support} support elements, got {len(folded)}"
         )
-    bound = _span_davenport(group, folded)
-    if bound > limits.max_atom_length:
-        raise ResourceLimitError(
-            f"atom length bound {bound} exceeds the cap {limits.max_atom_length} for {format_group(group)}"
-        )
-    return bound
+    if group.order > min(limits.max_atom_length, MAX_DAVENPORT_ORDER):
+        bound = _span_davenport(group, folded)
+        if bound > limits.max_atom_length:
+            raise ResourceLimitError(
+                f"atom length bound {bound} exceeds the cap {limits.max_atom_length} for {format_group(group)}"
+            )
 
 
 def enumerate_atoms(
@@ -478,10 +487,10 @@ def enumerate_atoms(
     """Complete atom list of the signed zero-sum monoid over the given subset.
 
     Zero is stripped first and recorded in the flag.  Raises
-    :class:`ResourceLimitError` when the size of the folded ground set or the
-    length bound exceeds the configured caps, rather than returning a partial
-    list.  The atoms are enumerated once per process over the folded ground
-    set, which also keys the ``cache``; a cache miss that the process already
+    :class:`ResourceLimitError` when :func:`check_atom_caps` refuses the
+    folded ground set, rather than returning a partial list.  The atoms are
+    enumerated once per process over the folded ground set, which with
+    D(<S>) keys the ``cache``; a cache miss that the process already
     enumerated is still stored.
     """
     indices = set()
@@ -495,16 +504,15 @@ def enumerate_atoms(
             indices.add(g.index)
     ground_indices = tuple(sorted(indices))
     folded_indices = fold_negatives(group, ground_indices)
-    bound = atom_length_bound(group, folded_indices, limits)
-    entry = cache.load(group, folded_indices, bound) if cache is not None else None
+    check_atom_caps(group, folded_indices, limits)
+    entry = None if cache is None else cache.load(group, folded_indices, _span_davenport(group, folded_indices))
     if entry is not None:
         folded = entry.folded
     else:
         folded = _folded_atom_vectors(group, folded_indices)
         if cache is not None:
-            folded_ground = tuple(map(group.element_at, folded_indices))
-            cache.store(AtomSet(group, folded_ground, folded, includes_zero, bound))
-    return AtomSet(group, tuple(map(group.element_at, ground_indices)), folded, includes_zero, bound)
+            cache.store(AtomSet(group, tuple(map(group.element_at, folded_indices)), folded, includes_zero))
+    return AtomSet(group, tuple(map(group.element_at, ground_indices)), folded, includes_zero)
 
 
 def atom_length_profile(atom_set: AtomSet) -> LengthProfile:

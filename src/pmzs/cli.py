@@ -418,7 +418,7 @@ def main(argv: list[str] | None = None) -> int:
         with _pool(args.jobs if args.command in ("delta-star", "verify") else 1) as pool:
             args.map_rows = map if pool is None else pool.map
             return _COMMANDS[args.command](args)
-    except (ResourceLimitError, RecursionError) as exc:  # a search deeper than Python's recursion limit
+    except ResourceLimitError as exc:
         print(f"resource limit: {exc}", file=sys.stderr)
         return EXIT_RESOURCE
     except (PmzsError, OSError) as exc:  # OSError: an unwritable --out path or a --cache-dir that is a file

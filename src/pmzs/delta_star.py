@@ -40,10 +40,9 @@ from functools import cached_property, partial
 from itertools import combinations_with_replacement
 from operator import itemgetter
 
-from .atoms import AtomCache, atom_length_bound, davenport_monoid
+from .atoms import AtomCache, check_atom_caps, davenport_monoid
 from .errors import ResourceLimitError
 from .groups import (
-    MAX_DAVENPORT_ORDER,
     Group,
     GroupElement,
     automorphisms,
@@ -225,20 +224,13 @@ def _evaluate_subset(group: Group, limits: Limits, cache: AtomCache | None, rep:
 
 def _inherited_row(group: Group, rep: tuple[int, ...], limits: Limits) -> Row:
     """Value 1 for a representative over a value-1 subset, unless atom
-    enumeration over it would hit a cap: a capped subset is skipped whether
-    or not it inherits, so the report does not depend on ``prune``.
-
-    D(H) <= |H| for every group H: of the |H| prefix sums of a sequence of
-    length |H|, two are equal or one is 0.  So when |G| is within the length
-    and Davenport-order caps, only the support cap can bind, and D(<S>) is
-    computed only for a representative over the support cap, whose skip
-    message :func:`atom_length_bound` gives.
-    """
-    if group.order > min(limits.max_atom_length, MAX_DAVENPORT_ORDER) or len(rep) > limits.max_support:
-        try:
-            atom_length_bound(group, rep, limits)
-        except ResourceLimitError as exc:
-            return rep, None, str(exc)
+    enumeration over it would hit a cap (:func:`check_atom_caps`, with its
+    message): a capped subset is skipped whether or not it inherits, so the
+    report does not depend on ``prune``."""
+    try:
+        check_atom_caps(group, rep, limits)
+    except ResourceLimitError as exc:
+        return rep, None, str(exc)
     return rep, 1, None
 
 

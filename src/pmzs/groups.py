@@ -56,28 +56,24 @@ def _partitions_desc(n: int) -> Iterator[tuple[int, ...]]:
     yield from rec(n, n, ())
 
 
+def _invariant_factors(chains: Iterable[tuple[int, ...]]) -> tuple[int, ...]:
+    """The invariant factors (ascending) of the sum of cyclic p-groups given as
+    one non-increasing chain of orders per prime p: the i-th largest factor is
+    the product of the i-th largest order of every chain."""
+    chains = list(chains)
+    width = max(map(len, chains), default=0)
+    return tuple(math.prod(chain[i] for chain in chains if i < len(chain)) for i in reversed(range(width)))
+
+
 @lru_cache(maxsize=None)
 def abelian_group_types(order: int) -> tuple[tuple[int, ...], ...]:
     """All invariant-factor chains (ascending) of abelian groups of the given order."""
     if order < 1:
         raise DomainError(f"group order must be positive, got {order}")
-    if order == 1:
-        return ((),)
     per_prime = []
     for p, a in sorted(_prime_factorization(order).items()):
         per_prime.append([tuple(p**e for e in part) for part in _partitions_desc(a)])
-    types = set()
-    for combo in product(*per_prime):
-        width = max(len(chain) for chain in combo)
-        factors_desc = []
-        for i in range(width):
-            f = 1
-            for chain in combo:
-                if i < len(chain):
-                    f *= chain[i]
-            factors_desc.append(f)
-        types.add(tuple(reversed(factors_desc)))
-    return tuple(sorted(types))
+    return tuple(sorted({_invariant_factors(combo) for combo in product(*per_prime)}))
 
 
 @dataclass(frozen=True)
@@ -286,17 +282,8 @@ def make_group(cyclic_orders: Iterable[int]) -> Group:
     per_prime: dict[int, list[int]] = {}
     for m in orders:
         for p, e in _prime_factorization(m).items():
-            per_prime.setdefault(p, []).append(e)
-    width = max((len(v) for v in per_prime.values()), default=0)
-    factors_desc = []
-    for i in range(width):
-        f = 1
-        for p, exps in per_prime.items():
-            exps_sorted = sorted(exps, reverse=True)
-            if i < len(exps_sorted):
-                f *= p ** exps_sorted[i]
-        factors_desc.append(f)
-    return _canonical_group(tuple(reversed(factors_desc)))
+            per_prime.setdefault(p, []).append(p**e)
+    return _canonical_group(_invariant_factors(tuple(sorted(powers, reverse=True)) for powers in per_prime.values()))
 
 
 @dataclass(frozen=True)

@@ -24,7 +24,6 @@ Every invariant here reads the atoms over the folded ground set that an
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
 from itertools import chain, combinations_with_replacement, product
 from typing import Iterable, Sequence as SequenceABC
 
@@ -139,9 +138,12 @@ class Factorizer:
     every factorization of r holds one of them.  A residual is packed into one
     int with a fixed-width field per ground element and a guard bit on top of
     each field: ``d = (r | G) - a`` keeps every guard bit iff ``a <= r``, and
-    then ``d ^ G`` is ``r - a``.  The fields are widened, and the memo
-    dropped, when a query has a coordinate that does not fit.  The full
-    listing is kept for :meth:`factorizations`.
+    then ``d ^ G`` is ``r - a``.  The fields start wide enough for a product
+    of eight atoms; they are widened, and the memo dropped, when a query has
+    a coordinate that does not fit.  The full listing of
+    :meth:`factorizations` is memoized on (residual, first atom index).  Both
+    run on explicit stacks, so an element with more atom factors than
+    Python's recursion limit still factors.
 
     The DP runs over the atoms of the folded ground set that the atom set
     holds: the fold phi sums the coordinates of g and -g onto min(g, -g), and
@@ -154,21 +156,37 @@ class Factorizer:
         self.atom_set = atom_set
         self._source = atom_set.source
         self._width = len(set(self._source))
-        self._set_field_bits((8 * max(atom_set.bound, 1)).bit_length())
+        # wide enough for a product of eight atoms; larger queries widen
+        top = max((max(vec) for vec in atom_set.folded), default=1)
+        self._set_field_bits((8 * top).bit_length())
+        memo: dict[tuple[tuple[int, ...], int], tuple[tuple[int, ...], ...]] = {}
 
-        @lru_cache(maxsize=1 << 17)
         def suffix_factorizations(residual: tuple[int, ...], start: int) -> tuple[tuple[int, ...], ...]:
-            if not any(residual):
-                return ((),)
+            """Every factorization of the residual into the atoms of index
+            ``start`` on, each as a non-decreasing tuple of atom indices."""
             vectors = atom_set.vectors
-            out = []
-            for k in range(start, len(vectors)):
-                vec = vectors[k]
-                if all(a >= b for a, b in zip(residual, vec)):
-                    rest = tuple(a - b for a, b in zip(residual, vec))
-                    for suffix in suffix_factorizations(rest, k):
-                        out.append((k,) + suffix)
-            return tuple(out)
+            # post-order on an explicit stack: (r, first, None) lists the
+            # steps r - a_k, k >= first, and comes back as (r, first, steps)
+            # to be built, once, after every (r - a_k, k) is memoized
+            stack = [(residual, start, None)]
+            while stack:
+                r, first, steps = stack.pop()
+                if steps is None:
+                    if (r, first) in memo:
+                        continue
+                    if not any(r):
+                        memo[r, first] = ((),)
+                        continue
+                    steps = []
+                    for k in range(first, len(vectors)):
+                        vec = vectors[k]
+                        if all(a >= b for a, b in zip(r, vec)):
+                            steps.append((k, tuple(a - b for a, b in zip(r, vec))))
+                    stack.append((r, first, steps))
+                    stack.extend((rest, k, None) for k, rest in steps if (rest, k) not in memo)
+                else:
+                    memo[r, first] = tuple((k,) + suffix for k, rest in steps for suffix in memo[rest, k])
+            return memo[residual, start]
 
         self._suffixes = suffix_factorizations
 
@@ -185,15 +203,29 @@ class Factorizer:
 
         def mask(residual: int) -> int:
             found = memo.get(residual)
-            if found is None:
+            if found is not None:
+                return found
+            # a residual leaves the stack once all its r - a are memoized, so
+            # the depth is not bounded by Python's recursion limit
+            stack = [residual]
+            while stack:
+                r = stack[-1]
+                guarded = r | guards
                 found = 0
-                guarded = residual | guards
-                for atom in covering[(residual & -residual).bit_length() - 1]:
+                ready = True
+                for atom in covering[(r & -r).bit_length() - 1]:
                     d = guarded - atom
                     if d & guards == guards:
-                        found |= mask(d ^ guards) << 1
-                memo[residual] = found
-            return found
+                        rest = memo.get(d ^ guards)
+                        if rest is None:
+                            stack.append(d ^ guards)
+                            ready = False
+                        else:
+                            found |= rest
+                if ready:
+                    stack.pop()
+                    memo[r] = found << 1
+            return memo[residual]
 
         self._mask = mask
 
@@ -243,20 +275,20 @@ class Factorizer:
             raise DomainError("only signed zero-sum sequences factor in this monoid")
         return self.atom_set.vector_of(stripped), zeros
 
+    def _lengths(self, vec: tuple[int, ...], zeros: int) -> tuple[int, ...]:
+        lengths = self._mask_of(vec)
+        return tuple(length + zeros for length in range(lengths.bit_length()) if lengths >> length & 1)
+
     def factorizations(self, element: Sequence) -> FactorizationSet:
-        """Every factorization, listed; only the ``lengths`` command needs the list."""
+        """Every factorization, listed; only the ``lengths`` command needs the list.
+        The lengths come from the DP, which also checks that the element factors."""
         vec, zeros = self._vector_and_zeros(element)
-        raw = self._suffixes(vec, 0)
-        if not raw and any(vec):
-            raise AssertionError("a signed zero-sum element failed to factor over a complete atom set")
-        facs = tuple(sorted((ZERO_ATOM,) * zeros + f for f in raw))
-        lengths = tuple(sorted({len(f) for f in facs}))
+        lengths = self._lengths(vec, zeros)
+        facs = tuple(sorted((ZERO_ATOM,) * zeros + f for f in self._suffixes(vec, 0)))
         return FactorizationSet(element, facs, lengths, delta_of_lengths(lengths))
 
     def length_set(self, element: Sequence) -> tuple[int, ...]:
-        vec, zeros = self._vector_and_zeros(element)
-        lengths = self._mask_of(vec)
-        return tuple(length + zeros for length in range(lengths.bit_length()) if lengths >> length & 1)
+        return self._lengths(*self._vector_and_zeros(element))
 
     def max_length(self, element: Sequence) -> int:
         vec, zeros = self._vector_and_zeros(element)

@@ -3,9 +3,10 @@
 The brute-force ones avoid the library's set-DP, lattice and memoized
 factorization code: translates come from the addition table, signed sums from
 explicit sign enumeration, subgroup spans from a breadth-first search over
-the addition table and factorization lengths from a naive recursion over atom
-vectors.  Two are second mechanisms for a library result: the earlier-atom
-rule (:func:`_enumerate_atom_vectors`) lists atoms by another search than
+the addition table, factorization lengths from a naive recursion over atom
+vectors and factorizations from every choice of atom multiplicities.  Two
+are second mechanisms for a library result: the earlier-atom rule
+(:func:`_enumerate_atom_vectors`) lists atoms by another search than
 the minimal-zero-sum walk, and :func:`integer_kernel_basis` computes the
 lattice of relations that the echelon form behind min delta reads.
 """
@@ -254,6 +255,29 @@ def brute_factorization_lengths(
     Pass the same ``memo`` to queries over the same atoms to share residuals.
     """
     return set(_lengths_recursion(atom_vectors, {} if memo is None else memo)(tuple(vec)))
+
+
+def brute_factorizations(vec: tuple[int, ...], atom_vectors: tuple[tuple[int, ...], ...]) -> list[tuple[int, ...]]:
+    """Every factorization of an exponent vector over the given atoms, each as
+    the non-decreasing tuple of its atom indices, in sorted order: every
+    choice of a multiplicity for each atom in turn, up to what the vector
+    left by the earlier atoms allows, kept when nothing is left."""
+    out = []
+
+    def choose(k: int, residual: tuple[int, ...], chosen: tuple[int, ...]) -> None:
+        if k == len(atom_vectors):
+            if not any(residual):
+                out.append(chosen)
+            return
+        while True:
+            choose(k + 1, residual, chosen)
+            if not all(a >= b for a, b in zip(residual, atom_vectors[k])):
+                return
+            residual = tuple(a - b for a, b in zip(residual, atom_vectors[k]))
+            chosen += (k,)
+
+    choose(0, tuple(vec), ())
+    return sorted(out)
 
 
 def gcd_of_length_differences_up_to_3(atom_vectors: tuple[tuple[int, ...], ...]) -> int | None:

@@ -36,8 +36,9 @@ from pmzs.atoms import (
     _fnv1a_64,
     _minimal_zero_sum_atom_vectors,
     _span_davenport,
-    atom_length_bound,
+    check_atom_caps,
 )
+from pmzs.groups import subgroup_generated
 from helpers import (
     _enumerate_atom_vectors,
     brute_factorization_lengths,
@@ -228,7 +229,8 @@ def test_atom_enumeration_runs_only_the_minimal_zero_sum_search(monkeypatch):
 def test_minimal_zero_sum_search_builds_no_addition_table():
     group = Group((64,))  # a fresh instance, so its tables are the ones this search builds
     folded = (1, 3, 5, 7)
-    assert atom_length_bound(group, folded, Limits(max_atom_length=64)) == 64
+    check_atom_caps(group, folded, Limits(max_atom_length=64))
+    assert _span_davenport(group, folded) == 64
     assert _minimal_zero_sum_atom_vectors(group, folded)
     assert "_shift_steps" in vars(group) and "_add_table" not in vars(group)
 
@@ -404,16 +406,81 @@ def test_atom_length_bound_caps_hold_on_every_call():
     generators = tuple(sorted(big.element(c).index for c in ((1, 0, 0), (0, 1, 0), (0, 0, 1))))
     for _ in range(2):
         with pytest.raises(ResourceLimitError, match="Davenport search capped at order 24"):
-            atom_length_bound(big, generators)
+            check_atom_caps(big, generators)
     g = parse_group("C2xC2xC6")
     ground = tuple(sorted(g.element(c).index for c in ((1, 0, 0), (0, 1, 0), (0, 0, 1))))
-    bound = atom_length_bound(g, ground)
+    bound = _span_davenport(g, ground)
     assert bound == davenport(g) == 8
-    assert atom_length_bound(g, ground) == bound
+    assert enumerate_atoms(g, [g.element_at(i) for i in ground]).bound == bound
+    for _ in range(2):
+        check_atom_caps(g, ground, Limits(max_atom_length=bound))
     with pytest.raises(ResourceLimitError, match="support elements"):
-        atom_length_bound(g, ground, Limits(max_support=2))
+        check_atom_caps(g, ground, Limits(max_support=2))
     with pytest.raises(ResourceLimitError, match="exceeds the cap"):
-        atom_length_bound(g, ground, Limits(max_atom_length=bound - 1))
+        check_atom_caps(g, ground, Limits(max_atom_length=bound - 1))
+
+
+def _refusal_by_the_span_davenport_constant(group, folded, limits):
+    """The message of the cap rule that computes D(<S>) on every call, from
+    the subgroup as :func:`subgroup_generated` builds it, or None."""
+    if len(folded) > limits.max_support:
+        return f"atom enumeration capped at {limits.max_support} support elements, got {len(folded)}"
+    try:
+        bound = davenport(subgroup_generated(group, [group.element_at(i) for i in folded])[1])
+    except ResourceLimitError as exc:
+        return str(exc)
+    if bound > limits.max_atom_length:
+        return f"atom length bound {bound} exceeds the cap {limits.max_atom_length} for {format_group(group)}"
+    return None
+
+
+def _cap_rule_instances():
+    for group in small_group_list(12):
+        universe = fold_negatives(group, range(1, group.order))
+        for size in range(1, len(universe) + 1):
+            yield from ((group, subset) for subset in combinations(universe, size))
+    for spec in ("C2xC2xC6", "C2xC2xC10", "C64"):
+        group = parse_group(spec)
+        rank = len(group.invariant_factors)
+        units = [tuple(int(i == j) for j in range(rank)) for i in range(rank)]
+        yield group, fold_negatives(group, [group.element(*unit).index for unit in units])
+
+
+def test_atom_caps_refuse_exactly_where_the_span_davenport_constant_does():
+    outcomes = {"admitted": 0, "support": 0, "length": 0, "Davenport search": 0}
+    for group, folded in _cap_rule_instances():
+        for max_atom_length, max_support in product((3, 6, 20, 64), (2, 8)):
+            limits = Limits(max_atom_length=max_atom_length, max_support=max_support)
+            expected = _refusal_by_the_span_davenport_constant(group, folded, limits)
+            try:
+                check_atom_caps(group, folded, limits)
+                got = None
+            except ResourceLimitError as exc:
+                got = str(exc)
+            assert got == expected, (format_group(group), folded, limits)
+            kind = next((k for k in ("support", "length", "Davenport search") if k in (got or "")), "admitted")
+            outcomes[kind] += 1
+    assert min(outcomes.values()) >= 2, outcomes
+
+
+def test_verify_computes_the_span_davenport_constant_only_where_a_bound_is_read(monkeypatch):
+    # only the two u-square-lengths checks ask for a bound: the factorization
+    # query cap of Factorizer.length_set
+    computed = set()
+    span = pmzs.atoms._span_davenport
+
+    def recording(group, folded):
+        computed.add((group, folded))
+        return span(group, folded)
+
+    monkeypatch.setattr(pmzs.atoms, "_span_davenport", recording)
+    with contextlib.redirect_stdout(io.StringIO()):
+        cli.main(["verify", "all-small", *BENCHMARK_CAPS])
+    c3c6, c4c4 = make_group([3, 6]), make_group([4, 4])
+    assert computed == {
+        (c3c6, fold_negatives(c3c6, [c3c6.element(1, 1).index, c3c6.element(0, 1).index])),
+        (c4c4, fold_negatives(c4c4, [c4c4.element(*c).index for c in ((2, 2), (1, 0), (0, 1))])),
+    }
 
 
 def test_atom_cache_round_trip(tmp_path):

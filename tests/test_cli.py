@@ -486,9 +486,10 @@ print(json.dumps([code, out.getvalue(), err.getvalue()]))
 @pytest.mark.parametrize("argv, code, out", [
     (("min-delta", "C1500", "[(1)]"), EXIT_OK, "min delta = empty distance set\n"),
     (("min-delta", "C1501", "[(1)]"), EXIT_OK, "min delta = 1499\n"),
-    # the factorization DPs still recurse once per atom
-    (("rho", "C1501", "[(1)]", "-k", "3"), EXIT_RESOURCE, ""),
-    (("lengths", "C1501", "[(1)^2400]"), EXIT_RESOURCE, ""),
+    (("rho", "C1501", "[(1)]", "-k", "3"), EXIT_OK, "rho_3 = 1502\n"),
+    # (1)^2 taken 1200 times, since 2400 - 1501 is odd
+    (("lengths", "C1501", "[(1)^2400]"), EXIT_OK,
+     "element        [(1)^2400]\nfactorizations 1\nlengths        {1200}\ndelta          {}\n"),
 ], ids=["min-delta C1500", "min-delta C1501", "rho C1501", "lengths C1501"])
 def test_searches_deeper_than_the_recursion_limit_end_without_a_traceback(argv, code, out):
     got_code, got_out, err = json.loads(run_fresh(RUN_CAPTURED, *argv, "--max-atom-len", "2000"))

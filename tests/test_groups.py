@@ -22,7 +22,7 @@ from pmzs import (
     make_group,
     subgroup_generated,
 )
-from pmzs.groups import _minimal_zero_sums, shift_mask, signed_shift_mask
+from pmzs.groups import _minimal_zero_sums, _prime_factorization, shift_mask, signed_shift_mask
 from helpers import (
     brute_automorphisms,
     brute_minimal_zero_sums,
@@ -299,3 +299,22 @@ def test_abelian_group_types():
     assert set(abelian_group_types(4)) == {(4,), (2, 2)}
     assert set(abelian_group_types(8)) == {(8,), (2, 4), (2, 2, 2)}
     assert set(abelian_group_types(12)) == {(12,), (2, 6)}
+
+
+def test_make_group_builds_every_type_of_its_order():
+    def partitions(a):  # the number of partitions of a, by the coin-change recursion
+        ways = [1] + [0] * a
+        for part in range(1, a + 1):
+            for total in range(part, a + 1):
+                ways[total] += ways[total - part]
+        return ways[a]
+
+    for n in range(1, 401):
+        types = abelian_group_types(n)
+        assert len(set(types)) == len(types) == math.prod(partitions(a) for a in _prime_factorization(n).values()), n
+        for factors in types:
+            assert all(b % a == 0 for a, b in zip(factors, factors[1:])), factors
+            assert math.prod(factors) == n
+            assert make_group(factors).invariant_factors == factors
+            parts = [p**e for m in factors for p, e in _prime_factorization(m).items()]
+            assert make_group(parts[::-1]).invariant_factors == factors

@@ -25,10 +25,11 @@ from pmzs import (
 )
 from pmzs.groups import fold_negatives
 from pmzs.limits import Limits
-from pmzs.relations import Factorizer, delta_of_lengths
+from pmzs.relations import ZERO_ATOM, Factorizer, delta_of_lengths
 from helpers import (
     atom_matrix,
     brute_factorization_lengths,
+    brute_factorizations,
     gcd_of_length_differences_up_to_3,
     integer_kernel_basis,
     mixed_unfolded_grounds,
@@ -275,8 +276,48 @@ def test_folded_length_sets_match_oracle_on_unfolded_subsets():
             assert fz.length_set(element) == oracle, str(element)
 
 
+def _listing_instances(seed):
+    """Seeded atom sets over unfolded supports, each holding 0, a pair g, -g
+    and, where the group has one, an element of order 2."""
+    rng = random.Random(seed)
+    for group in small_group_list(12):
+        neg = group._neg_table
+        pairs = [i for i in range(1, group.order) if i < neg[i]]
+        involutions = [i for i in range(1, group.order) if i == neg[i]]
+        for _ in range(2):
+            ground = {0}
+            if pairs:
+                g = rng.choice(pairs)
+                ground |= {g, neg[g]}
+            if involutions:
+                ground.add(rng.choice(involutions))
+            yield enumerate_atoms(group, [group.element_at(i) for i in sorted(ground)])
+
+
+def test_factorization_listing_matches_every_choice_of_atom_multiplicities():
+    rng = random.Random(59)
+    several = 0
+    for atoms in _listing_instances(seed=61):
+        fz = Factorizer(atoms)
+        zero = atoms.group.zero()
+        for _ in range(8):
+            product = (0,) * len(atoms.ground)
+            for _ in range(rng.randint(1, 3)):
+                product = tuple(map(sum, zip(product, rng.choice(atoms.vectors))))
+            zeros = rng.randrange(3)
+            items = [(zero, zeros)] if zeros else []
+            items += [(g, m) for g, m in zip(atoms.ground, product) if m]
+            expected = sorted((ZERO_ATOM,) * zeros + f for f in brute_factorizations(product, atoms.vectors))
+            listed = fz.factorizations(Sequence.from_items(atoms.group, items))
+            assert listed.factorizations == tuple(expected), (str(atoms.group), items)
+            assert listed.lengths == tuple(sorted({len(f) for f in expected}))
+            several += len(expected) > 1
+    assert several >= 80, several
+
+
 def test_rho_k_above_the_element_cap_matches_oracle():
-    # k * bound outgrows the fields sized for element queries (8 * bound) at k = 11 in C3
+    # the fields start with room for a product of eight atoms: coordinates up
+    # to 8 * 3 fit in 5 bits, so products of k >= 11 atoms (3 * k >= 32) widen them
     g3 = make_group([3])
     subset = [g3.element(1)]  # the nonzero set folds onto it
     limits = Limits(rho_cap=12)
@@ -294,7 +335,7 @@ def test_max_length_of_vector_after_widening():
     group, subset = subset_of("C8", "[(1),(3)]")
     atoms = enumerate_atoms(group, subset)
     fz = Factorizer(atoms)
-    small, wide = (4, 4), (40, 200)  # 200 needs wider fields than the 8 * 8 element cap
+    small, wide = (4, 4), (40, 200)  # fields for eight atoms (8 * 3 < 32) are too narrow for 200
     before = fz.max_length_of_vector(small)
     assert fz.max_length_of_vector(wide) == max(brute_factorization_lengths(wide, atoms.vectors))
     assert fz.max_length_of_vector(small) == before == max(brute_factorization_lengths(small, atoms.vectors))
