@@ -5,7 +5,8 @@ Output formats: table (human), json, csv.  Every flag can also be set through
 an environment variable named PMZS_<FLAG> (upper case, dashes to underscores).
 
 Exit codes: 0 success, 1 domain or usage error, 2 resource cap exceeded,
-3 verification suite failure.
+3 verification suite failure.  ``verify`` reports a check over a cap as not
+applicable, so it exits 0 or 3 (1 on bad input), never 2.
 """
 
 from __future__ import annotations
@@ -133,12 +134,12 @@ def _build_parser(command: str | None = None) -> _Parser:
     common.add_argument("--cache-dir", default=_env_default("CACHE_DIR", None))
     # a string default goes through ``type`` too, so a PMZS_* value is checked like its flag
     common.add_argument("--jobs", type=_positive_int, default=_env_default("JOBS", "1"))
-    common.add_argument("--max-atom-len", type=int, default=_env_default("MAX_ATOM_LEN", str(DEFAULT_LIMITS.max_atom_length)))
-    common.add_argument("--max-order", type=int, default=_env_default("MAX_ORDER", str(DEFAULT_LIMITS.max_sweep_order)),
+    common.add_argument("--max-atom-len", type=_positive_int, default=_env_default("MAX_ATOM_LEN", str(DEFAULT_LIMITS.max_atom_length)))
+    common.add_argument("--max-order", type=_positive_int, default=_env_default("MAX_ORDER", str(DEFAULT_LIMITS.max_sweep_order)),
                         help="largest group order whose delta-star report lists every orbit")
     common.add_argument("--no-prune", action="store_true", default=_env_flag(parser, "NO_PRUNE"))
-    common.add_argument("--rho-cap", type=int, default=_env_default("RHO_CAP", str(DEFAULT_LIMITS.rho_cap)))
-    common.add_argument("--max-support", type=int, default=_env_default("MAX_SUPPORT", str(DEFAULT_LIMITS.max_support)))
+    common.add_argument("--rho-cap", type=_positive_int, default=_env_default("RHO_CAP", str(DEFAULT_LIMITS.rho_cap)))
+    common.add_argument("--max-support", type=_positive_int, default=_env_default("MAX_SUPPORT", str(DEFAULT_LIMITS.max_support)))
 
     if command in _ARGUMENTS:
         names = (command,)

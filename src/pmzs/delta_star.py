@@ -344,8 +344,38 @@ class CheckReport:
         }
 
 
+def _run_check(check_id: str, group_name: str, compute, *sweeps) -> CheckReport:
+    """Run one check and build its report: pass or fail from ``compute``, or
+    not applicable when the check cannot reach its values.
+
+    ``sweeps`` are functions returning the delta-star reports the check reads,
+    and ``compute`` takes those reports and returns ``(ok, details)``.  The
+    check is not applicable, with the reason in its details, when one of the
+    sweeps skipped a subset, or when anything it reads is over a cap (a sweep
+    itself, or a value ``compute`` reads): then the reason is the message of
+    the :class:`ResourceLimitError`.  Whether a check applies to the group's
+    type is decided by its caller, before this runs.
+    """
+    try:
+        reports = []
+        for sweep in sweeps:
+            report = sweep()
+            if not report.complete:
+                return CheckReport(check_id, group_name, NOT_APPLICABLE, {"reason": "sweep incomplete"})
+            reports.append(report)
+        ok, details = compute(*reports)
+    except ResourceLimitError as exc:
+        return CheckReport(check_id, group_name, NOT_APPLICABLE, {"reason": str(exc)})
+    return CheckReport(check_id, group_name, PASS if ok else FAIL, details)
+
+
 def _divisors(n: int) -> list[int]:
     return [d for d in range(1, n + 1) if n % d == 0]
+
+
+def _given_or_swept(group: Group, report: DeltaStarReport | None, limits: Limits):
+    """The sweep a theorem check reads: ``report``, or else a sweep of ``group`` under ``limits``."""
+    return partial(delta_star, group, limits=limits) if report is None else lambda: report
 
 
 def check_odd_order_sandwich(group: Group, report: DeltaStarReport | None = None, *, limits: Limits = DEFAULT_LIMITS) -> CheckReport:
@@ -354,40 +384,47 @@ def check_odd_order_sandwich(group: Group, report: DeltaStarReport | None = None
     where D1 = {d - 2 : d | exponent, d >= 3} and D2 = all divisors of D1
     members.
     """
+    return _odd_order_sandwich(group, _given_or_swept(group, report, limits))
+
+
+def _odd_order_sandwich(group: Group, sweep) -> CheckReport:
     name = format_group(group)
     if group.order % 2 == 0 or group.exponent < 3:
         return CheckReport("odd-order-sandwich", name, NOT_APPLICABLE)
-    if report is None:
-        report = delta_star(group, limits=limits)
-    if not report.complete:
-        return CheckReport("odd-order-sandwich", name, NOT_APPLICABLE, {"reason": "sweep incomplete"})
-    d1 = {d - 2 for d in _divisors(group.exponent) if d >= 3}
-    d2 = {q for d in d1 for q in _divisors(d)}
-    computed = set(report.delta_star)
-    ok = d1 <= computed <= d2 and report.max_delta == group.exponent - 2
-    details = {
-        "computed": sorted(computed),
-        "lower": sorted(d1),
-        "upper": sorted(d2),
-        "max_expected": group.exponent - 2,
-        "max_computed": report.max_delta,
-    }
-    return CheckReport("odd-order-sandwich", name, PASS if ok else FAIL, details)
+
+    def compute(report):
+        d1 = {d - 2 for d in _divisors(group.exponent) if d >= 3}
+        d2 = {q for d in d1 for q in _divisors(d)}
+        computed = set(report.delta_star)
+        ok = d1 <= computed <= d2 and report.max_delta == group.exponent - 2
+        details = {
+            "computed": sorted(computed),
+            "lower": sorted(d1),
+            "upper": sorted(d2),
+            "max_expected": group.exponent - 2,
+            "max_computed": report.max_delta,
+        }
+        return ok, details
+
+    return _run_check("odd-order-sandwich", name, compute, sweep)
 
 
 def check_parity(group: Group, report: DeltaStarReport | None = None, *, limits: Limits = DEFAULT_LIMITS) -> CheckReport:
     """|G| even iff the computed set contains an even value (groups of order >= 5)."""
+    return _parity(group, _given_or_swept(group, report, limits))
+
+
+def _parity(group: Group, sweep) -> CheckReport:
     name = format_group(group)
     if group.order < 5:
         return CheckReport("parity-even-element", name, NOT_APPLICABLE)
-    if report is None:
-        report = delta_star(group, limits=limits)
-    if not report.complete:
-        return CheckReport("parity-even-element", name, NOT_APPLICABLE, {"reason": "sweep incomplete"})
-    has_even = any(d % 2 == 0 for d in report.delta_star)
-    ok = has_even == (group.order % 2 == 0)
-    details = {"computed": list(report.delta_star), "order_even": group.order % 2 == 0, "has_even": has_even}
-    return CheckReport("parity-even-element", name, PASS if ok else FAIL, details)
+
+    def compute(report):
+        has_even = any(d % 2 == 0 for d in report.delta_star)
+        details = {"computed": list(report.delta_star), "order_even": group.order % 2 == 0, "has_even": has_even}
+        return has_even == (group.order % 2 == 0), details
+
+    return _run_check("parity-even-element", name, compute, sweep)
 
 
 def _odd_elementary_prime(group: Group) -> int | None:
@@ -405,22 +442,22 @@ def _odd_elementary_prime(group: Group) -> int | None:
 def check_elementary_p_gcd(group: Group, report: DeltaStarReport | None = None, *, limits: Limits = DEFAULT_LIMITS) -> CheckReport:
     """For odd elementary p-groups: the computed set equals all gcds of rank-many
     values drawn from the cyclic case."""
+    return _elementary_p_gcd(group, _given_or_swept(group, report, limits), limits)
+
+
+def _elementary_p_gcd(group: Group, sweep, limits: Limits) -> CheckReport:
     name = format_group(group)
     p = _odd_elementary_prime(group)
     if p is None:
         return CheckReport("elementary-p-gcd", name, NOT_APPLICABLE)
-    if report is None:
-        report = delta_star(group, limits=limits)
-    if not report.complete:
-        return CheckReport("elementary-p-gcd", name, NOT_APPLICABLE, {"reason": "sweep incomplete"})
-    base = delta_star(make_group([p]), limits=limits)
-    combos = set()
-    for combo in combinations_with_replacement(base.delta_star, group.rank):
-        combos.add(math.gcd(*combo))
-    computed = set(report.delta_star)
-    ok = computed == combos
-    details = {"computed": sorted(computed), "gcd_combinations": sorted(combos), "cyclic": list(base.delta_star)}
-    return CheckReport("elementary-p-gcd", name, PASS if ok else FAIL, details)
+
+    def compute(report, base):
+        combos = {math.gcd(*combo) for combo in combinations_with_replacement(base.delta_star, group.rank)}
+        computed = set(report.delta_star)
+        details = {"computed": sorted(computed), "gcd_combinations": sorted(combos), "cyclic": list(base.delta_star)}
+        return computed == combos, details
+
+    return _run_check("elementary-p-gcd", name, compute, sweep, partial(delta_star, make_group([p]), limits=limits))
 
 
 # -- characterization invariants ----------------------------------------------------

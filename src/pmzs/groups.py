@@ -10,8 +10,8 @@ c * stride_k bits, which is one masked shift each way.
 
 A group builds its elements once, on first use, and hands out the same
 object for an index every time.  Subgroup spans are closed on bitmasks too:
-the span of a generating set is the fixpoint of ORing in the block rotations
-of the current mask by each generator, and its abstract type is read from
+the span of a generating set ORs in the block rotations of the current mask
+by each generator and its doublings, and its abstract type is read from
 popcounts of that mask against the elements killed by each divisor of the
 order.  Only the automorphism search builds the |G| x |G| addition table.
 The rotations that translate by an element are built the first time a mask
@@ -454,10 +454,11 @@ def is_independent(elements: Iterable[GroupElement]) -> bool:
 def subgroup_generated(group: Group, elements: Iterable[GroupElement]) -> tuple[ElementSet, Group]:
     """Closure of the given elements under addition, plus its abstract type.
 
-    The closure is a bitmask fixpoint: starting from {0}, each round ORs in
-    the translates of the current mask by every generator (block rotations,
-    see :func:`shift_mask`) until the mask stops changing.  In a finite
-    group a set closed under adding each generator is the subgroup they span.
+    The closure is a bitmask: starting from {0}, each generator is taken in
+    by ORing in translates of the mask (block rotations, see
+    :func:`shift_mask`) by it and its doublings until the mask stops changing
+    (see :func:`_span_mask`).  In a finite group a set closed under adding
+    each generator is the subgroup they span.
     """
     elements = list(elements)
     for g in elements:
@@ -468,13 +469,19 @@ def subgroup_generated(group: Group, elements: Iterable[GroupElement]) -> tuple[
 
 
 def _span_mask(group: Group, indices: tuple[int, ...]) -> int:
-    """Bitmask of the subgroup spanned by the elements with the given indices:
-    the fixpoint of ORing in the translates of the mask of {0} by each one."""
-    mask, grown = 0, 1
-    while grown != mask:
-        mask = grown
-        for gi in indices:
-            grown |= shift_mask(group, mask, gi)
+    """Bitmask of the subgroup spanned by the elements with the given indices.
+
+    Each generator g is taken in by doubling: with H the span so far, ORing in
+    the translate by k = 2^j g turns H + {0, ..., 2^j - 1}g into
+    H + {0, ..., 2^(j+1) - 1}g, and k doubles, until the mask stops growing.
+    A mask M = H + {0, ..., 2^j - 1}g with M + 2^j g inside M is closed under
+    adding g, so it is H + <g>: about log2 ord(g) translates instead of ord(g).
+    """
+    mask = 1
+    for k in indices:
+        while (grown := mask | shift_mask(group, mask, k)) != mask:
+            mask = grown
+            k = shift_mask(group, 1 << k, k).bit_length() - 1  # the index of 2k
     return mask
 
 

@@ -5,11 +5,18 @@ of worked golden instances, and returns a deterministic report.  The target
 ``all-small`` covers every abelian group of order at most 10 together with
 two targeted larger instances (a generator pair in C17 and a coset of an
 index-2 subgroup of C2^4).
+
+Every check's report is built by :func:`~pmzs.delta_star._run_check`.  A
+check is not applicable to a group of the wrong type (decided first), to a
+partial sweep, or when anything it reads is over a cap, with the cap's
+message as the reason; so no cap ends a run, and ``verify`` exits 0 or 3.
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
+from functools import partial
 from typing import Iterator
 
 from .atoms import AtomCache, AtomSet, atom_length_profile, davenport_monoid, enumerate_atoms
@@ -19,9 +26,10 @@ from .delta_star import (
     PASS,
     CheckReport,
     DeltaStarReport,
-    check_elementary_p_gcd,
-    check_odd_order_sandwich,
-    check_parity,
+    _elementary_p_gcd,
+    _odd_order_sandwich,
+    _parity,
+    _run_check,
     delta_star,
 )
 from .groups import Group, abelian_group_types, davenport, make_group
@@ -40,67 +48,60 @@ def small_groups(max_order: int) -> list[Group]:
     return out
 
 
-def _check(check_id: str, group_name: str, ok: bool, details: dict) -> CheckReport:
-    return CheckReport(check_id, group_name, PASS if ok else FAIL, details)
-
-
-def _delta_star_floor(group: Group, report: DeltaStarReport) -> CheckReport:
+def _delta_star_floor(group: Group, report: DeltaStarReport) -> tuple[bool, dict]:
     """Distance set empty iff |G| <= 2; otherwise 1 is the minimum."""
-    name = format_group(group)
     if group.order <= 2:
         ok = report.delta_star == ()
-        return _check("delta-star-floor", name, ok, {"computed": list(report.delta_star)})
-    ok = bool(report.delta_star) and report.delta_star[0] == 1
-    return _check("delta-star-floor", name, ok, {"computed": list(report.delta_star)})
+    else:
+        ok = bool(report.delta_star) and report.delta_star[0] == 1
+    return ok, {"computed": list(report.delta_star)}
 
 
-def _delta_star_ceiling(group: Group, report: DeltaStarReport, limits: Limits, cache) -> CheckReport:
-    name = format_group(group)
+def _delta_star_ceiling(d_monoid, report: DeltaStarReport) -> tuple[bool, dict]:
+    """max Delta* <= D(B(G)) - 2, where ``d_monoid`` returns that constant."""
     if report.max_delta is None:
-        return CheckReport("delta-star-ceiling", name, PASS, {"computed": None})
-    nonzero = [group.element_at(i) for i in range(1, group.order)]
-    d_monoid = davenport_monoid(group, nonzero, limits=limits, cache=cache)
-    ok = report.max_delta <= d_monoid - 2
-    return _check(
-        "delta-star-ceiling", name, ok, {"max": report.max_delta, "monoid_davenport": d_monoid}
-    )
+        return True, {"computed": None}
+    monoid = d_monoid()
+    return report.max_delta <= monoid - 2, {"max": report.max_delta, "monoid_davenport": monoid}
 
 
-def _element_order_distances(group: Group, report: DeltaStarReport) -> CheckReport:
+def _element_order_distances(group: Group, report: DeltaStarReport) -> tuple[bool, dict]:
     """Every odd element order d >= 3 contributes d - 2 to the distance sweep."""
-    name = format_group(group)
     expected = set()
     for i in range(1, group.order):
         d = group.element_at(i).order()
         if d >= 3 and d % 2 == 1:
             expected.add(d - 2)
     ok = expected <= set(report.delta_star)
-    return _check(
-        "element-order-distances", name, ok,
-        {"expected_subset": sorted(expected), "computed": list(report.delta_star)},
-    )
+    return ok, {"expected_subset": sorted(expected), "computed": list(report.delta_star)}
 
 
-def _davenport_checks(group: Group, limits: Limits, cache) -> list[CheckReport]:
+def _davenport_checks(group: Group, d_monoid, limits: Limits, cache) -> list[CheckReport]:
+    """The checks of D(B(G)) that apply to the group's type; ``d_monoid``
+    returns that constant."""
     name = format_group(group)
-    out = []
-    nonzero = [group.element_at(i) for i in range(1, group.order)]
-    d_monoid = davenport_monoid(group, nonzero, limits=limits, cache=cache)
-    if group.order % 2 == 1 and group.order > 1:
-        d_group = davenport(group)
-        out.append(_check(
-            "monoid-davenport-odd", name, d_monoid == d_group,
-            {"monoid": d_monoid, "group": d_group},
-        ))
-    if group.rank == 1 and group.order % 2 == 0:
-        m = group.order // 2
-        out.append(_check(
-            "monoid-davenport-even-cyclic", name, d_monoid == m + 1,
-            {"monoid": d_monoid, "expected": m + 1},
-        ))
-    if group.order <= 8:
+
+    def odd():
+        monoid, d_group = d_monoid(), davenport(group)
+        return monoid == d_group, {"monoid": monoid, "group": d_group}
+
+    def even_cyclic():
+        monoid, expected = d_monoid(), group.order // 2 + 1
+        return monoid == expected, {"monoid": monoid, "expected": expected}
+
+    def rho2():
+        monoid = d_monoid()
+        nonzero = [group.element_at(i) for i in range(1, group.order)]
         r2 = rho_k(group, nonzero, 2, limits=limits, cache=cache)
-        out.append(_check("rho2-davenport", name, r2 == d_monoid, {"rho2": r2, "monoid": d_monoid}))
+        return r2 == monoid, {"rho2": r2, "monoid": monoid}
+
+    out = []
+    if group.order % 2 == 1 and group.order > 1:
+        out.append(_run_check("monoid-davenport-odd", name, odd))
+    if group.rank == 1 and group.order % 2 == 0:
+        out.append(_run_check("monoid-davenport-even-cyclic", name, even_cyclic))
+    if group.order <= 8:
+        out.append(_run_check("rho2-davenport", name, rho2))
     return out
 
 
@@ -114,57 +115,41 @@ def _small_max_classification(reports: dict[str, DeltaStarReport]) -> list[Check
     Davenport constant 4), so the max = 2 case reports C6 as a
     counterexample.
     """
-    max1_expected = set()
-    max2_expected = {"C2xC2xC2", "C2xC4"}
-    for name in reports:
-        if parse_group(name).exponent == 3 or name in ("C2xC2", "C4"):
-            max1_expected.add(name)
-    max1_got = {name for name, rep in reports.items() if rep.max_delta == 1}
-    max2_got = {name for name, rep in reports.items() if rep.max_delta == 2}
-    out = [
-        _check(
-            "small-max-1-classification", "all-small", max1_got == max1_expected,
-            {"expected": sorted(max1_expected), "computed": sorted(max1_got)},
-        ),
-        _check(
-            "small-max-2-classification", "all-small", max2_got == max2_expected,
-            {"expected": sorted(max2_expected), "computed": sorted(max2_got)},
-        ),
+    maxima = {name: rep.max_delta for name, rep in reports.items() if rep.complete}
+
+    def classification(value, expected):
+        got = {name for name, m in maxima.items() if m == value}
+        return got == expected, {"expected": sorted(expected), "computed": sorted(got)}
+
+    max1_expected = {name for name in maxima if parse_group(name).exponent == 3 or name in ("C2xC2", "C4")}
+    max2_expected = {"C2xC2xC2", "C2xC4"} & maxima.keys()
+    return [
+        _run_check("small-max-1-classification", "all-small", partial(classification, 1, max1_expected)),
+        _run_check("small-max-2-classification", "all-small", partial(classification, 2, max2_expected)),
     ]
-    return out
 
 
 def _golden_min_distances(limits: Limits, cache) -> list[CheckReport]:
-    out = []
-    g5 = make_group([5])
-    out.append(_check(
-        "golden-min-delta", "C5{e}",
-        min_delta(g5, [g5.element(1)], limits=limits, cache=cache) == 3, {"expected": 3},
-    ))
-    g8 = make_group([8])
-    out.append(_check(
-        "golden-min-delta", "C8{e,3e}",
-        min_delta(g8, [g8.element(1), g8.element(3)], limits=limits, cache=cache) == 2,
-        {"expected": 2},
-    ))
-    g17 = make_group([17])
-    out.append(_check(
-        "golden-min-delta", "C17{e,4e}",
-        min_delta(g17, [g17.element(1), g17.element(4)], limits=limits, cache=cache) == 3,
-        {"expected": 3},
-    ))
-    g16 = make_group([2, 2, 2, 2])
-    coset = [g16.element(1, a, b, c) for a in (0, 1) for b in (0, 1) for c in (0, 1)]
-    atoms = enumerate_atoms(g16, coset, limits=limits, cache=cache)
-    profile = atom_length_profile(atoms)
-    ok = min_delta_of_atoms(atoms) == 1 and profile.gcd_lengths_minus_2 == 2
-    out.append(_check(
-        "golden-min-delta", "C2^4 coset", ok,
-        {"expected": {"min_delta": 1, "gcd_lengths_minus_2": 2},
-         "computed": {"min_delta": min_delta_of_atoms(atoms),
-                      "gcd_lengths_minus_2": profile.gcd_lengths_minus_2}},
-    ))
-    return out
+    def min_delta_is(expected, order, *generators):
+        group = make_group([order])
+        value = min_delta(group, [group.element(k) for k in generators], limits=limits, cache=cache)
+        return value == expected, {"expected": expected}
+
+    def coset():
+        g16 = make_group([2, 2, 2, 2])
+        coset = [g16.element(1, a, b, c) for a in (0, 1) for b in (0, 1) for c in (0, 1)]
+        atoms = enumerate_atoms(g16, coset, limits=limits, cache=cache)
+        md, gcd = min_delta_of_atoms(atoms), atom_length_profile(atoms).gcd_lengths_minus_2
+        details = {"expected": {"min_delta": 1, "gcd_lengths_minus_2": 2},
+                   "computed": {"min_delta": md, "gcd_lengths_minus_2": gcd}}
+        return md == 1 and gcd == 2, details
+
+    return [
+        _run_check("golden-min-delta", "C5{e}", partial(min_delta_is, 3, 5, 1)),
+        _run_check("golden-min-delta", "C8{e,3e}", partial(min_delta_is, 2, 8, 1, 3)),
+        _run_check("golden-min-delta", "C17{e,4e}", partial(min_delta_is, 3, 17, 1, 4)),
+        _run_check("golden-min-delta", "C2^4 coset", coset),
+    ]
 
 
 def _single_generator_law(limits: Limits) -> CheckReport:
@@ -174,26 +159,30 @@ def _single_generator_law(limits: Limits) -> CheckReport:
     delta, so each pair is computed once; a failure is still reported for
     each element.
     """
-    failures = []
-    for group in small_groups(16):
-        neg = group._neg_table
-        by_fold: dict[int, tuple[list[int], int | None]] = {}
-        for i in range(1, group.order):
-            g = group.element_at(i)
-            d = g.order()
-            j = min(i, neg[i])
-            if j not in by_fold:
-                atoms = enumerate_atoms(group, [group.element_at(j)], limits=limits)
-                by_fold[j] = sorted(atoms.lengths()), min_delta_of_atoms(atoms)
-            lengths, md = by_fold[j]
-            if d % 2 == 1:
-                ok = lengths == [2, d] and md == d - 2
-            else:
-                ok = lengths == [2] and md is None
-            if not ok:
-                failures.append({"group": format_group(group), "element": str(g),
-                                 "lengths": lengths, "min_delta": md})
-    return _check("single-generator-law", "order<=16", not failures, {"failures": failures})
+
+    def compute():
+        failures = []
+        for group in small_groups(16):
+            neg = group._neg_table
+            by_fold: dict[int, tuple[list[int], int | None]] = {}
+            for i in range(1, group.order):
+                g = group.element_at(i)
+                d = g.order()
+                j = min(i, neg[i])
+                if j not in by_fold:
+                    atoms = enumerate_atoms(group, [group.element_at(j)], limits=limits)
+                    by_fold[j] = sorted(atoms.lengths()), min_delta_of_atoms(atoms)
+                lengths, md = by_fold[j]
+                if d % 2 == 1:
+                    ok = lengths == [2, d] and md == d - 2
+                else:
+                    ok = lengths == [2] and md is None
+                if not ok:
+                    failures.append({"group": format_group(group), "element": str(g),
+                                     "lengths": lengths, "min_delta": md})
+        return not failures, {"failures": failures}
+
+    return _run_check("single-generator-law", "order<=16", compute)
 
 
 def _square_length_instances(limits: Limits, cache) -> Iterator[tuple[str, AtomSet]]:
@@ -214,43 +203,41 @@ def _atom_square_lengths(limits: Limits, cache) -> CheckReport:
     length query per folded atom covers all of its lifts.  A failure still
     lists every lifted atom over the failing folded one.
     """
-    failures = []
-    for name, atoms in _square_length_instances(limits, cache):
-        fz = Factorizer(atoms)
-        failing = {}
-        for vec in atoms.folded:
-            lengths = fz._folded_mask(tuple(2 * c for c in vec))
-            if not (lengths >> 2 & 1 and lengths >> sum(vec) & 1):
-                failing[vec] = [length for length in range(lengths.bit_length()) if lengths >> length & 1]
-        if failing:
-            for k, vec in enumerate(atoms.vectors):
-                lengths = failing.get(fz._fold(vec))
-                if lengths is not None:
-                    failures.append({"group": name, "atom": str(atoms.sequence(k)), "lengths": lengths})
-    return _check("atom-square-lengths", "golden+order<=8", not failures, {"failures": failures})
+
+    def compute():
+        failures = []
+        for name, atoms in _square_length_instances(limits, cache):
+            fz = Factorizer(atoms)
+            failing = {}
+            for vec in atoms.folded:
+                lengths = fz._folded_mask(tuple(2 * c for c in vec))
+                if not (lengths >> 2 & 1 and lengths >> sum(vec) & 1):
+                    failing[vec] = [length for length in range(lengths.bit_length()) if lengths >> length & 1]
+            if failing:
+                for k, vec in enumerate(atoms.vectors):
+                    lengths = failing.get(fz._fold(vec))
+                    if lengths is not None:
+                        failures.append({"group": name, "atom": str(atoms.sequence(k)), "lengths": lengths})
+        return not failures, {"failures": failures}
+
+    return _run_check("atom-square-lengths", "golden+order<=8", compute)
 
 
 def _paired_generator_squares(limits: Limits, cache) -> list[CheckReport]:
-    out = []
-    g36 = make_group([3, 6])
-    subset = [g36.element(1, 1), g36.element(0, 1)]
-    atoms = enumerate_atoms(g36, subset, limits=limits, cache=cache)
-    u = Sequence.from_items(g36, [(g36.element(1, 1), 3), (g36.element(0, 1), 3)])
-    lengths = Factorizer(atoms).length_set(u.power(2))
-    out.append(_check(
-        "u-square-lengths", "C3xC6{e1+e2,e2}", tuple(lengths) == (2, 6),
-        {"expected": [2, 6], "computed": list(lengths)},
-    ))
-    g44 = make_group([4, 4])
-    subset44 = [g44.element(2, 2), g44.element(1, 0), g44.element(0, 1)]
-    atoms44 = enumerate_atoms(g44, subset44, limits=limits, cache=cache)
-    u44 = Sequence.from_items(g44, [(g44.element(2, 2), 1), (g44.element(1, 0), 2), (g44.element(0, 1), 2)])
-    lengths44 = Factorizer(atoms44).length_set(u44.power(2))
-    out.append(_check(
-        "u-square-lengths", "C4^2 even construction", tuple(lengths44) == (2, 5),
-        {"expected": [2, 5], "computed": list(lengths44)},
-    ))
-    return out
+    def square_lengths(factors, items, expected):
+        group = make_group(factors)
+        subset = [group.element(*coords) for coords, _ in items]
+        atoms = enumerate_atoms(group, subset, limits=limits, cache=cache)
+        u = Sequence.from_items(group, [(g, k) for g, (_, k) in zip(subset, items)])
+        lengths = list(Factorizer(atoms).length_set(u.power(2)))
+        return lengths == expected, {"expected": expected, "computed": lengths}
+
+    return [
+        _run_check("u-square-lengths", "C3xC6{e1+e2,e2}",
+                   partial(square_lengths, [3, 6], [((1, 1), 3), ((0, 1), 3)], [2, 6])),
+        _run_check("u-square-lengths", "C4^2 even construction",
+                   partial(square_lengths, [4, 4], [((2, 2), 1), ((1, 0), 2), ((0, 1), 2)], [2, 5])),
+    ]
 
 
 @dataclass(frozen=True)
@@ -283,23 +270,34 @@ class SuiteResult:
 
 def group_checks(
     group: Group,
+    reports: dict[str, DeltaStarReport],
     *,
     limits: Limits = DEFAULT_LIMITS,
     map_rows=map,
     prune: bool = True,
     cache: AtomCache | None = None,
-) -> tuple[list[CheckReport], DeltaStarReport]:
-    report = delta_star(group, limits=limits, map_rows=map_rows, prune=prune, cache=cache)
-    checks = [
-        _delta_star_floor(group, report),
-        _delta_star_ceiling(group, report, limits, cache),
-        _element_order_distances(group, report),
-        check_odd_order_sandwich(group, report, limits=limits),
-        check_parity(group, report, limits=limits),
-        check_elementary_p_gcd(group, report, limits=limits),
+) -> list[CheckReport]:
+    """The checks of one group.  Its delta-star sweep runs once, when a check
+    first reads it, and its report enters ``reports`` under the group's name;
+    a sweep refused over a cap leaves no entry."""
+    name = format_group(group)
+
+    def sweep() -> DeltaStarReport:
+        if name not in reports:
+            reports[name] = delta_star(group, limits=limits, map_rows=map_rows, prune=prune, cache=cache)
+        return reports[name]
+
+    nonzero = [group.element_at(i) for i in range(1, group.order)]
+    d_monoid = functools.cache(partial(davenport_monoid, group, nonzero, limits=limits, cache=cache))
+    return [
+        _run_check("delta-star-floor", name, partial(_delta_star_floor, group), sweep),
+        _run_check("delta-star-ceiling", name, partial(_delta_star_ceiling, d_monoid), sweep),
+        _run_check("element-order-distances", name, partial(_element_order_distances, group), sweep),
+        _odd_order_sandwich(group, sweep),
+        _parity(group, sweep),
+        _elementary_p_gcd(group, sweep, limits),
+        *_davenport_checks(group, d_monoid, limits, cache),
     ]
-    checks.extend(_davenport_checks(group, limits, cache))
-    return checks, report
 
 
 def run_suite(
@@ -316,9 +314,7 @@ def run_suite(
     reports: dict[str, DeltaStarReport] = {}
     if target == "all-small":
         for group in small_groups(10):
-            group_result, report = group_checks(group, limits=limits, map_rows=map_rows, prune=prune, cache=cache)
-            checks.extend(group_result)
-            reports[format_group(group)] = report
+            checks.extend(group_checks(group, reports, limits=limits, map_rows=map_rows, prune=prune, cache=cache))
         checks.extend(_small_max_classification(reports))
         checks.extend(_golden_min_distances(limits, cache))
         checks.append(_single_generator_law(limits))
@@ -326,7 +322,5 @@ def run_suite(
         checks.extend(_paired_generator_squares(limits, cache))
     else:
         group = parse_group(target)
-        group_result, report = group_checks(group, limits=limits, map_rows=map_rows, prune=prune, cache=cache)
-        checks.extend(group_result)
-        reports[format_group(group)] = report
+        checks.extend(group_checks(group, reports, limits=limits, map_rows=map_rows, prune=prune, cache=cache))
     return SuiteResult(target=target, checks=tuple(checks), reports=reports)

@@ -189,15 +189,17 @@ def test_min_delta_refuses_a_long_atom_bound_at_once(capsys):
 
 def test_refusal_builds_shift_steps_only_for_its_generator():
     # each element's steps hold two |G|-bit masks, so building them for every
-    # element would take |G|^2 / 4 bytes before the refusal; the span is
-    # closed and typed on indices, so no element object is built either
+    # element would take |G|^2 / 4 bytes before the refusal; the span takes
+    # its generator in by doubling, so only the steps of e, 2e, 4e, ... are
+    # built, and it is closed and typed on indices, so no element object is
+    # built either
     from pmzs.atoms import _span_davenport
 
     _span_davenport.cache_clear()  # C3000 refused above: a memo hit would build nothing
     g = Group((3000,))
     with pytest.raises(ResourceLimitError, match="exceeds the cap"):
         min_delta(g, [g.element(1)])
-    assert 1 <= len(vars(g)["_shift_steps"]) <= 2
+    assert set(vars(g)["_shift_steps"]) == {2**j % 3000 for j in range(3000 .bit_length() + 1)}
     assert "_elements" not in vars(g)
 
 
@@ -237,6 +239,63 @@ def test_verify_failure_exit_code(capsys):
     failing = [c for c in data["checks"] if c["status"] == "fail"]
     assert [c["check"] for c in failing] == ["small-max-2-classification"]
     assert "C6" in failing[0]["details"]["computed"]
+
+
+def run_verify(capsys, *argv):
+    """Exit code, JSON report and stderr of ``verify``, with every check by (check, group)."""
+    code, out, err = run_cli(capsys, "verify", *argv, "--format", "json")
+    data = json.loads(out)
+    return code, data, {(c["check"], c["group"]): c for c in data["checks"]}, err
+
+
+def test_verify_reports_a_value_over_a_cap_as_not_applicable(capsys):
+    # the sweep of C3xC6 is complete, but D(B(G)) runs over 9 folded elements
+    code, data, checks, err = run_verify(capsys, "C3xC6")
+    assert code == EXIT_OK and err == "" and data["sweeps"]["C3xC6"]["complete"]
+    assert checks["delta-star-ceiling", "C3xC6"]["status"] == "not-applicable"
+    assert checks["delta-star-ceiling", "C3xC6"]["details"] == {
+        "reason": "atom enumeration capped at 8 support elements, got 9"}
+
+
+@pytest.mark.parametrize("target", ["C21", "C23"])
+def test_verify_reads_no_partial_sweep(capsys, target):
+    code, data, checks, err = run_verify(capsys, target)
+    assert code == EXIT_OK and err == "" and not data["sweeps"][target]["complete"]
+    for check_id in ("delta-star-floor", "element-order-distances", "delta-star-ceiling"):
+        assert checks[check_id, target]["status"] == "not-applicable"
+        assert checks[check_id, target]["details"] == {"reason": "sweep incomplete"}
+    assert data["counts"]["fail"] == 0
+
+
+def test_verify_reports_a_refused_sweep_as_not_applicable(capsys):
+    target = "C2xC2xC2xC2xC2"
+    code, data, checks, err = run_verify(capsys, target)
+    assert code == EXIT_OK and err == "" and data["sweeps"] == {}
+    refusal = "automorphism search over C2xC2xC2xC2xC2 tries 33554432 image tuples"
+    for check_id in ("delta-star-floor", "delta-star-ceiling", "element-order-distances", "parity-even-element"):
+        assert checks[check_id, target]["status"] == "not-applicable"
+        assert checks[check_id, target]["details"]["reason"].startswith(refusal)
+    # not applicable to the group's type, as with a complete sweep
+    assert checks["odd-order-sandwich", target]["details"] == {}
+
+
+def test_verify_reports_a_capped_rho_as_not_applicable(capsys):
+    code, capped, checks, err = run_verify(capsys, "C5", "--rho-cap", "1")
+    assert code == EXIT_OK and err == ""
+    assert checks["rho2-davenport", "C5"]["status"] == "not-applicable"
+    assert checks["rho2-davenport", "C5"]["details"] == {"reason": "rho_k capped at k <= 1, got 2"}
+    _, default, default_checks, _ = run_verify(capsys, "C5")
+    assert default_checks.pop(("rho2-davenport", "C5"))["status"] == "pass"
+    checks.pop(("rho2-davenport", "C5"))
+    assert checks == default_checks and capped["sweeps"] == default["sweeps"]
+
+
+def test_verify_all_small_under_a_small_cap_ends_with_a_report(capsys):
+    code, data, checks, err = run_verify(capsys, "all-small", "--max-support", "2")
+    assert code in (EXIT_OK, EXIT_VERIFY) and err == ""
+    assert data["counts"]["not_applicable"] > 0
+    assert checks["golden-min-delta", "C2^4 coset"]["details"] == {
+        "reason": "atom enumeration capped at 2 support elements, got 8"}
 
 
 def test_verify_unparsable_target(capsys):
@@ -431,12 +490,22 @@ def test_usage_error_names_the_argument(capsys):
     ("MAX_SUPPORT", ""),
     ("JOBS", "x"),
     ("FORMAT", "xml"),
+    *[(name, value) for name in ("MAX_ATOM_LEN", "MAX_ORDER", "RHO_CAP", "MAX_SUPPORT") for value in ("0", "-1")],
 ])
 def test_bad_env_values_are_usage_errors(capsys, monkeypatch, name, value):
     monkeypatch.setenv(f"PMZS_{name}", value)
     code, out, err = run_cli(capsys, "group", "C4")
     assert code == EXIT_DOMAIN and out == ""
     assert "error:" in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize("flag", ["--max-atom-len", "--max-order", "--rho-cap", "--max-support"])
+@pytest.mark.parametrize("value", ["0", "-1"])
+@pytest.mark.parametrize("command", [["group", "C4"], ["atoms", "C4", "all"]], ids=lambda argv: argv[0])
+def test_cap_flags_below_one_are_usage_errors(capsys, command, flag, value):
+    code, out, err = run_cli(capsys, *command, flag, value)
+    assert code == EXIT_DOMAIN and out == ""
+    assert f"error: argument {flag}: expected a positive integer, got '{value}'" in err
 
 
 @pytest.mark.parametrize("env, argv", [

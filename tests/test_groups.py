@@ -22,6 +22,7 @@ from pmzs import (
     make_group,
     subgroup_generated,
 )
+from pmzs import groups
 from pmzs.groups import _minimal_zero_sums, _prime_factorization, shift_mask, signed_shift_mask
 from helpers import (
     brute_automorphisms,
@@ -154,6 +155,16 @@ def test_subgroup_generated_matches_breadth_first_oracle():
             closure, kind = subgroup_generated(g, [g.element_at(i) for i in gens])
             mask, factors = brute_subgroup_generated(g, gens)
             assert closure.mask == mask and kind.invariant_factors == factors, (str(g), gens)
+
+
+def test_span_takes_a_generator_in_by_doubling(monkeypatch):
+    # one translate per doubling of the generator, and one for the index of
+    # the next doubling: C100000 needs 18 + 17, not 100000
+    calls = []
+    real = groups.shift_mask
+    monkeypatch.setattr(groups, "shift_mask", lambda *args: calls.append(args) or real(*args))
+    assert groups._span_mask(groups.Group((100000,)), (1,)) == (1 << 100000) - 1
+    assert len(calls) <= 40
 
 
 def test_subgroup_generated_checks_members_of_a_generator():

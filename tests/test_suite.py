@@ -1,9 +1,11 @@
 """The verify suite's checks against the paths they replaced."""
 
-from pmzs.delta_star import FAIL, PASS
+from dataclasses import replace
+
+from pmzs.delta_star import FAIL, PASS, delta_star
 from pmzs.limits import DEFAULT_LIMITS
 from pmzs.relations import Factorizer
-from pmzs.suite import _atom_square_lengths, _square_length_instances
+from pmzs.suite import _atom_square_lengths, _small_max_classification, _square_length_instances, small_groups
 
 
 def _lifted_square_failures():
@@ -40,3 +42,15 @@ def test_folded_square_check_reports_the_lifted_failures(monkeypatch):
     assert report.status == FAIL and report.details["failures"] == expected
     # every lift of the folded atom e^3 of C3 is listed, in atom order
     assert [e["atom"] for e in expected if e["group"] == "C3"] == ["[(2)^3]", "[(1), (2)^2]", "[(1)^2, (2)]", "[(1)^3]"]
+
+
+def test_classification_reads_complete_sweeps_only():
+    # a partial sweep leaves both sets: C6 the computed max-2 set, C2xC4 the
+    # expected one, C3 the expected max-1 set
+    reports = {str(g): delta_star(g) for g in small_groups(10)}
+    for name in ("C6", "C2xC4", "C3"):
+        reports[name] = replace(reports[name], complete=False)
+    checks = {c.check_id: c for c in _small_max_classification(reports)}
+    max1, max2 = checks["small-max-1-classification"], checks["small-max-2-classification"]
+    assert max2.status == PASS and max2.details == {"expected": ["C2xC2xC2"], "computed": ["C2xC2xC2"]}
+    assert max1.status == PASS and "C3" not in max1.details["expected"] + max1.details["computed"]
