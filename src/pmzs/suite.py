@@ -277,9 +277,14 @@ def group_checks(
     prune: bool = True,
     cache: AtomCache | None = None,
 ) -> list[CheckReport]:
-    """The checks of one group.  Its delta-star sweep runs once, when a check
-    first reads it, and its report enters ``reports`` under the group's name;
-    a sweep refused over a cap leaves no entry."""
+    """The checks of one group.
+
+    The delta-star sweep and D(B(G)) are computed once, when a check first
+    reads them, and the sweep's report enters ``reports`` under the group's
+    name.  A refusal over a cap leaves no value (and no entry), so each check
+    that reads the value meets the refusal again; a refusal is raised before
+    any search starts.
+    """
     name = format_group(group)
 
     def sweep() -> DeltaStarReport:
