@@ -282,8 +282,8 @@ def group_checks(
     The delta-star sweep and D(B(G)) are computed once, when a check first
     reads them, and the sweep's report enters ``reports`` under the group's
     name.  A refusal over a cap leaves no value (and no entry), so each check
-    that reads the value meets the refusal again; a refusal is raised before
-    any search starts.
+    that reads the value meets the refusal again; the caps are checked before
+    their searches start, so that costs microseconds.
     """
     name = format_group(group)
 
