@@ -137,8 +137,8 @@ def _golden_min_distances(limits: Limits, cache) -> list[CheckReport]:
 
     def coset():
         g16 = make_group([2, 2, 2, 2])
-        coset = [g16.element(1, a, b, c) for a in (0, 1) for b in (0, 1) for c in (0, 1)]
-        atoms = enumerate_atoms(g16, coset, limits=limits, cache=cache)
+        ground = [g16.element(1, a, b, c) for a in (0, 1) for b in (0, 1) for c in (0, 1)]
+        atoms = enumerate_atoms(g16, ground, limits=limits, cache=cache)
         md, gcd = min_delta_of_atoms(atoms), atom_length_profile(atoms).gcd_lengths_minus_2
         details = {"expected": {"min_delta": 1, "gcd_lengths_minus_2": 2},
                    "computed": {"min_delta": md, "gcd_lengths_minus_2": gcd}}
