@@ -14,9 +14,8 @@ message as the reason; so no cap ends a run, and ``verify`` exits 0 or 3.
 
 from __future__ import annotations
 
-import functools
 from dataclasses import dataclass
-from functools import partial
+from functools import lru_cache, partial
 from typing import Iterator
 
 from .atoms import AtomCache, AtomSet, atom_length_profile, davenport_monoid, enumerate_atoms
@@ -32,7 +31,7 @@ from .delta_star import (
     _run_check,
     delta_star,
 )
-from .groups import Group, abelian_group_types, davenport, make_group
+from .groups import Group, GroupElement, abelian_group_types, davenport, make_group
 from .limits import DEFAULT_LIMITS, Limits
 from .notation import format_group, parse_group, parse_subset
 from .relations import Factorizer, min_delta, min_delta_of_atoms, rho_k
@@ -76,9 +75,9 @@ def _element_order_distances(group: Group, report: DeltaStarReport) -> tuple[boo
     return ok, {"expected_subset": sorted(expected), "computed": list(report.delta_star)}
 
 
-def _davenport_checks(group: Group, d_monoid, limits: Limits, cache) -> list[CheckReport]:
-    """The checks of D(B(G)) that apply to the group's type; ``d_monoid``
-    returns that constant."""
+def _davenport_checks(group: Group, nonzero, d_monoid, limits: Limits, cache) -> list[CheckReport]:
+    """The checks of D(B(G)) that apply to the group's type; ``nonzero``
+    returns G minus 0 and ``d_monoid`` returns that constant."""
     name = format_group(group)
 
     def odd():
@@ -91,8 +90,7 @@ def _davenport_checks(group: Group, d_monoid, limits: Limits, cache) -> list[Che
 
     def rho2():
         monoid = d_monoid()
-        nonzero = [group.element_at(i) for i in range(1, group.order)]
-        r2 = rho_k(group, nonzero, 2, limits=limits, cache=cache)
+        r2 = rho_k(group, nonzero(), 2, limits=limits, cache=cache)
         return r2 == monoid, {"rho2": r2, "monoid": monoid}
 
     out = []
@@ -279,11 +277,13 @@ def group_checks(
 ) -> list[CheckReport]:
     """The checks of one group.
 
-    The delta-star sweep and D(B(G)) are computed once, when a check first
-    reads them, and the sweep's report enters ``reports`` under the group's
-    name.  A refusal over a cap leaves no value (and no entry), so each check
-    that reads the value meets the refusal again; the caps are checked before
-    their searches start, so that costs microseconds.
+    The delta-star sweep, G minus 0 and D(B(G)) are computed once, when a
+    check first reads them, and the sweep's report enters ``reports`` under
+    the group's name.  G minus 0 reads the sweep first, so a refused sweep
+    refuses it and D(B(G)) with the same message, and nothing of size |G| is
+    built for a group the sweep refuses.  A refusal leaves no value (and no
+    entry), so each check that reads the value meets the refusal again; the
+    caps are checked before their searches start, so that costs microseconds.
     """
     name = format_group(group)
 
@@ -292,8 +292,15 @@ def group_checks(
             reports[name] = delta_star(group, limits=limits, map_rows=map_rows, prune=prune, cache=cache)
         return reports[name]
 
-    nonzero = [group.element_at(i) for i in range(1, group.order)]
-    d_monoid = functools.cache(partial(davenport_monoid, group, nonzero, limits=limits, cache=cache))
+    @lru_cache(maxsize=None)
+    def nonzero() -> list[GroupElement]:
+        sweep()
+        return [group.element_at(i) for i in range(1, group.order)]
+
+    @lru_cache(maxsize=None)
+    def d_monoid() -> int:
+        return davenport_monoid(group, nonzero(), limits=limits, cache=cache)
+
     return [
         _run_check("delta-star-floor", name, partial(_delta_star_floor, group), sweep),
         _run_check("delta-star-ceiling", name, partial(_delta_star_ceiling, d_monoid), sweep),
@@ -301,7 +308,7 @@ def group_checks(
         _odd_order_sandwich(group, sweep),
         _parity(group, sweep),
         _elementary_p_gcd(group, sweep, limits),
-        *_davenport_checks(group, d_monoid, limits, cache),
+        *_davenport_checks(group, nonzero, d_monoid, limits, cache),
     ]
 
 

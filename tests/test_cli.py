@@ -279,6 +279,24 @@ def test_verify_reports_a_refused_sweep_as_not_applicable(capsys):
     assert checks["odd-order-sandwich", target]["details"] == {}
 
 
+@pytest.mark.parametrize("target", ["C1000000000", "C2xC500000"])
+def test_verify_lists_no_element_of_a_refused_group(capsys, monkeypatch, target):
+    # G minus 0 and D(B(G)) read the sweep first, so a group whose sweep is
+    # refused is reported without walking its elements (every table of size
+    # |G| is built from Group._coords)
+    monkeypatch.setattr(Group, "_coords", lambda self: pytest.fail(f"walked the elements of {self}"))
+    start = time.perf_counter()
+    code, data, checks, err = run_verify(capsys, target)
+    assert time.perf_counter() - start < 1.0
+    assert code == EXIT_OK and err == "" and data["sweeps"] == {}
+    assert data["counts"] == {"pass": 0, "fail": 0, "not_applicable": len(checks)}
+    for check in checks.values():
+        assert check["details"] == {} or check["details"]["reason"].startswith(f"automorphism search over {target}")
+    reads_sweep = {check_id for check_id, _ in checks if checks[check_id, target]["details"]}
+    expected = {"delta-star-floor", "delta-star-ceiling", "element-order-distances", "parity-even-element"}
+    assert reads_sweep == expected | ({"monoid-davenport-even-cyclic"} if target == "C1000000000" else set())
+
+
 def test_verify_reports_a_capped_rho_as_not_applicable(capsys):
     code, capped, checks, err = run_verify(capsys, "C5", "--rho-cap", "1")
     assert code == EXIT_OK and err == ""
