@@ -70,9 +70,8 @@ from .groups import (
     MAX_DAVENPORT_ORDER,
     Group,
     GroupElement,
-    _classify_subgroup,
     _minimal_zero_sums,
-    _span_mask,
+    _span_type,
     davenport,
     fold_negatives,
     fold_positions,
@@ -191,7 +190,7 @@ def _add_index(group: Group, x: int, y: int) -> int:
 def _signed_multiples(group: Group, f: int, m: int) -> list[int]:
     """The sums (2k - m) f, by index, of the splits of m copies of f into k
     copies of f and m - k of -f, for k = 0..m; the one sum m f when 2f = 0."""
-    neg = group._neg_table
+    neg = group._neg
     if neg[f] == f:
         return [f if m % 2 else 0]
     e = 0
@@ -229,7 +228,7 @@ def _minimal_zero_sum_atom_vectors(group: Group, folded: tuple[int, ...]) -> lis
     rotations of :func:`pmzs.groups.shift_mask`.
     """
     n = len(folded)
-    neg = group._neg_table
+    neg = group._neg
     steps = group._shift_steps
     bits = group.exponent.bit_length()
     offsets = [(n - 1 - j) * bits for j in range(n)]
@@ -252,7 +251,7 @@ def _minimal_zero_sum_atom_vectors(group: Group, folded: tuple[int, ...]) -> lis
                             y = y + up if lo >> y & 1 else y - down
                         merged[y] = merged.get(y, 0) + count * ways
                 sums = merged
-            zero_sums = sum(count * last.get(neg[x], 0) for x, count in sums.items())
+            zero_sums = sum(ways * sums.get(neg[y], 0) for y, ways in last.items())
         else:
             zero_sums = sums.get(0, 0)
         # a lone zero-sum preimage is its own negative; otherwise none is
@@ -325,7 +324,7 @@ def _is_valid_atom_list(
         return False
     listed = set(vectors)
     for pos, gi in enumerate(ground_indices):
-        order = group._order_table[gi]
+        order = group.element_at(gi).order()
         required = (2, order) if order % 2 else (2,)
         if any(tuple(p if i == pos else 0 for i in range(width)) not in listed for p in required):
             return False
@@ -356,7 +355,7 @@ def is_atom(seq: Sequence) -> bool:
     if seq.entries[0][0] == 0:  # entries are sorted by index, so a 0 term comes first
         return len(seq) == 1
     group = seq.group
-    neg = group._neg_table
+    neg = group._neg
     folded, source = fold_positions(group, tuple(idx for idx, _ in seq.entries))
     image = [0] * len(folded)
     for j, (_, m) in zip(source, seq.entries):
@@ -448,12 +447,13 @@ class AtomCache:
 def _span_davenport(group: Group, ground_indices: tuple[int, ...]) -> int:
     """D of the subgroup generated by a folded ground set (<S> = <fold S>), once
     per folded set per process; a refused search raises on every call, since
-    raising caches nothing.  The span is closed and typed on element indices,
-    so no element object is built."""
-    return davenport(_classify_subgroup(group, _span_mask(group, ground_indices)))
+    raising caches nothing.  The type of the span is read from the relation
+    lattice of the ground set's coordinates (:func:`pmzs.groups._span_type`),
+    so neither an element object nor anything of size |G| is built."""
+    return davenport(_span_type(group, [group._coords_of(i) for i in ground_indices]))
 
 
-def check_atom_caps(group: Group, ground_indices: tuple[int, ...], limits: Limits = DEFAULT_LIMITS) -> None:
+def check_atom_caps(group: Group, ground_indices: tuple[int, ...] | None, limits: Limits = DEFAULT_LIMITS) -> None:
     """Refuse atom enumeration over a nonzero ground set S past the caps.
 
     Raises :class:`ResourceLimitError` when fold S, the set the enumeration
@@ -463,14 +463,22 @@ def check_atom_caps(group: Group, ground_indices: tuple[int, ...], limits: Limit
     equal or one is 0.  So when |G| is within the length cap and the
     Davenport-order bound, neither can refuse, and D(<S>) is computed only
     above them.
+
+    ``ground_indices`` None stands for S = G minus 0, which is checked
+    before it is listed.  It spans G, and fold S has (|G| - 1 + t) / 2
+    elements: x and -x are two elements that fold onto one, except for the
+    t = 2^e - 1 nonzero elements with 2x = 0, e the number of even
+    invariant factors.
     """
-    folded = fold_negatives(group, ground_indices)
-    if len(folded) > limits.max_support:
-        raise ResourceLimitError(
-            f"atom enumeration capped at {limits.max_support} support elements, got {len(folded)}"
-        )
+    if ground_indices is None:
+        support = (group.order - 2 + 2 ** group.m_rank(2)) // 2
+    else:
+        folded = fold_negatives(group, ground_indices)
+        support = len(folded)
+    if support > limits.max_support:
+        raise ResourceLimitError(f"atom enumeration capped at {limits.max_support} support elements, got {support}")
     if group.order > min(limits.max_atom_length, MAX_DAVENPORT_ORDER):
-        bound = _span_davenport(group, folded)
+        bound = davenport(group) if ground_indices is None else _span_davenport(group, folded)
         if bound > limits.max_atom_length:
             raise ResourceLimitError(
                 f"atom length bound {bound} exceeds the cap {limits.max_atom_length} for {format_group(group)}"

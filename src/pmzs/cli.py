@@ -20,12 +20,12 @@ import locale  # noqa: F401  (see the gc.freeze() note below)
 import os
 import sys
 from contextlib import nullcontext
-from typing import Callable, Iterable
+from typing import Callable, Iterable, Iterator
 
-from .atoms import AtomCache, atom_length_profile, davenport_monoid, enumerate_atoms
+from .atoms import AtomCache, atom_length_profile, check_atom_caps, davenport_monoid, enumerate_atoms
 from .delta_star import FAIL, NOT_APPLICABLE, delta_star
 from .errors import PmzsError, ResourceLimitError
-from .groups import davenport, group_invariants
+from .groups import GroupElement, davenport, group_invariants
 from .limits import DEFAULT_LIMITS, Limits
 from .notation import (
     format_group,
@@ -183,10 +183,19 @@ def _cache_from(args) -> AtomCache | None:
     return AtomCache(args.cache_dir) if args.cache_dir else None
 
 
-def _subset_from(args, group):
+def _subset_from(args, group) -> Iterable[GroupElement]:
+    """The elements of the subset argument; ``all`` is G minus 0, a generator
+    that lists nothing until it is read, and then only once
+    :func:`check_atom_caps` admits it.  So G minus 0 is refused from its size
+    alone, and ``rho`` at k = 1 or past its cap lists nothing."""
     if args.subset == "all":
-        return tuple(group.element_at(i) for i in range(1, group.order))
+        return _nonzero_elements(group, _limits_from(args))
     return parse_subset(group, args.subset)
+
+
+def _nonzero_elements(group, limits: Limits) -> Iterator[GroupElement]:
+    check_atom_caps(group, None, limits)
+    yield from map(group.element_at, range(1, group.order))
 
 
 def _emit(
@@ -277,7 +286,7 @@ def _cmd_atoms(args) -> int:
 
 def _cmd_min_delta(args) -> int:
     group = parse_group(args.group)
-    subset = _subset_from(args, group)
+    subset = tuple(_subset_from(args, group))
     atoms = enumerate_atoms(group, subset, limits=_limits_from(args), cache=_cache_from(args))
     value = min_delta_of_atoms(atoms)
     payload = {
@@ -350,7 +359,7 @@ def _cmd_davenport(args) -> int:
         payload = {"group": format_group(group), "davenport_group": value}
         _emit(args, payload, lambda: [f"D({format_group(group)}) = {value}"])
     else:
-        subset = _subset_from(args, group)
+        subset = tuple(_subset_from(args, group))
         value = davenport_monoid(group, subset, limits=_limits_from(args), cache=_cache_from(args))
         payload = {
             "group": format_group(group),

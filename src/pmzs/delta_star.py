@@ -66,7 +66,8 @@ def folded_automorphisms(group: Group) -> list[tuple[int, ...]]:
     automorphisms unless negation is the identity.
     """
     auts = automorphisms(group)  # refused before any table is built
-    fold = [min(j, neg) for j, neg in enumerate(group._neg_table)]
+    neg = group._neg
+    fold = [min(j, neg[j]) for j in range(group.order)]
     return list({tuple(map(fold.__getitem__, perm)) for perm in auts})
 
 

@@ -8,14 +8,15 @@ blocks of n_k * stride_k consecutive indices (stride_k the product of the
 later factors), and adding c to that coordinate rotates every block by
 c * stride_k bits, which is one masked shift each way.
 
-A group builds its elements once, on first use, and hands out the same
-object for an index every time.  Subgroup spans are closed on bitmasks too:
-the span of a generating set ORs in the block rotations of the current mask
-by each generator and its doublings, and its abstract type is read from
-popcounts of that mask against the elements killed by each divisor of the
-order.  Only the automorphism search builds the |G| x |G| addition table.
-The rotations that translate by an element are built the first time a mask
-is translated by it, since each holds two |G|-bit masks.
+Every fact about an element index (its element object, its negative, the
+rotations that translate a bitmask by it) is computed from the index's
+coordinates on its first lookup and memoized per index (:class:`_IndexMemo`),
+so a group hands out the same object for an index every time and builds
+nothing for the elements no one asks about.  The abstract type of a subgroup
+<S> is read from the relation lattice of S (:func:`_span_type`), with no
+table at all; so a cap that needs D(<S>) refuses before anything of size |G|
+is built.  Only the automorphism search, after its work cap, builds the
+|G| x |G| addition table.
 """
 
 from __future__ import annotations
@@ -24,7 +25,7 @@ import math
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
 from itertools import product
-from typing import Iterable, Iterator
+from typing import Callable, Iterable, Iterator, Sequence as SequenceABC
 
 from .errors import DomainError, ResourceLimitError
 
@@ -149,51 +150,36 @@ class Group:
             idx = idx * n + c
         return idx
 
-    # -- dense arithmetic tables ----------------------------------------------
+    def _coords_of(self, index: int) -> tuple[int, ...]:
+        """The coordinate vector of an element index (the inverse of :meth:`index_of`)."""
+        coords = []
+        for n in reversed(self.invariant_factors):
+            index, c = divmod(index, n)
+            coords.append(c)
+        return tuple(reversed(coords))
+
+    # -- per-index memos and the addition table --------------------------------
 
     def _coords(self) -> Iterator[tuple[int, ...]]:
         """The coordinate vectors of the elements, in index order."""
         return product(*(range(n) for n in self.invariant_factors))
 
     @cached_property
-    def _elements(self) -> tuple["GroupElement", ...]:
-        """The elements by index, built once so that :meth:`element_at` hands
+    def _elements(self) -> "_IndexMemo":
+        """The element object of each index, so that :meth:`element_at` hands
         out the same object for an index every time."""
-        return tuple(GroupElement(self, coords) for coords in self._coords())
+        return _IndexMemo(lambda i: GroupElement(self, self._coords_of(i)))
 
     @cached_property
-    def _order_table(self) -> tuple[int, ...]:
-        """Element orders by index."""
-        return tuple(
-            math.lcm(*(n // math.gcd(n, c) for c, n in zip(coords, self.invariant_factors)))
-            for coords in self._coords()
-        )
+    def _neg(self) -> "_IndexMemo":
+        """The index of the negative of each index."""
+        factors = self.invariant_factors
+        return _IndexMemo(lambda i: self.index_of(tuple(-c % n for c, n in zip(self._coords_of(i), factors))))
 
     @cached_property
-    def _killed_by(self) -> dict[int, int]:
-        """For each divisor d of the order, the bitmask of the elements x with d * x = 0,
-        that is, of those whose order divides d."""
-        by_order: dict[int, int] = {}
-        for i, o in enumerate(self._order_table):
-            by_order[o] = by_order.get(o, 0) | 1 << i
-        return {
-            d: sum(mask for o, mask in by_order.items() if d % o == 0)
-            for d in range(1, self.order + 1)
-            if self.order % d == 0
-        }
-
-    @cached_property
-    def _shift_steps(self) -> "_ShiftSteps":
-        """Per element index, the block rotations that translate a bitmask by
-        it, built on first use (see :class:`_ShiftSteps`)."""
-        return _ShiftSteps(self.invariant_factors)
-
-    @cached_property
-    def _neg_table(self) -> tuple[int, ...]:
-        return tuple(
-            self.index_of(tuple((-c) % n for c, n in zip(coords, self.invariant_factors)))
-            for coords in self._coords()
-        )
+    def _shift_steps(self) -> "_IndexMemo":
+        """The block rotations that translate a bitmask by each index (see :func:`_rotations`)."""
+        return _IndexMemo(_rotations(self.invariant_factors))
 
     @cached_property
     def _add_table(self) -> tuple[tuple[int, ...], ...]:
@@ -221,47 +207,53 @@ class Group:
         return _canonical_group, (self.invariant_factors,)
 
 
-class _ShiftSteps(dict):
-    """Element index -> the block rotations that translate a bitmask by that
-    element, each built on its first lookup.
+class _IndexMemo(dict):
+    """Element index -> a fact about that element, computed by ``fact`` on its
+    first lookup and kept, so only the indices asked about are ever computed."""
+
+    __slots__ = ("_fact",)
+
+    def __init__(self, fact: Callable[[int], object]):
+        super().__init__()
+        self._fact = fact
+
+    def __missing__(self, index: int):
+        value = self[index] = self._fact(index)
+        return value
+
+
+def _rotations(factors: tuple[int, ...]) -> Callable[[int], tuple[tuple[int, int, int, int], ...]]:
+    """The map from an element index to the block rotations that translate a
+    bitmask by that element.
 
     A step ``(lo, up, hi, down)`` adds c to coordinate k: ``lo`` holds the
     indices whose coordinate k is below n_k - c, which move up by
     ``up = c * stride_k`` bits, and ``hi`` the rest, which wrap down by
     ``down = (n_k - c) * stride_k`` bits.  An element's tuple has one step per
     nonzero coordinate.  The steps are built per (k, c) and shared by the
-    elements.  Each holds two |G|-bit masks, so building them only for the
-    elements actually shifted by keeps a span of one generator, as in a
-    refusal over a large cyclic group, at two masks instead of 2(|G| - 1).
+    elements.  Each holds two |G|-bit masks, so a memo of this map builds
+    them only for the elements actually shifted by.
     """
+    order = math.prod(factors)
+    full = (1 << order) - 1
+    radix = []  # per coordinate: (n_k, stride_k, a 1 at the start of every block)
+    stride = order
+    for n in factors:
+        stride //= n
+        radix.append((n, stride, full // ((1 << (n * stride)) - 1)))
+    steps: dict[tuple[int, int], tuple[int, int, int, int]] = {}
 
-    def __init__(self, factors: tuple[int, ...]):
-        super().__init__()
-        order = math.prod(factors)
-        self._full = (1 << order) - 1
-        self._radix = []  # per coordinate: (n_k, stride_k, a 1 at the start of every block)
-        stride = order
-        for n in factors:
-            stride //= n
-            self._radix.append((n, stride, self._full // ((1 << (n * stride)) - 1)))
-        self._steps: dict[tuple[int, int], tuple[int, int, int, int]] = {}
-
-    def _step(self, k: int, c: int) -> tuple[int, int, int, int]:
-        step = self._steps.get((k, c))
-        if step is None:
-            n, stride, repeat = self._radix[k]
+    def step(k: int, c: int) -> tuple[int, int, int, int]:
+        found = steps.get((k, c))
+        if found is None:
+            n, stride, repeat = radix[k]
             lo = ((1 << ((n - c) * stride)) - 1) * repeat
-            step = self._steps[k, c] = (lo, c * stride, self._full ^ lo, (n - c) * stride)
-        return step
+            found = steps[k, c] = (lo, c * stride, full ^ lo, (n - c) * stride)
+        return found
 
-    def __missing__(self, index: int) -> tuple[tuple[int, int, int, int], ...]:
-        steps = tuple(
-            self._step(k, c)
-            for k, (n, stride, _) in enumerate(self._radix)
-            if (c := index // stride % n)
-        )
-        self[index] = steps
-        return steps
+    return lambda index: tuple(
+        step(k, c) for k, (n, stride, _) in enumerate(radix) if (c := index // stride % n)
+    )
 
 
 @lru_cache(maxsize=None)
@@ -396,7 +388,7 @@ class ElementSet:
         return ElementSet(self.group, shift_mask(self.group, self.mask, g.index))
 
     def negate(self) -> "ElementSet":
-        neg = self.group._neg_table
+        neg = self.group._neg
         out = 0
         m = self.mask
         while m:
@@ -433,7 +425,7 @@ def signed_shift_mask(group: Group, mask: int, gi: int) -> int:
     plus = minus = mask
     for lo, up, hi, down in steps[gi]:
         plus = (plus & lo) << up | (plus & hi) >> down
-    for lo, up, hi, down in steps[group._neg_table[gi]]:
+    for lo, up, hi, down in steps[group._neg[gi]]:
         minus = (minus & lo) << up | (minus & hi) >> down
     return plus | minus
 
@@ -441,14 +433,14 @@ def signed_shift_mask(group: Group, mask: int, gi: int) -> int:
 def is_independent(elements: Iterable[GroupElement]) -> bool:
     """True iff sum(ai * ei) = 0 forces every ai * ei = 0.
 
-    Decided by comparing |<e1, ..., es>| with prod(ord(ei)).
+    Decided by comparing |<e1, ..., es>|, read from its type
+    (:func:`_span_type`), with prod(ord(ei)).
     """
     elems = list(elements)
     if not elems:
         return True
     group = elems[0].group
-    closure, _ = subgroup_generated(group, elems)
-    return len(closure) == math.prod(g.order() for g in elems)
+    return _span_type(group, _generator_coords(group, elems)).order == math.prod(g.order() for g in elems)
 
 
 def subgroup_generated(group: Group, elements: Iterable[GroupElement]) -> tuple[ElementSet, Group]:
@@ -458,14 +450,19 @@ def subgroup_generated(group: Group, elements: Iterable[GroupElement]) -> tuple[
     by ORing in translates of the mask (block rotations, see
     :func:`shift_mask`) by it and its doublings until the mask stops changing
     (see :func:`_span_mask`).  In a finite group a set closed under adding
-    each generator is the subgroup they span.
+    each generator is the subgroup they span.  The type comes from the
+    relation lattice of the generators (:func:`_span_type`), not from the mask.
     """
     elements = list(elements)
+    kind = _span_type(group, _generator_coords(group, elements))
+    return ElementSet(group, _span_mask(group, tuple(g.index for g in elements))), kind
+
+
+def _generator_coords(group: Group, elements: list[GroupElement]) -> list[tuple[int, ...]]:
     for g in elements:
         if g.group != group:
             raise DomainError("generators must belong to the given group")
-    mask = _span_mask(group, tuple(g.index for g in elements))
-    return ElementSet(group, mask), _classify_subgroup(group, mask)
+    return [g.coords for g in elements]
 
 
 def _span_mask(group: Group, indices: tuple[int, ...]) -> int:
@@ -485,24 +482,67 @@ def _span_mask(group: Group, indices: tuple[int, ...]) -> int:
     return mask
 
 
-def _classify_subgroup(group: Group, mask: int) -> Group:
-    """Identify the abstract type of a subgroup given as a bitmask of element indices.
+def _echelon_rows(vectors: Iterable[SequenceABC[int]]) -> dict[int, list[int]]:
+    """An echelon basis of the lattice the vectors span, as its rows by pivot column.
 
-    A finite abelian group H is determined by the counts |{x in H : d x = 0}|
-    over the divisors d of |H|, which for H = C_{n1} + ... + C_{nr} are
-    prod_i gcd(ni, d).  Each count is a popcount of the subgroup's mask
-    against the elements of G killed by d.
+    Each vector is reduced against the rows in column order.  Where a row
+    already holds a pivot in the vector's leading column, Euclid's algorithm
+    runs on the two: the vector minus the quotient times the row, and while
+    that leaves the vector's entry nonzero, the two swap and go on.  So a
+    vector whose entry the row's pivot divides leaves the row as it is.  Each
+    step is unimodular, so the rows keep spanning the same lattice.  A vector
+    with no row at its leading column becomes that row.  A pivot may be
+    negative.  A row's entries before its pivot are 0, so the rows with pivot
+    at column c or later span the lattice vectors that vanish before c.
     """
-    m = mask.bit_count()
-    if m == 1:
-        return _canonical_group(())
-    killed_by = group._killed_by
-    divisors = [d for d in range(1, m + 1) if m % d == 0]
-    counts = {d: (mask & killed_by[d]).bit_count() for d in divisors}
-    for factors in abelian_group_types(m):
-        if all(counts[d] == math.prod(math.gcd(n, d) for n in factors) for d in divisors):
-            return _canonical_group(factors)
-    raise AssertionError(f"no abelian type of order {m} matches the subgroup fingerprint")
+    rows: dict[int, list[int]] = {}
+    for vec in vectors:
+        v = list(vec)
+        for c in range(len(v)):
+            if not v[c]:
+                continue
+            row = rows.get(c)
+            if row is None:
+                rows[c] = v
+                break
+            while v[c]:
+                q = v[c] // row[c]
+                v = [a - q * b for a, b in zip(v, row)]
+                if v[c]:
+                    row, v = v, row
+            rows[c] = row
+    return rows
+
+
+def _span_type(group: Group, generators: list[tuple[int, ...]]) -> Group:
+    """The abstract type of the subgroup <S> spanned by elements given by
+    their coordinates, from the Smith form of the relations of S (Cohen, *A
+    Course in Computational Algebraic Number Theory*, 2.4).
+
+    With s_1..s_m the generators, <S> = Z^m / K for K the lattice of the a
+    with sum a_i s_i = 0.  The rows (s_i | e_i) and (n_j e_j | 0) span the
+    vectors (sum a_i s_i + sum b_j n_j e_j | a), and those that vanish on
+    the r coordinate columns are exactly (0 | K).  So in an echelon basis
+    (:func:`_echelon_rows`) the rows with pivot past the coordinate columns
+    are a basis of K.  K holds ord(s_i) e_i, so it has rank m.  Echelon forms
+    of K's basis and of its transpose in alternation, each a unimodular
+    change of rows or columns that keeps the Smith form, reach a diagonal
+    matrix: each pass makes the first pivot the gcd of its column, so its
+    size falls until it divides the first row too, and then that row and
+    column clear and stay clear.  <S> is the sum of the cyclic groups of
+    order |d| over the diagonal.  No element is listed, so nothing of size
+    |G| is built.
+    """
+    factors = group.invariant_factors
+    r, m = len(factors), len(generators)
+    rows = [list(s) + [int(i == j) for j in range(m)] for i, s in enumerate(generators)]
+    rows += [[n * (j == k) for k in range(r + m)] for j, n in enumerate(factors)]
+    lattice = _echelon_rows(rows)
+    relations = [lattice[c][r:] for c in sorted(lattice) if c >= r]
+    while any(x for i, row in enumerate(relations) for j, x in enumerate(row) if i != j):
+        echelon = _echelon_rows(zip(*relations))
+        relations = [echelon[c] for c in sorted(echelon)]
+    return make_group(d for i, row in enumerate(relations) if (d := abs(row[i])) > 1)
 
 
 def fold_negatives(group: Group, indices: Iterable[int]) -> tuple[int, ...]:
@@ -513,7 +553,7 @@ def fold_negatives(group: Group, indices: Iterable[int]) -> tuple[int, ...]:
     from the resulting monoid; folding is therefore safe for any invariant
     derived from lengths (minimal distance, Davenport constant, rho_k).
     """
-    neg = group._neg_table
+    neg = group._neg
     return tuple(sorted({min(i, neg[i]) for i in indices}))
 
 
@@ -521,7 +561,7 @@ def fold_positions(group: Group, indices: tuple[int, ...]) -> tuple[tuple[int, .
     """``fold_negatives(group, indices)``, and the position in it of each given
     index's image min(i, index of -i)."""
     folded = fold_negatives(group, indices)
-    neg = group._neg_table
+    neg = group._neg
     slot = {f: j for j, f in enumerate(folded)}
     return folded, tuple(slot[min(i, neg[i])] for i in indices)
 
@@ -577,7 +617,7 @@ def _minimal_zero_sums(group: Group, folded: tuple[int, ...], weights: tuple[int
     for sequences of elements of order 2, which come last.
     """
     steps = group._shift_steps
-    neg = group._neg_table
+    neg = group._neg
     elements: list[int] = []
     keys: list[int] = []
     heads: list[int] = []  # the positions of the elements of F
@@ -674,7 +714,7 @@ def automorphisms(group: Group, *, max_work: int = 2**22) -> list[tuple[int, ...
     if group.order == 1:
         return [()]
     add = group._add_table
-    orders = group._order_table
+    orders = [x.order() for x in group.elements()]
     # the multiples 0, gi, 2 gi, ... of each candidate image of ei
     candidates = []
     for n in factors:

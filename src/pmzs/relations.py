@@ -13,8 +13,9 @@ vectors of Lambda that vanish off the length coordinate are exactly 0 x dZ.
 In an echelon basis of Lambda those are the multiples of the row whose pivot
 lies in the length column, so d is that last pivot, and no row there means
 an empty distance set.  The basis is built one atom at a time and holds at
-most one row per coordinate.  :func:`_echelon_rows` is the one lattice
-routine here; the tests check it against a kernel basis.
+most one row per coordinate.  :func:`pmzs.groups._echelon_rows` is the one
+lattice routine of the package (it also types subgroup spans); the tests
+check it against a kernel basis.
 
 Every invariant here reads the atoms over the folded ground set that an
 :class:`~pmzs.atoms.AtomSet` holds: the fold is a transfer homomorphism (see
@@ -25,42 +26,15 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import chain, combinations_with_replacement, product
-from typing import Iterable, Sequence as SequenceABC
+from typing import Iterable
 
 from .atoms import AtomCache, AtomSet, enumerate_atoms, atom_length_profile
 from .errors import DomainError, ResourceLimitError
-from .groups import Group, GroupElement
+from .groups import Group, GroupElement, _echelon_rows
 from .limits import DEFAULT_LIMITS, Limits
 from .sequences import Sequence
 
 ZERO_ATOM = -1  # marker index for the prime atom (0) in factorization listings
-
-
-def _echelon_rows(vectors: Iterable[SequenceABC[int]]) -> dict[int, list[int]]:
-    """An echelon basis of the lattice the vectors span, as its rows by pivot column.
-
-    Each vector is reduced against the rows in column order.  Where a row
-    already holds a pivot in its leading column, Euclid's algorithm runs on
-    the two: the row minus the quotient times the vector, then swap, until
-    the vector's entry is 0.  Each step is unimodular, so the rows keep
-    spanning the same lattice.  A vector with no row at its leading column
-    becomes that row.  A pivot may be negative.
-    """
-    rows: dict[int, list[int]] = {}
-    for vec in vectors:
-        v = list(vec)
-        for c in range(len(v)):
-            if not v[c]:
-                continue
-            row = rows.get(c)
-            if row is None:
-                rows[c] = v
-                break
-            while v[c]:
-                q = row[c] // v[c]
-                row, v = v, [a - q * b for a, b in zip(row, v)]
-            rows[c] = row
-    return rows
 
 
 def min_delta_of_atoms(atom_set: AtomSet) -> int | None:

@@ -161,7 +161,7 @@ def _single_generator_law(limits: Limits) -> CheckReport:
     def compute():
         failures = []
         for group in small_groups(16):
-            neg = group._neg_table
+            neg = group._neg
             by_fold: dict[int, tuple[list[int], int | None]] = {}
             for i in range(1, group.order):
                 g = group.element_at(i)

@@ -16,8 +16,10 @@ from __future__ import annotations
 import math
 import os
 import random
+import resource
 import subprocess
 import sys
+import time
 from collections import Counter
 from itertools import combinations_with_replacement, product
 from pathlib import Path
@@ -37,14 +39,38 @@ def run_fresh(snippet: str, *args: str, env: dict[str, str] | None = None) -> st
     ``PYTHONPATH=src`` and every ``PMZS_*`` variable removed.  ``args``
     become ``sys.argv[1:]``, and ``env`` adds variables.
     """
-    child_env = {k: v for k, v in os.environ.items() if not k.startswith("PMZS_")}
-    child_env["PYTHONPATH"] = str(REPO / "src")
-    child_env.update(env or {})
     done = subprocess.run(
-        [sys.executable, "-c", snippet, *args], cwd=REPO, env=child_env, capture_output=True, text=True
+        [sys.executable, "-c", snippet, *args], cwd=REPO, env=_child_env(env), capture_output=True, text=True
     )
     assert done.returncode == 0, done.stderr
     return done.stdout
+
+
+def run_cli_limited(*argv: str, memory_mb: int = 256) -> tuple[int, str, float]:
+    """Run ``pmzs.cli`` with the given argv in a new interpreter whose address
+    space is capped at ``memory_mb`` (``RLIMIT_AS``, set in the child before
+    it starts; the limit covers that one process only), started as
+    :func:`run_fresh` starts its interpreter.  Returns the exit code, stderr
+    and the wall-clock seconds the child took, start-up included.
+    """
+    limit = memory_mb << 20
+
+    def cap_memory() -> None:
+        resource.setrlimit(resource.RLIMIT_AS, (limit, limit))
+
+    start = time.perf_counter()
+    done = subprocess.run(
+        [sys.executable, "-m", "pmzs.cli", *argv],
+        cwd=REPO, env=_child_env(None), capture_output=True, text=True, preexec_fn=cap_memory,
+    )
+    return done.returncode, done.stderr, time.perf_counter() - start
+
+
+def _child_env(env: dict[str, str] | None) -> dict[str, str]:
+    child_env = {k: v for k, v in os.environ.items() if not k.startswith("PMZS_")}
+    child_env["PYTHONPATH"] = str(REPO / "src")
+    child_env.update(env or {})
+    return child_env
 
 
 def small_group_list(max_order: int) -> list[Group]:
@@ -60,7 +86,7 @@ def mixed_unfolded_grounds(max_order: int, per_group: int, seed: int):
     """
     rng = random.Random(seed)
     for group in small_group_list(max_order):
-        neg = group._neg_table
+        neg = group._neg
         pairs = [i for i in range(1, group.order) if i < neg[i]]
         involutions = [i for i in range(1, group.order) if i == neg[i]]
         for _ in range(per_group):
@@ -162,7 +188,7 @@ def brute_minimal_zero_sums(group: Group, folded: tuple[int, ...]) -> dict[tuple
     addition table, and a zero sum is kept when no proper nonempty
     sub-multiset sums to 0.
     """
-    add, neg = group._add_table, group._neg_table
+    add, neg = group._add_table, group._neg
     slot = {}
     for j, f in enumerate(folded):
         slot[f] = slot[neg[f]] = j

@@ -134,7 +134,7 @@ def test_lifted_atoms_match_unpruned_enumeration_on_mixed_subsets():
     # order-2 elements, each present in many of the ground sets
     kinds = {"pair": 0, "lone": 0, "order 2": 0}
     for group, ground in mixed_unfolded_grounds(16, per_group=3, seed=41):
-        neg = group._neg_table
+        neg = group._neg
         kinds["pair"] += any(neg[i] > i and neg[i] in ground for i in ground)
         kinds["lone"] += any(neg[i] < i and neg[i] not in ground for i in ground)
         kinds["order 2"] += any(neg[i] == i for i in ground)
@@ -147,7 +147,7 @@ def _earlier_atom_rule(group, folded):
     """The atoms over a folded ground set by the earlier-atom rule, each
     coordinate capped at min(D(<S>), ord g), as the test oracle."""
     bound = _span_davenport(group, folded)
-    caps = tuple(min(bound, group._order_table[gi]) for gi in folded)
+    caps = tuple(min(bound, group.element_at(gi).order()) for gi in folded)
     return _enumerate_atom_vectors(group, folded, bound, caps)
 
 
@@ -461,6 +461,28 @@ def test_atom_caps_refuse_exactly_where_the_span_davenport_constant_does():
             kind = next((k for k in ("support", "length", "Davenport search") if k in (got or "")), "admitted")
             outcomes[kind] += 1
     assert min(outcomes.values()) >= 2, outcomes
+
+
+def test_atom_caps_on_g_minus_0_before_it_is_listed_match_the_listed_set():
+    # None stands for G minus 0, whose fold size (|G| - 1 + t) / 2 and span G
+    # come from the invariant factors; the refusals and messages are those of
+    # the listed set, on every group of order <= 128 at four pairs of caps
+    refused = 0
+    for group in small_group_list(128):
+        nonzero = tuple(range(1, group.order))
+        for max_atom_length, max_support in product((6, 64), (8, 64)):
+            limits = Limits(max_atom_length=max_atom_length, max_support=max_support)
+            outcomes = []
+            for ground in (None, nonzero):
+                try:
+                    check_atom_caps(group, ground, limits)
+                    outcomes.append(None)
+                except ResourceLimitError as exc:
+                    outcomes.append(str(exc))
+            assert outcomes[0] == outcomes[1], (format_group(group), limits)
+            refused += outcomes[0] is not None
+        assert (group.order - 2 + 2 ** group.m_rank(2)) // 2 == len(fold_negatives(group, nonzero))
+    assert refused >= 100
 
 
 def test_verify_computes_the_span_davenport_constant_only_where_a_bound_is_read(monkeypatch):

@@ -10,7 +10,7 @@ import pytest
 import pmzs.cli
 from pmzs import DEFAULT_LIMITS, Group, ResourceLimitError, min_delta
 from pmzs.cli import EXIT_DOMAIN, EXIT_OK, EXIT_RESOURCE, EXIT_VERIFY, _build_parser, _limits_from, main
-from helpers import run_fresh
+from helpers import run_cli_limited, run_fresh
 
 
 def run_cli(capsys, *argv):
@@ -189,18 +189,45 @@ def test_min_delta_refuses_a_long_atom_bound_at_once(capsys):
 
 def test_refusal_builds_shift_steps_only_for_its_generator():
     # each element's steps hold two |G|-bit masks, so building them for every
-    # element would take |G|^2 / 4 bytes before the refusal; the span takes
-    # its generator in by doubling, so only the steps of e, 2e, 4e, ... are
-    # built, and it is closed and typed on indices, so no element object is
-    # built either
+    # element would take |G|^2 / 4 bytes before the refusal; the span is typed
+    # from the relation lattice of its generator's coordinates, so the
+    # refusal builds no shift step and no element object at all
     from pmzs.atoms import _span_davenport
 
     _span_davenport.cache_clear()  # C3000 refused above: a memo hit would build nothing
     g = Group((3000,))
     with pytest.raises(ResourceLimitError, match="exceeds the cap"):
         min_delta(g, [g.element(1)])
-    assert set(vars(g)["_shift_steps"]) == {2**j % 3000 for j in range(3000 .bit_length() + 1)}
-    assert "_elements" not in vars(g)
+    assert not vars(g).get("_shift_steps") and not vars(g).get("_elements")
+    assert set(vars(g)["_neg"]) == {1}  # the fold read the negative of its one element
+
+
+@pytest.mark.parametrize("argv, message", [
+    (("min-delta", "C1000000000", "[(1)]"), "atom length bound 1000000000 exceeds the cap 20 for C1000000000"),
+    (("min-delta", "C2xC500000000", "[(1,1)]"), "atom length bound 500000000 exceeds the cap 20 for C2xC500000000"),
+    (("atoms", "C1000000000", "[(1)]"), "atom length bound 1000000000 exceeds the cap 20 for C1000000000"),
+    (("lengths", "C1000000000", "[(1)^1000000000]"), "atom length bound 1000000000 exceeds the cap 20"),
+    (("rho", "C1000000000"), "atom enumeration capped at 8 support elements, got 500000000"),
+    (("atoms", "C1000000000", "all"), "atom enumeration capped at 8 support elements, got 500000000"),
+])
+def test_refusals_over_huge_groups_build_nothing_of_size_g(argv, message):
+    # each cap needs only the fold size or D(<S>), so a child whose address
+    # space is capped at 256 MB refuses at once, where listing G (or any
+    # table of |G| entries) would end in a MemoryError traceback
+    code, err, seconds = run_cli_limited(*argv, memory_mb=256)
+    assert code == EXIT_RESOURCE and message in err and "Traceback" not in err, err
+    assert seconds < 1.0
+
+
+def test_g_minus_0_is_listed_only_when_a_command_reads_it(capsys):
+    # rho reads no subset at k = 1 or past its cap, so G minus 0 is neither
+    # listed nor refused there; a small G minus 0 is listed as before
+    assert run_cli_limited("rho", "C1000000000", "-k", "1")[:2] == (EXIT_OK, "")
+    code, err, _ = run_cli_limited("rho", "C1000000000", "-k", "4")
+    assert code == EXIT_RESOURCE and "rho_k capped at k <= 3, got 4" in err and "Traceback" not in err
+    assert run_cli(capsys, "rho", "C13", "-k", "1")[:2] == (EXIT_OK, "rho_1 = 1\n")
+    code, out, _ = run_cli(capsys, "min-delta", "C5", "all", "--format", "json")
+    assert code == EXIT_OK and json.loads(out)["subset"] == [[1], [2], [3], [4]]
 
 
 def test_davenport_command(capsys):
@@ -282,12 +309,16 @@ def test_verify_reports_a_refused_sweep_as_not_applicable(capsys):
 @pytest.mark.parametrize("target", ["C1000000000", "C2xC500000"])
 def test_verify_lists_no_element_of_a_refused_group(capsys, monkeypatch, target):
     # G minus 0 and D(B(G)) read the sweep first, so a group whose sweep is
-    # refused is reported without walking its elements (every table of size
-    # |G| is built from Group._coords)
+    # refused is reported without walking its elements (the addition table
+    # is built from Group._coords) and without filling a per-index memo
     monkeypatch.setattr(Group, "_coords", lambda self: pytest.fail(f"walked the elements of {self}"))
+    group = pmzs.cli.parse_group(target)
+    memos = ("_elements", "_neg", "_shift_steps")
+    filled = [len(vars(group).get(memo, ())) for memo in memos]
     start = time.perf_counter()
     code, data, checks, err = run_verify(capsys, target)
     assert time.perf_counter() - start < 1.0
+    assert [len(vars(group).get(memo, ())) for memo in memos] == filled
     assert code == EXIT_OK and err == "" and data["sweeps"] == {}
     assert data["counts"] == {"pass": 0, "fail": 0, "not_applicable": len(checks)}
     for check in checks.values():

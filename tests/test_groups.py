@@ -55,8 +55,8 @@ def test_group_pickles_as_its_invariant_factors():
     g = make_group([4, 4])
     size = len(pickle.dumps(g))
     assert pickle.loads(pickle.dumps(g)) is g
-    delta_star(g)  # builds the element, negation and addition tables
-    assert {"_elements", "_neg_table", "_add_table"} <= set(vars(g))
+    delta_star(g)  # fills the element and negation memos and builds the addition table
+    assert {"_elements", "_neg", "_add_table"} <= set(vars(g))
     data = pickle.dumps(g)
     assert len(data) == size and pickle.loads(data) is g
     element = pickle.loads(pickle.dumps(g.element(1, 3)))
@@ -89,8 +89,14 @@ def test_element_order():
         assert x.order() * 1 >= 1
         assert (x.order() * x).is_zero
         assert g.exponent % x.order() == 0
+    # per index, against the least k >= 1 with k * x = 0 found by adding x
     for g in [make_group([])] + small_group_list(32):
-        assert g._order_table == tuple(x.order() for x in g.elements()), str(g)
+        for i in range(g.order):
+            x = y = g.element_at(i)
+            k = 1
+            while not y.is_zero:
+                y, k = y + x, k + 1
+            assert x.order() == k, (str(g), i)
 
 
 def test_shift_mask_matches_bit_loop():
@@ -100,7 +106,7 @@ def test_shift_mask_matches_bit_loop():
     for g in [make_group([])] + small_group_list(32):
         full = (1 << g.order) - 1
         for gi in range(g.order):
-            neg = g._neg_table[gi]
+            neg = g._neg[gi]
             for mask in (1, full, *(rng.getrandbits(g.order) for _ in range(3))):
                 assert shift_mask(g, mask, gi) == brute_shift_mask(g, mask, gi), (str(g), gi, mask)
                 signed = brute_shift_mask(g, mask, gi) | brute_shift_mask(g, mask, neg)
@@ -144,17 +150,44 @@ def test_subgroup_generated():
 
 
 def test_subgroup_generated_matches_breadth_first_oracle():
-    # the bitmask fixpoint and the popcount type against a search over the
-    # addition table: the empty set, every singleton, random sets of 2-4
+    # the bitmask fixpoint and the relation-lattice type against a search over
+    # the addition table: the empty set, every singleton, random sets of 2-4
+    # up to order 32, and random families of 5-8 generators up to order 64
     rng = random.Random(43)
-    for g in [make_group([])] + small_group_list(32):
-        gen_sets = [[]] + [[i] for i in range(g.order)]
-        if g.order > 1:
+    for g in [make_group([])] + small_group_list(64):
+        gen_sets = []
+        if g.order <= 32:
+            gen_sets += [[]] + [[i] for i in range(g.order)]
+        if 1 < g.order <= 32:
             gen_sets += [[rng.randrange(g.order) for _ in range(rng.randint(2, 4))] for _ in range(6)]
+        if g.order > 1:
+            gen_sets += [[rng.randrange(g.order) for _ in range(rng.randint(5, 8))] for _ in range(3)]
         for gens in gen_sets:
             closure, kind = subgroup_generated(g, [g.element_at(i) for i in gens])
             mask, factors = brute_subgroup_generated(g, gens)
             assert closure.mask == mask and kind.invariant_factors == factors, (str(g), gens)
+
+
+def test_echelon_step_keeps_a_row_whose_pivot_divides_the_vector():
+    # the vector is reduced by the row first, so a pivot of equal size and
+    # opposite sign leaves the row in place; were the two swapped, the
+    # alternation of row and column echelon forms in _span_type would cycle
+    # on [[2, -2], [0, -2]] (its transpose holds these two rows)
+    assert groups._echelon_rows([[2, 0], [-2, -2]]) == {0: [2, 0], 1: [0, -2]}
+    assert groups._echelon_rows([[4, 1], [6, 0]]) == {0: [2, -1], 1: [0, 3]}
+    g = make_group([2, 4])
+    assert groups._span_type(g, [(1, 2), (0, 2), (1, 0)]) == make_group([2, 2])
+
+
+@pytest.mark.parametrize("n", [10**9, 10**12])
+def test_span_type_of_one_element_of_a_huge_cyclic_group(n):
+    # <k> in C_n is cyclic of order n / gcd(n, k), read from the relation
+    # lattice without listing an element
+    g = groups.Group((n,))
+    for k in (1, 2, 3, 6, 7, 10**6, n // 8, n - 1, 2 * 3 * 5 * 7 * 11 * 13):
+        assert groups._span_type(g, [(k,)]) == make_group([n // math.gcd(n, k)]), k
+    assert is_independent([g.element(1)]) and not is_independent([g.element(2), g.element(3)])
+    assert not any(vars(g).get(memo) for memo in ("_elements", "_neg", "_shift_steps"))
 
 
 def test_span_takes_a_generator_in_by_doubling(monkeypatch):

@@ -281,7 +281,7 @@ def _listing_instances(seed):
     and, where the group has one, an element of order 2."""
     rng = random.Random(seed)
     for group in small_group_list(12):
-        neg = group._neg_table
+        neg = group._neg
         pairs = [i for i in range(1, group.order) if i < neg[i]]
         involutions = [i for i in range(1, group.order) if i == neg[i]]
         for _ in range(2):
