@@ -150,13 +150,19 @@ class Group:
             idx = idx * n + c
         return idx
 
+    @cached_property
+    def _radix(self) -> tuple[tuple[int, int], ...]:
+        """Per coordinate k, (n_k, stride_k): stride_k is the product of the
+        later factors, so coordinate k of an index i is i // stride_k % n_k."""
+        radix, stride = [], self.order
+        for n in self.invariant_factors:
+            stride //= n
+            radix.append((n, stride))
+        return tuple(radix)
+
     def _coords_of(self, index: int) -> tuple[int, ...]:
         """The coordinate vector of an element index (the inverse of :meth:`index_of`)."""
-        coords = []
-        for n in reversed(self.invariant_factors):
-            index, c = divmod(index, n)
-            coords.append(c)
-        return tuple(reversed(coords))
+        return tuple([index // stride % n for n, stride in self._radix])
 
     # -- per-index memos and the addition table --------------------------------
 
@@ -172,14 +178,22 @@ class Group:
 
     @cached_property
     def _neg(self) -> "_IndexMemo":
-        """The index of the negative of each index."""
-        factors = self.invariant_factors
-        return _IndexMemo(lambda i: self.index_of(tuple(-c % n for c, n in zip(self._coords_of(i), factors))))
+        """The index of the negative of each index: coordinate c becomes n - c, or stays 0."""
+        radix = self._radix
+
+        def negative(index: int) -> int:
+            out = 0
+            for n, stride in radix:
+                if c := index // stride % n:
+                    out += (n - c) * stride
+            return out
+
+        return _IndexMemo(negative)
 
     @cached_property
     def _shift_steps(self) -> "_IndexMemo":
         """The block rotations that translate a bitmask by each index (see :func:`_rotations`)."""
-        return _IndexMemo(_rotations(self.invariant_factors))
+        return _IndexMemo(_rotations(self.order, self._radix))
 
     @cached_property
     def _add_table(self) -> tuple[tuple[int, ...], ...]:
@@ -222,7 +236,7 @@ class _IndexMemo(dict):
         return value
 
 
-def _rotations(factors: tuple[int, ...]) -> Callable[[int], tuple[tuple[int, int, int, int], ...]]:
+def _rotations(order: int, radix: tuple[tuple[int, int], ...]) -> Callable[[int], tuple[tuple[int, int, int, int], ...]]:
     """The map from an element index to the block rotations that translate a
     bitmask by that element.
 
@@ -234,25 +248,20 @@ def _rotations(factors: tuple[int, ...]) -> Callable[[int], tuple[tuple[int, int
     elements.  Each holds two |G|-bit masks, so a memo of this map builds
     them only for the elements actually shifted by.
     """
-    order = math.prod(factors)
     full = (1 << order) - 1
-    radix = []  # per coordinate: (n_k, stride_k, a 1 at the start of every block)
-    stride = order
-    for n in factors:
-        stride //= n
-        radix.append((n, stride, full // ((1 << (n * stride)) - 1)))
+    repeats = [full // ((1 << (n * stride)) - 1) for n, stride in radix]  # a 1 at the start of every block
     steps: dict[tuple[int, int], tuple[int, int, int, int]] = {}
 
     def step(k: int, c: int) -> tuple[int, int, int, int]:
         found = steps.get((k, c))
         if found is None:
-            n, stride, repeat = radix[k]
-            lo = ((1 << ((n - c) * stride)) - 1) * repeat
+            n, stride = radix[k]
+            lo = ((1 << ((n - c) * stride)) - 1) * repeats[k]
             found = steps[k, c] = (lo, c * stride, full ^ lo, (n - c) * stride)
         return found
 
     return lambda index: tuple(
-        step(k, c) for k, (n, stride, _) in enumerate(radix) if (c := index // stride % n)
+        step(k, c) for k, (n, stride) in enumerate(radix) if (c := index // stride % n)
     )
 
 
@@ -459,6 +468,7 @@ def subgroup_generated(group: Group, elements: Iterable[GroupElement]) -> tuple[
 
 
 def _generator_coords(group: Group, elements: list[GroupElement]) -> list[tuple[int, ...]]:
+    """The coordinates of the generators, each checked to belong to the group."""
     for g in elements:
         if g.group != group:
             raise DomainError("generators must belong to the given group")
