@@ -59,7 +59,6 @@ from __future__ import annotations
 import json
 import math
 import os
-from dataclasses import dataclass
 from functools import cached_property, lru_cache
 from itertools import product
 from pathlib import Path
@@ -70,6 +69,7 @@ from .groups import (
     MAX_DAVENPORT_ORDER,
     Group,
     GroupElement,
+    _Record,
     _minimal_zero_sums,
     _span_type,
     davenport,
@@ -85,8 +85,7 @@ from .sequences import Sequence
 CACHE_VERSION = 1
 
 
-@dataclass(frozen=True)
-class AtomSet:
+class AtomSet(_Record):
     """The complete list of atoms over a ground set, as exponent vectors.
 
     ``ground`` lists the distinct nonzero support elements S in index order.
@@ -97,10 +96,19 @@ class AtomSet:
     atom (0) is tracked only by ``includes_zero``.
     """
 
-    group: Group
-    ground: tuple[GroupElement, ...]
-    folded: tuple[tuple[int, ...], ...]
-    includes_zero: bool
+    _fields = ("group", "ground", "folded", "includes_zero")
+
+    def __init__(
+        self,
+        group: Group,
+        ground: tuple[GroupElement, ...],
+        folded: tuple[tuple[int, ...], ...],
+        includes_zero: bool,
+    ):
+        self.group = group
+        self.ground = ground
+        self.folded = folded
+        self.includes_zero = includes_zero
 
     @cached_property
     def bound(self) -> int:
@@ -174,10 +182,12 @@ class AtomSet:
         )
 
 
-@dataclass(frozen=True)
-class LengthProfile:
-    max_length: int
-    gcd_lengths_minus_2: int
+class LengthProfile(_Record):
+    __slots__ = _fields = ("max_length", "gcd_lengths_minus_2")
+
+    def __init__(self, max_length: int, gcd_lengths_minus_2: int):
+        self.max_length = max_length
+        self.gcd_lengths_minus_2 = gcd_lengths_minus_2
 
 
 def _add_index(group: Group, x: int, y: int) -> int:

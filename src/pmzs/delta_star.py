@@ -35,7 +35,6 @@ every orbit representative, as a reference path.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
 from functools import cached_property, partial
 from itertools import combinations_with_replacement
 from operator import itemgetter
@@ -45,6 +44,7 @@ from .errors import ResourceLimitError
 from .groups import (
     Group,
     GroupElement,
+    _Record,
     automorphisms,
     davenport,
     fold_negatives,
@@ -173,19 +173,33 @@ def subset_orbits(group: Group, *, limits: Limits = DEFAULT_LIMITS) -> list[tupl
 # -- sweep -------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class DeltaStarReport:
+class DeltaStarReport(_Record):
     """Aggregated minimal distances over canonical subsets of G minus 0; with
     ``evaluated_only`` the table lists the evaluated rows, not every orbit."""
 
-    group: Group
-    complete: bool
-    table: tuple[tuple[tuple[int, ...], int | None], ...]
-    delta_star: tuple[int, ...]
-    max_delta: int | None
-    witnesses: dict[int, tuple[int, ...]]
-    skipped: tuple[tuple[tuple[int, ...], str], ...]
-    evaluated_only: bool = False
+    __slots__ = _fields = (
+        "group", "complete", "table", "delta_star", "max_delta", "witnesses", "skipped", "evaluated_only"
+    )
+
+    def __init__(
+        self,
+        group: Group,
+        complete: bool,
+        table: tuple[tuple[tuple[int, ...], int | None], ...],
+        delta_star: tuple[int, ...],
+        max_delta: int | None,
+        witnesses: dict[int, tuple[int, ...]],
+        skipped: tuple[tuple[tuple[int, ...], str], ...],
+        evaluated_only: bool = False,
+    ):
+        self.group = group
+        self.complete = complete
+        self.table = table
+        self.delta_star = delta_star
+        self.max_delta = max_delta
+        self.witnesses = witnesses
+        self.skipped = skipped
+        self.evaluated_only = evaluated_only
 
     def subset_elements(self, indices: tuple[int, ...]) -> tuple[GroupElement, ...]:
         return tuple(self.group.element_at(i) for i in indices)
@@ -323,14 +337,16 @@ FAIL = "fail"
 NOT_APPLICABLE = "not-applicable"
 
 
-@dataclass(frozen=True)
-class CheckReport:
+class CheckReport(_Record):
     """Outcome of one mechanical check; failures carry a concrete counterexample."""
 
-    check_id: str
-    group: str
-    status: str
-    details: dict = field(default_factory=dict)
+    __slots__ = _fields = ("check_id", "group", "status", "details")
+
+    def __init__(self, check_id: str, group: str, status: str, details: dict | None = None):
+        self.check_id = check_id
+        self.group = group
+        self.status = status
+        self.details = {} if details is None else details
 
     @property
     def ok(self) -> bool:
@@ -464,19 +480,35 @@ def _elementary_p_gcd(group: Group, sweep, limits: Limits) -> CheckReport:
 # -- characterization invariants ----------------------------------------------------
 
 
-@dataclass(frozen=True)
-class CharReport:
+class CharReport(_Record):
     """Length-system invariants used for telling groups apart."""
 
-    group: str
-    order: int
-    exponent: int
-    davenport_group: int
-    davenport_monoid: int
-    delta_star: tuple[int, ...]
-    max_delta_star: int | None
-    has_even_delta: bool
-    complete: bool
+    __slots__ = _fields = (
+        "group", "order", "exponent", "davenport_group", "davenport_monoid",
+        "delta_star", "max_delta_star", "has_even_delta", "complete",
+    )
+
+    def __init__(
+        self,
+        group: str,
+        order: int,
+        exponent: int,
+        davenport_group: int,
+        davenport_monoid: int,
+        delta_star: tuple[int, ...],
+        max_delta_star: int | None,
+        has_even_delta: bool,
+        complete: bool,
+    ):
+        self.group = group
+        self.order = order
+        self.exponent = exponent
+        self.davenport_group = davenport_group
+        self.davenport_monoid = davenport_monoid
+        self.delta_star = delta_star
+        self.max_delta_star = max_delta_star
+        self.has_even_delta = has_even_delta
+        self.complete = complete
 
     def to_json_dict(self) -> dict:
         return {
@@ -492,12 +524,14 @@ class CharReport:
         }
 
 
-@dataclass(frozen=True)
-class CharComparison:
-    first: CharReport
-    second: CharReport
-    distinguished_by: tuple[str, ...]
-    note: str
+class CharComparison(_Record):
+    __slots__ = _fields = ("first", "second", "distinguished_by", "note")
+
+    def __init__(self, first: CharReport, second: CharReport, distinguished_by: tuple[str, ...], note: str):
+        self.first = first
+        self.second = second
+        self.distinguished_by = distinguished_by
+        self.note = note
 
     @property
     def indistinguishable(self) -> bool:

@@ -22,25 +22,71 @@ is built.  Only the automorphism search, after its work cap, builds the
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from functools import cached_property, lru_cache
-from itertools import product
+from itertools import chain, product
+from operator import attrgetter
 from typing import Callable, Iterable, Iterator, Sequence as SequenceABC
 
 from .errors import DomainError, ResourceLimitError
 
 
+_TRIAL_DIVISION_BOUND = 10**6
+"""Trial division tries the divisors below this bound, so every n below its
+square factors by trial division alone."""
+
+_MILLER_RABIN_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+_MILLER_RABIN_LIMIT = 3317044064679887385961981
+"""Every odd composite below this fails the strong probable-prime test to
+one of the bases above (Sorenson--Webster, 2017)."""
+
+
+def _proven_prime(n: int) -> bool:
+    """Whether the odd n > 41 is below ``_MILLER_RABIN_LIMIT`` and a strong
+    probable prime to every base of ``_MILLER_RABIN_BASES``, which proves n prime."""
+    if n >= _MILLER_RABIN_LIMIT:
+        return False
+    d, s = n - 1, 0
+    while d % 2 == 0:
+        d, s = d // 2, s + 1
+    for a in _MILLER_RABIN_BASES:
+        x = pow(a, d, n)
+        if x == 1 or x == n - 1:
+            continue
+        for _ in range(s - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
+            return False
+    return True
+
+
 def _prime_factorization(n: int) -> dict[int, int]:
-    """Map prime -> exponent for n >= 1, by trial division."""
+    """Map prime -> exponent for n >= 1.
+
+    Trial division runs up to sqrt(n), or below ``_TRIAL_DIVISION_BOUND``.  A
+    cofactor left past the bound has no prime factor below it, so it is a
+    prime if it is below the bound squared or :func:`_proven_prime` proves
+    it; otherwise the factorization is refused with a ResourceLimitError,
+    never returned unproven.
+    """
     out: dict[int, int] = {}
-    d = 2
-    while d * d <= n:
-        while n % d == 0:
+    cofactor = n
+    for d in chain((2,), range(3, _TRIAL_DIVISION_BOUND, 2)):
+        if d * d > cofactor:
+            break
+        while cofactor % d == 0:
             out[d] = out.get(d, 0) + 1
-            n //= d
-        d += 1
-    if n > 1:
-        out[n] = out.get(n, 0) + 1
+            cofactor //= d
+    else:
+        if cofactor >= _TRIAL_DIVISION_BOUND**2 and not _proven_prime(cofactor):
+            reason = "composite" if cofactor < _MILLER_RABIN_LIMIT else "too large to prove prime"
+            raise ResourceLimitError(
+                f"factorization of {n} capped at trial division below {_TRIAL_DIVISION_BOUND}: "
+                f"the cofactor {cofactor} is {reason}"
+            )
+    if cofactor > 1:
+        out[cofactor] = out.get(cofactor, 0) + 1
     return out
 
 
@@ -77,8 +123,40 @@ def abelian_group_types(order: int) -> tuple[tuple[int, ...], ...]:
     return tuple(sorted({_invariant_factors(combo) for combo in product(*per_prime)}))
 
 
-@dataclass(frozen=True)
-class Group:
+class _Record:
+    """A value class whose equality, hash and repr derive from the fields it
+    names once, in ``_fields``.
+
+    Two records are equal only when they are of the same class and their
+    fields are equal in order, and a record's hash is the hash of the tuple
+    of its fields: both as for a frozen dataclass of those fields.  Records
+    are immutable by convention, as :class:`ElementSet` is: nothing assigns
+    to a field after ``__init__``.
+    """
+
+    __slots__ = ()
+    _fields: tuple[str, ...] = ()
+
+    def __init_subclass__(cls, **kwargs):
+        super().__init_subclass__(**kwargs)
+        get = attrgetter(*cls._fields)
+        # the tuple of field values; attrgetter of one name gives the bare value
+        cls._key = staticmethod(get if len(cls._fields) > 1 else lambda record: (get(record),))
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self is other or self._key(self) == self._key(other)
+
+    def __hash__(self):
+        return hash(self._key(self))
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._fields)
+        return f"{type(self).__qualname__}({fields})"
+
+
+class Group(_Record):
     """A finite abelian group given by its invariant factors n1 | n2 | ... | nr.
 
     The empty tuple is the trivial group.  Use :func:`make_group` to build a
@@ -86,11 +164,10 @@ class Group:
     insists on an already-canonical chain.
     """
 
-    invariant_factors: tuple[int, ...]
+    _fields = ("invariant_factors",)
 
-    def __post_init__(self):
-        factors = tuple(int(n) for n in self.invariant_factors)
-        object.__setattr__(self, "invariant_factors", factors)
+    def __init__(self, invariant_factors: tuple[int, ...]):
+        factors = self.invariant_factors = tuple(int(n) for n in invariant_factors)
         for n in factors:
             if n < 2:
                 raise DomainError(f"invariant factor must be >= 2, got {n}")
@@ -123,7 +200,7 @@ class Group:
 
     @property
     def is_p_group(self) -> bool:
-        return len(_prime_factorization(self.order)) <= 1
+        return len(_prime_factorization(self.exponent)) <= 1
 
     # -- element construction and indexing ------------------------------------
 
@@ -287,20 +364,17 @@ def make_group(cyclic_orders: Iterable[int]) -> Group:
     return _canonical_group(_invariant_factors(tuple(sorted(powers, reverse=True)) for powers in per_prime.values()))
 
 
-@dataclass(frozen=True)
-class GroupElement:
+class GroupElement(_Record):
     """An element of a :class:`Group`; coordinates are kept reduced mod each factor."""
 
-    group: Group
-    coords: tuple[int, ...]
+    _fields = ("group", "coords")
 
-    def __post_init__(self):
-        factors = self.group.invariant_factors
-        if len(self.coords) != len(factors):
-            raise DomainError(
-                f"element needs {len(factors)} coordinates for {self.group}, got {len(self.coords)}"
-            )
-        object.__setattr__(self, "coords", tuple(int(c) % n for c, n in zip(self.coords, factors)))
+    def __init__(self, group: Group, coords: tuple[int, ...]):
+        factors = group.invariant_factors
+        if len(coords) != len(factors):
+            raise DomainError(f"element needs {len(factors)} coordinates for {group}, got {len(coords)}")
+        self.group = group
+        self.coords = tuple(int(c) % n for c, n in zip(coords, factors))
 
     @cached_property
     def index(self) -> int:
@@ -576,20 +650,24 @@ def fold_positions(group: Group, indices: tuple[int, ...]) -> tuple[tuple[int, .
     return folded, tuple(slot[min(i, neg[i])] for i in indices)
 
 
-@dataclass(frozen=True)
-class GroupSummary:
+class GroupSummary(_Record):
     """Structural invariants reported by the CLI ``group`` command."""
 
-    group: Group
-    order: int
-    exponent: int
-    rank: int
-    d_star: int
-    m_ranks: dict[int, int]
+    __slots__ = _fields = ("group", "order", "exponent", "rank", "d_star", "m_ranks")
+
+    def __init__(
+        self, group: Group, order: int, exponent: int, rank: int, d_star: int, m_ranks: dict[int, int]
+    ):
+        self.group = group
+        self.order = order
+        self.exponent = exponent
+        self.rank = rank
+        self.d_star = d_star
+        self.m_ranks = m_ranks
 
 
 def group_invariants(group: Group) -> GroupSummary:
-    primes = sorted(_prime_factorization(group.order)) if group.order > 1 else []
+    primes = sorted(_prime_factorization(group.exponent))
     return GroupSummary(
         group=group,
         order=group.order,
@@ -690,7 +768,7 @@ def davenport(group: Group, *, max_order: int = MAX_DAVENPORT_ORDER) -> int:
     ``max_order`` because the search cost grows steeply with the order.
     Past the cap a ResourceLimitError carries the d_star lower bound.
     """
-    if group.is_p_group or group.rank <= 2:
+    if group.rank <= 2 or group.is_p_group:
         return group.d_star
     if group.order > max_order:
         raise ResourceLimitError(

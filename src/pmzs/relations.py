@@ -24,13 +24,12 @@ Every invariant here reads the atoms over the folded ground set that an
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import chain, combinations_with_replacement, product
 from typing import Iterable
 
 from .atoms import AtomCache, AtomSet, enumerate_atoms, atom_length_profile
 from .errors import DomainError, ResourceLimitError
-from .groups import Group, GroupElement, _echelon_rows
+from .groups import Group, GroupElement, _echelon_rows, _Record
 from .limits import DEFAULT_LIMITS, Limits
 from .sequences import Sequence
 
@@ -67,18 +66,26 @@ def min_delta(
     return min_delta_of_atoms(enumerate_atoms(group, subset, limits=limits, cache=cache))
 
 
-@dataclass(frozen=True)
-class FactorizationSet:
+class FactorizationSet(_Record):
     """All factorizations of one element into atoms, with derived lengths.
 
     Each factorization is a sorted tuple of atom indices into the atom set
     (``ZERO_ATOM`` entries stand for the prime atom (0)).
     """
 
-    element: Sequence
-    factorizations: tuple[tuple[int, ...], ...]
-    lengths: tuple[int, ...]
-    delta: tuple[int, ...]
+    __slots__ = _fields = ("element", "factorizations", "lengths", "delta")
+
+    def __init__(
+        self,
+        element: Sequence,
+        factorizations: tuple[tuple[int, ...], ...],
+        lengths: tuple[int, ...],
+        delta: tuple[int, ...],
+    ):
+        self.element = element
+        self.factorizations = factorizations
+        self.lengths = lengths
+        self.delta = delta
 
     def to_json_dict(self) -> dict:
         packed = []

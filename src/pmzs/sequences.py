@@ -7,31 +7,29 @@ cache keys.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Iterable, Iterator
 
 from .errors import DomainError
-from .groups import ElementSet, Group, GroupElement, signed_shift_mask
+from .groups import ElementSet, Group, GroupElement, _Record, signed_shift_mask
 
 
-@dataclass(frozen=True)
-class Sequence:
+class Sequence(_Record):
     """A finite multiset of group elements (repetition allowed, order ignored)."""
 
-    group: Group
-    entries: tuple[tuple[int, int], ...]
+    __slots__ = _fields = ("group", "entries")
 
-    def __post_init__(self):
+    def __init__(self, group: Group, entries: tuple[tuple[int, int], ...]):
         seen = set()
-        for idx, mult in self.entries:
-            if not 0 <= idx < self.group.order:
-                raise DomainError(f"element index {idx} out of range for {self.group}")
+        for idx, mult in entries:
+            if not 0 <= idx < group.order:
+                raise DomainError(f"element index {idx} out of range for {group}")
             if mult < 1:
                 raise DomainError("multiplicities must be strictly positive")
             if idx in seen:
                 raise DomainError("duplicate support element in sequence entries")
             seen.add(idx)
-        object.__setattr__(self, "entries", tuple(sorted(self.entries)))
+        self.group = group
+        self.entries = tuple(sorted(entries))
 
     # -- construction ----------------------------------------------------------
 

@@ -14,7 +14,6 @@ message as the reason; so no cap ends a run, and ``verify`` exits 0 or 3.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache, partial
 from typing import Iterator
 
@@ -31,7 +30,7 @@ from .delta_star import (
     _run_check,
     delta_star,
 )
-from .groups import Group, GroupElement, abelian_group_types, davenport, make_group
+from .groups import Group, GroupElement, _Record, abelian_group_types, davenport, make_group
 from .limits import DEFAULT_LIMITS, Limits
 from .notation import format_group, parse_group, parse_subset
 from .relations import Factorizer, min_delta, min_delta_of_atoms, rho_k
@@ -238,11 +237,13 @@ def _paired_generator_squares(limits: Limits, cache) -> list[CheckReport]:
     ]
 
 
-@dataclass(frozen=True)
-class SuiteResult:
-    target: str
-    checks: tuple[CheckReport, ...]
-    reports: dict[str, DeltaStarReport]
+class SuiteResult(_Record):
+    __slots__ = _fields = ("target", "checks", "reports")
+
+    def __init__(self, target: str, checks: tuple[CheckReport, ...], reports: dict[str, DeltaStarReport]):
+        self.target = target
+        self.checks = checks
+        self.reports = reports
 
     @property
     def passed(self) -> bool:

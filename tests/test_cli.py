@@ -219,6 +219,19 @@ def test_refusals_over_huge_groups_build_nothing_of_size_g(argv, message):
     assert seconds < 1.0
 
 
+@pytest.mark.parametrize("order, code, message", [
+    ("99999999999999999999999", EXIT_OK, ""),  # 3^2 * R23, a prime past trial division
+    ("1000036000099", EXIT_RESOURCE, "the cofactor 1000036000099 is composite"),  # 1000003 * 1000033
+    ("999999999999999999999999999989", EXIT_RESOURCE, "is too large to prove prime"),
+])
+def test_group_of_a_huge_order_answers_or_refuses_at_once(order, code, message):
+    # trial division stops at 10^6; a larger cofactor is a prime only when
+    # Miller-Rabin proves it, and otherwise the factorization is refused
+    got, err, seconds = run_cli_limited("group", f"C{order}", memory_mb=256)
+    assert got == code and message in err and "Traceback" not in err, err
+    assert seconds < 1.0
+
+
 def test_g_minus_0_is_listed_only_when_a_command_reads_it(capsys):
     # rho reads no subset at k = 1 or past its cap, so G minus 0 is neither
     # listed nor refused there; a small G minus 0 is listed as before

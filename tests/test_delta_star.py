@@ -3,7 +3,6 @@
 import random
 import time
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import replace
 from itertools import combinations
 
 import pytest
@@ -228,7 +227,7 @@ def test_down_set_matches_unpruned_rows():
     # the rows the walk evaluates with a value other than 1 are exactly the
     # non-1 rows of the unpruned sweep over every orbit
     limits = Limits(max_sweep_order=16, max_support=16)
-    walk_limits = replace(limits, max_sweep_order=1)  # above the cap: the table lists evaluated rows
+    walk_limits = Limits(max_sweep_order=1, max_support=16)  # above the cap: the table lists evaluated rows
     for g in small_group_list(12) + [parse_group("C4xC4")]:
         walk = delta_star(g, limits=walk_limits)
         unpruned = delta_star(g, limits=limits, prune=False)

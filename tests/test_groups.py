@@ -42,6 +42,50 @@ def test_make_group_canonicalizes():
     assert make_group([4, 2]) == make_group([2, 4])
 
 
+def _trial_division(n):
+    out, d = {}, 2
+    while d * d <= n:
+        while n % d == 0:
+            out[d] = out.get(d, 0) + 1
+            n //= d
+        d += 1
+    if n > 1:
+        out[n] = out.get(n, 0) + 1
+    return out
+
+
+def test_prime_factorization_matches_trial_division():
+    assert all(_prime_factorization(n) == _trial_division(n) for n in range(1, 10**4 + 1))
+    # past the bound: cofactors below 10^12 need no test, larger ones are proven prime
+    for n in (1000003, 999983**2, 2**5 * 1000003, 3 * 1000003 * 999983, 2**61 - 1, 10**23 - 1):
+        factors = _prime_factorization(n)
+        assert math.prod(p**e for p, e in factors.items()) == n
+    assert _prime_factorization(2**61 - 1) == {2**61 - 1: 1}  # a Mersenne prime
+    assert _prime_factorization(10**23 - 1) == {3: 2, (10**23 - 1) // 9: 1}
+
+
+def test_group_facts_factor_the_exponent_not_the_order():
+    # the order 1000003^2 is past what trial division and Miller-Rabin can
+    # split, but every fact reads the prime exponent
+    g = make_group([1000003, 1000003])
+    with pytest.raises(ResourceLimitError):
+        _prime_factorization(g.order)
+    assert g.is_p_group and davenport(g) == g.d_star == 2000005
+    assert group_invariants(g).m_ranks == {1000003: 2}
+
+
+@pytest.mark.parametrize("n, message", [
+    (1000003 * 1000033, "the cofactor 1000036000099 is composite"),
+    (7 * 1000003**2, "the cofactor 1000006000009 is composite"),
+    (318665857834031151167461, "is composite"),  # a strong pseudoprime to every base below 41
+    (3317044064679887385961981, "is too large to prove prime"),  # and to 41 as well
+    (2**127 - 1, "is too large to prove prime"),
+])
+def test_prime_factorization_refuses_what_it_cannot_prove(n, message):
+    with pytest.raises(ResourceLimitError, match=message):
+        _prime_factorization(n)
+
+
 def test_make_group_rejects_bad_orders():
     with pytest.raises(DomainError):
         make_group([0])

@@ -35,6 +35,29 @@ print(" ".join(m for m in ("hashlib", "_hashlib", "concurrent.futures", "multipr
     assert run_fresh(snippet).split() == []
 
 
+# The modules that ``import pmzs.cli`` adds to a fresh interpreter, apart from
+# pmzs's own: argparse and what its first parse imports, the report formats,
+# gc for gc.freeze(), and __future__ for the annotations.
+STARTUP_MODULES = {
+    "argparse", "gettext", "locale", "_locale",
+    "csv", "_csv", "json", "json.decoder", "json.encoder", "json.scanner", "_json",
+    "gc", "__future__",
+}
+
+
+def test_import_loads_only_the_listed_modules():
+    snippet = """
+import sys
+before = set(sys.modules)
+import pmzs.cli
+
+print(" ".join(set(sys.modules) - before))
+"""
+    added = set(run_fresh(snippet).split())
+    own = {m for m in added if m == "pmzs" or m.startswith("pmzs.")}
+    assert added - own == STARTUP_MODULES
+
+
 @pytest.mark.parametrize("argv", [
     ("delta-star", "C4xC4", "--format", "json"),
     ("verify", "C5"),
