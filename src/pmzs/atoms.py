@@ -88,27 +88,15 @@ CACHE_VERSION = 1
 class AtomSet(_Record):
     """The complete list of atoms over a ground set, as exponent vectors.
 
-    ``ground`` lists the distinct nonzero support elements S in index order.
+    ``ground`` lists the distinct nonzero support elements S of ``group`` in index order.
     ``folded`` lists the atoms over fold S, in :func:`_atom_order`;
     ``folded[k][j]`` is the multiplicity of the j-th element of fold S.
     ``vectors`` lists the atoms over S, lifted from ``folded`` on first use;
     ``vectors[k][i]`` is the multiplicity of ``ground[i]``.  The length-1
-    atom (0) is tracked only by ``includes_zero``.
+    atom (0) is tracked only by the bool ``includes_zero``.
     """
 
     _fields = ("group", "ground", "folded", "includes_zero")
-
-    def __init__(
-        self,
-        group: Group,
-        ground: tuple[GroupElement, ...],
-        folded: tuple[tuple[int, ...], ...],
-        includes_zero: bool,
-    ):
-        self.group = group
-        self.ground = ground
-        self.folded = folded
-        self.includes_zero = includes_zero
 
     @cached_property
     def bound(self) -> int:
@@ -183,11 +171,9 @@ class AtomSet(_Record):
 
 
 class LengthProfile(_Record):
-    __slots__ = _fields = ("max_length", "gcd_lengths_minus_2")
+    """The longest atom length and the gcd of (length - 2) over the atoms (ints)."""
 
-    def __init__(self, max_length: int, gcd_lengths_minus_2: int):
-        self.max_length = max_length
-        self.gcd_lengths_minus_2 = gcd_lengths_minus_2
+    __slots__ = _fields = ("max_length", "gcd_lengths_minus_2")
 
 
 def _add_index(group: Group, x: int, y: int) -> int:

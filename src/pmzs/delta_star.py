@@ -174,32 +174,16 @@ def subset_orbits(group: Group, *, limits: Limits = DEFAULT_LIMITS) -> list[tupl
 
 
 class DeltaStarReport(_Record):
-    """Aggregated minimal distances over canonical subsets of G minus 0; with
-    ``evaluated_only`` the table lists the evaluated rows, not every orbit."""
+    """Aggregated minimal distances over canonical subsets (index tuples) of G
+    minus 0: ``table`` rows (subset, min delta or None), all orbits or with
+    ``evaluated_only`` the evaluated ones; ``skipped`` rows (subset, reason),
+    ``complete`` when there are none; ``delta_star`` the sorted values,
+    ``max_delta`` the largest or None, ``witnesses`` value -> first subset."""
 
     __slots__ = _fields = (
         "group", "complete", "table", "delta_star", "max_delta", "witnesses", "skipped", "evaluated_only"
     )
-
-    def __init__(
-        self,
-        group: Group,
-        complete: bool,
-        table: tuple[tuple[tuple[int, ...], int | None], ...],
-        delta_star: tuple[int, ...],
-        max_delta: int | None,
-        witnesses: dict[int, tuple[int, ...]],
-        skipped: tuple[tuple[tuple[int, ...], str], ...],
-        evaluated_only: bool = False,
-    ):
-        self.group = group
-        self.complete = complete
-        self.table = table
-        self.delta_star = delta_star
-        self.max_delta = max_delta
-        self.witnesses = witnesses
-        self.skipped = skipped
-        self.evaluated_only = evaluated_only
+    _defaults = {"evaluated_only": False}
 
     def subset_elements(self, indices: tuple[int, ...]) -> tuple[GroupElement, ...]:
         return tuple(self.group.element_at(i) for i in indices)
@@ -481,34 +465,14 @@ def _elementary_p_gcd(group: Group, sweep, limits: Limits) -> CheckReport:
 
 
 class CharReport(_Record):
-    """Length-system invariants used for telling groups apart."""
+    """Length-system invariants used for telling groups apart: ``group`` is a
+    literal, ``delta_star`` a sorted tuple, ``max_delta_star`` an int or None,
+    ``has_even_delta`` and ``complete`` (nothing skipped) bools, the rest ints."""
 
     __slots__ = _fields = (
         "group", "order", "exponent", "davenport_group", "davenport_monoid",
         "delta_star", "max_delta_star", "has_even_delta", "complete",
     )
-
-    def __init__(
-        self,
-        group: str,
-        order: int,
-        exponent: int,
-        davenport_group: int,
-        davenport_monoid: int,
-        delta_star: tuple[int, ...],
-        max_delta_star: int | None,
-        has_even_delta: bool,
-        complete: bool,
-    ):
-        self.group = group
-        self.order = order
-        self.exponent = exponent
-        self.davenport_group = davenport_group
-        self.davenport_monoid = davenport_monoid
-        self.delta_star = delta_star
-        self.max_delta_star = max_delta_star
-        self.has_even_delta = has_even_delta
-        self.complete = complete
 
     def to_json_dict(self) -> dict:
         return {
@@ -525,13 +489,10 @@ class CharReport(_Record):
 
 
 class CharComparison(_Record):
-    __slots__ = _fields = ("first", "second", "distinguished_by", "note")
+    """Two :class:`CharReport` records, the tuple of the invariants that tell
+    them apart (empty when none does) and a note on what was compared."""
 
-    def __init__(self, first: CharReport, second: CharReport, distinguished_by: tuple[str, ...], note: str):
-        self.first = first
-        self.second = second
-        self.distinguished_by = distinguished_by
-        self.note = note
+    __slots__ = _fields = ("first", "second", "distinguished_by", "note")
 
     @property
     def indistinguishable(self) -> bool:

@@ -61,13 +61,58 @@ def _proven_prime(n: int) -> bool:
     return True
 
 
+_RHO_BUDGET = 2**22
+"""Pollard--Brent rho gives up on a cofactor once the cycle lengths it has
+tried sum past this, about a quarter of the squarings it has made."""
+
+
+def _rho_divisor(n: int) -> int | None:
+    """A proper divisor of the odd composite n, by Pollard's rho with Brent's
+    cycle search over x -> x^2 + c (mod n) from the fixed seed 2, for
+    c = 1, 2, ... in turn; None once ``_RHO_BUDGET`` is spent.
+
+    The differences x - y are multiplied in batches of 128 before each gcd;
+    a batch whose product shares all of n is stepped through again one term
+    at a time, and a cycle that yields only n moves on to the next c.
+    """
+    budget, c = _RHO_BUDGET, 0
+    while budget > 0:
+        c += 1
+        y, r, q, g = 2, 1, 1, 1
+        while g == 1 and budget > 0:
+            x = y
+            for _ in range(r):
+                y = (y * y + c) % n
+            k = 0
+            while k < r and g == 1:
+                ys = y
+                for _ in range(min(128, r - k)):
+                    y = (y * y + c) % n
+                    q = q * abs(x - y) % n
+                g = math.gcd(q, n)
+                k += 128
+            budget -= r
+            r *= 2
+        if g == n:
+            g = 1
+            while g == 1:
+                ys = (ys * ys + c) % n
+                g = math.gcd(abs(x - ys), n)
+        if 1 < g < n:
+            return g
+    return None
+
+
 def _prime_factorization(n: int) -> dict[int, int]:
     """Map prime -> exponent for n >= 1.
 
     Trial division runs up to sqrt(n), or below ``_TRIAL_DIVISION_BOUND``.  A
-    cofactor left past the bound has no prime factor below it, so it is a
-    prime if it is below the bound squared or :func:`_proven_prime` proves
-    it; otherwise the factorization is refused with a ResourceLimitError,
+    cofactor left past the bound has no prime factor below it, and neither
+    has any divisor of it, so such a number is a prime if it is below the
+    bound squared or :func:`_proven_prime` proves it; otherwise it is split
+    by :func:`_rho_divisor` and each part is factored by the same rule.  A
+    cofactor past ``_MILLER_RABIN_LIMIT``, or one that does not split within
+    the budget, is refused with a ResourceLimitError: a factorization is
     never returned unproven.
     """
     out: dict[int, int] = {}
@@ -79,12 +124,27 @@ def _prime_factorization(n: int) -> dict[int, int]:
             out[d] = out.get(d, 0) + 1
             cofactor //= d
     else:
-        if cofactor >= _TRIAL_DIVISION_BOUND**2 and not _proven_prime(cofactor):
-            reason = "composite" if cofactor < _MILLER_RABIN_LIMIT else "too large to prove prime"
+        if cofactor >= _MILLER_RABIN_LIMIT:
             raise ResourceLimitError(
                 f"factorization of {n} capped at trial division below {_TRIAL_DIVISION_BOUND}: "
-                f"the cofactor {cofactor} is {reason}"
+                f"the cofactor {cofactor} is too large to prove prime"
             )
+        primes, parts = [], [cofactor]
+        while parts:
+            part = parts.pop()
+            if part < _TRIAL_DIVISION_BOUND**2 or _proven_prime(part):
+                primes.append(part)
+                continue
+            d = _rho_divisor(part)
+            if d is None:
+                raise ResourceLimitError(
+                    f"factorization of {n} capped at {_RHO_BUDGET} Pollard-Brent steps: "
+                    f"the composite {part} did not split"
+                )
+            parts += (d, part // d)
+        for p in sorted(primes):
+            out[p] = out.get(p, 0) + 1
+        return out
     if cofactor > 1:
         out[cofactor] = out.get(cofactor, 0) + 1
     return out
@@ -124,24 +184,42 @@ def abelian_group_types(order: int) -> tuple[tuple[int, ...], ...]:
 
 
 class _Record:
-    """A value class whose equality, hash and repr derive from the fields it
-    names once, in ``_fields``.
+    """A value class whose construction, equality, hash and repr derive from
+    the fields it names once, in ``_fields``.
 
-    Two records are equal only when they are of the same class and their
-    fields are equal in order, and a record's hash is the hash of the tuple
-    of its fields: both as for a frozen dataclass of those fields.  Records
-    are immutable by convention, as :class:`ElementSet` is: nothing assigns
-    to a field after ``__init__``.
+    The constructor binds the fields in order, positional values first, then
+    keywords, then the immutable values of ``_defaults``; a missing, duplicate
+    or unknown field is a TypeError.  Two records are equal only when they are
+    of the same class and their fields are equal in order, and a record's hash
+    is the hash of the tuple of its fields: both as for a frozen dataclass of
+    those fields.  Records are immutable by convention, as :class:`ElementSet`
+    is: nothing assigns to a field after ``__init__``.
     """
 
     __slots__ = ()
     _fields: tuple[str, ...] = ()
+    _defaults: dict[str, object] = {}
 
     def __init_subclass__(cls, **kwargs):
         super().__init_subclass__(**kwargs)
         get = attrgetter(*cls._fields)
         # the tuple of field values; attrgetter of one name gives the bare value
         cls._key = staticmethod(get if len(cls._fields) > 1 else lambda record: (get(record),))
+
+    def __init__(self, *values, **named):
+        fields, cls = self._fields, type(self).__name__
+        if len(values) > len(fields):
+            raise TypeError(f"{cls} takes {len(fields)} fields, got {len(values)} values")
+        for name, value in zip(fields, values):
+            if name in named:
+                raise TypeError(f"{cls} got two values for the field {name!r}")
+            named[name] = value
+        for name in fields:
+            if name not in named and name not in self._defaults:
+                raise TypeError(f"{cls} is missing the field {name!r}")
+            setattr(self, name, named.pop(name) if name in named else self._defaults[name])
+        if named:
+            raise TypeError(f"{cls} has no field {next(iter(named))!r}")
 
     def __eq__(self, other):
         if other.__class__ is not self.__class__:
@@ -322,17 +400,21 @@ def _rotations(order: int, radix: tuple[tuple[int, int], ...]) -> Callable[[int]
     ``up = c * stride_k`` bits, and ``hi`` the rest, which wrap down by
     ``down = (n_k - c) * stride_k`` bits.  An element's tuple has one step per
     nonzero coordinate.  The steps are built per (k, c) and shared by the
-    elements.  Each holds two |G|-bit masks, so a memo of this map builds
-    them only for the elements actually shifted by.
+    elements, and the |G|-bit pattern of block starts that they read is built
+    per coordinate k on its first step.  Each step holds two |G|-bit masks,
+    so a memo of this map builds them only for the elements actually shifted
+    by, and making the map builds none.
     """
-    full = (1 << order) - 1
-    repeats = [full // ((1 << (n * stride)) - 1) for n, stride in radix]  # a 1 at the start of every block
+    repeats: dict[int, int] = {}  # per coordinate k, a 1 at the start of every block
     steps: dict[tuple[int, int], tuple[int, int, int, int]] = {}
 
     def step(k: int, c: int) -> tuple[int, int, int, int]:
         found = steps.get((k, c))
         if found is None:
             n, stride = radix[k]
+            full = (1 << order) - 1
+            if k not in repeats:
+                repeats[k] = full // ((1 << (n * stride)) - 1)
             lo = ((1 << ((n - c) * stride)) - 1) * repeats[k]
             found = steps[k, c] = (lo, c * stride, full ^ lo, (n - c) * stride)
         return found
@@ -651,19 +733,10 @@ def fold_positions(group: Group, indices: tuple[int, ...]) -> tuple[tuple[int, .
 
 
 class GroupSummary(_Record):
-    """Structural invariants reported by the CLI ``group`` command."""
+    """Structural invariants reported by the CLI ``group`` command: ints, but for
+    the :class:`Group` ``group`` and ``m_ranks``, a dict prime p -> p-rank."""
 
     __slots__ = _fields = ("group", "order", "exponent", "rank", "d_star", "m_ranks")
-
-    def __init__(
-        self, group: Group, order: int, exponent: int, rank: int, d_star: int, m_ranks: dict[int, int]
-    ):
-        self.group = group
-        self.order = order
-        self.exponent = exponent
-        self.rank = rank
-        self.d_star = d_star
-        self.m_ranks = m_ranks
 
 
 def group_invariants(group: Group) -> GroupSummary:
@@ -676,6 +749,11 @@ def group_invariants(group: Group) -> GroupSummary:
         d_star=group.d_star,
         m_ranks={p: group.m_rank(p) for p in primes},
     )
+
+
+MAX_WALK_MASK_BYTES = 2**26
+"""The most bytes of |G|-bit rotation masks that :func:`_minimal_zero_sums`
+builds: two per distinct (coordinate, value) step of its elements."""
 
 
 def _minimal_zero_sums(group: Group, folded: tuple[int, ...], weights: tuple[int, ...]) -> dict[int, int]:
@@ -703,8 +781,10 @@ def _minimal_zero_sums(group: Group, folded: tuple[int, ...], weights: tuple[int
     the positions of f and -f, so unless w = -w exactly one of w and -w has
     its first term in F; and w = -w only for f * -f, which starts at f, and
     for sequences of elements of order 2, which come last.
+
+    The walk is refused with a ResourceLimitError before any mask is built
+    when the rotation masks it needs pass ``MAX_WALK_MASK_BYTES``.
     """
-    steps = group._shift_steps
     neg = group._neg
     elements: list[int] = []
     keys: list[int] = []
@@ -714,9 +794,17 @@ def _minimal_zero_sums(group: Group, folded: tuple[int, ...], weights: tuple[int
         pair = (gi,) if neg[gi] == gi else (gi, neg[gi])
         elements += pair
         keys += (weight,) * len(pair)
-    position = [-1] * group.order
-    for p, gi in enumerate(elements):
-        position[gi] = p
+    # two |G|-bit masks per distinct step (k, c); U is closed under negation,
+    # so the steps by -u over U are those by u
+    radix = group._radix
+    needed = len({(k, c) for gi in elements for k, (n, stride) in enumerate(radix) if (c := gi // stride % n)})
+    if 2 * needed * (group.order + 7 >> 3) > MAX_WALK_MASK_BYTES:
+        raise ResourceLimitError(
+            f"zero-sum walk capped at {MAX_WALK_MASK_BYTES} bytes of rotation masks; "
+            f"{needed} steps over {group} need {2 * needed * (group.order + 7 >> 3)}"
+        )
+    steps = group._shift_steps
+    position = {gi: p for p, gi in enumerate(elements)}
     # from each position on: the term, its key and the rotations that translate by -u
     terms = [(p, gi, keys[p], steps[neg[gi]]) for p, gi in enumerate(elements)]
     tails = [terms[p:] for p in range(len(terms))]
@@ -725,8 +813,7 @@ def _minimal_zero_sums(group: Group, folded: tuple[int, ...], weights: tuple[int
     stack = [(p, 1 | 1 << neg[elements[p]], neg[elements[p]], keys[p]) for p in heads]
     while stack:
         start, minus_sums, target, key = stack.pop()
-        p = position[target]
-        if p >= start:
+        if target in position and (p := position[target]) >= start:
             done = key + keys[p]
             found[done] = found.get(done, 0) + 1
         for p, gi, weight, back in tails[start]:
@@ -760,26 +847,30 @@ MAX_DAVENPORT_ORDER = 24
 """The largest order at which :func:`davenport` runs the exhaustive search."""
 
 
-def davenport(group: Group, *, max_order: int = MAX_DAVENPORT_ORDER) -> int:
+def davenport(group: Group) -> int:
     """Exact Davenport constant D(G).
 
     For p-groups and groups of rank at most two this equals the d_star
     formula (any order); otherwise an exhaustive search runs, capped at
-    ``max_order`` because the search cost grows steeply with the order.
-    Past the cap a ResourceLimitError carries the d_star lower bound.
+    ``MAX_DAVENPORT_ORDER`` because the search cost grows steeply with the
+    order.  Past the cap a ResourceLimitError carries the d_star lower bound.
     """
     if group.rank <= 2 or group.is_p_group:
         return group.d_star
-    if group.order > max_order:
+    if group.order > MAX_DAVENPORT_ORDER:
         raise ResourceLimitError(
-            f"exact Davenport search capped at order {max_order}; "
+            f"exact Davenport search capped at order {MAX_DAVENPORT_ORDER}; "
             f"d_star gives D({group}) >= {group.d_star}",
             lower_bound=group.d_star,
         )
     return davenport_exhaustive(group)
 
 
-def automorphisms(group: Group, *, max_work: int = 2**22) -> list[tuple[int, ...]]:
+MAX_AUTOMORPHISM_WORK = 2**22
+"""The most work (image tuples times |G| entries) that :func:`automorphisms` takes on."""
+
+
+def automorphisms(group: Group) -> list[tuple[int, ...]]:
     """All automorphisms of the group, as permutations of element indices.
 
     Generator images are chosen depth first, in the order of a product over
@@ -790,14 +881,14 @@ def automorphisms(group: Group, *, max_work: int = 2**22) -> list[tuple[int, ...
     bijection is injective; a full list without repeats permutes the group.
     The work of a full product (image tuples times |G| entries) is computed
     from the invariant factors before any table is built, and the search is
-    refused when it exceeds ``max_work``.
+    refused when it exceeds ``MAX_AUTOMORPHISM_WORK``.
     """
     factors = group.invariant_factors
     tuples = math.prod(math.gcd(n, m) for n in factors for m in factors)
-    if tuples * group.order > max_work:
+    if tuples * group.order > MAX_AUTOMORPHISM_WORK:
         raise ResourceLimitError(
             f"automorphism search over {group} tries {tuples} image tuples of {group.order} elements, "
-            f"over the work cap {max_work}"
+            f"over the work cap {MAX_AUTOMORPHISM_WORK}"
         )
     if group.order == 1:
         return [()]

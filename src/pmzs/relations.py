@@ -69,23 +69,12 @@ def min_delta(
 class FactorizationSet(_Record):
     """All factorizations of one element into atoms, with derived lengths.
 
-    Each factorization is a sorted tuple of atom indices into the atom set
-    (``ZERO_ATOM`` entries stand for the prime atom (0)).
+    Each factorization of the :class:`Sequence` ``element`` is a sorted tuple
+    of atom indices into the atom set (``ZERO_ATOM`` entries stand for the
+    prime atom (0)); ``lengths`` is a sorted tuple, ``delta`` its successive gaps.
     """
 
     __slots__ = _fields = ("element", "factorizations", "lengths", "delta")
-
-    def __init__(
-        self,
-        element: Sequence,
-        factorizations: tuple[tuple[int, ...], ...],
-        lengths: tuple[int, ...],
-        delta: tuple[int, ...],
-    ):
-        self.element = element
-        self.factorizations = factorizations
-        self.lengths = lengths
-        self.delta = delta
 
     def to_json_dict(self) -> dict:
         packed = []

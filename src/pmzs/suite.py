@@ -238,12 +238,10 @@ def _paired_generator_squares(limits: Limits, cache) -> list[CheckReport]:
 
 
 class SuiteResult(_Record):
-    __slots__ = _fields = ("target", "checks", "reports")
+    """The suite on ``target`` (a group literal or ``all-small``): a tuple of
+    :class:`CheckReport` and a dict group name -> :class:`DeltaStarReport`."""
 
-    def __init__(self, target: str, checks: tuple[CheckReport, ...], reports: dict[str, DeltaStarReport]):
-        self.target = target
-        self.checks = checks
-        self.reports = reports
+    __slots__ = _fields = ("target", "checks", "reports")
 
     @property
     def passed(self) -> bool:

@@ -547,6 +547,27 @@ def test_tampered_cache_entry_is_rejected(tmp_path, tamper):
     assert enumerate_atoms(g8, subset, cache=cache) == cold
 
 
+@pytest.mark.parametrize("field", ["version", "bound"])
+def test_cache_entry_of_another_version_or_bound_is_a_miss(tmp_path, capsys, field):
+    # an entry is read back only under the version and the bound it was
+    # stored under; a sweep over an edited entry prints the same report and
+    # writes the entry again
+    argv = ["delta-star", "C8", "--cache-dir", str(tmp_path), "--format", "json"]
+    assert cli.main(argv) == 0
+    cold = capsys.readouterr().out
+    entry = min(tmp_path.glob("atoms-*.json"))
+    stored = entry.read_text()
+    data = json.loads(stored)
+    atoms = AtomSet.from_json_dict(data)
+    key = (atoms.group, tuple(g.index for g in atoms.ground), data["bound"])
+    assert AtomCache(tmp_path).load(*key) == atoms
+    data[field] += 1
+    entry.write_text(json.dumps(data, sort_keys=True))
+    assert AtomCache(tmp_path).load(*key) is None
+    assert cli.main(argv) == 0
+    assert capsys.readouterr().out == cold and entry.read_text() == stored
+
+
 def test_cache_digest_is_fnv1a_64():
     # published FNV-1a 64-bit test vectors
     assert _fnv1a_64(b"") == 0xCBF29CE484222325

@@ -209,24 +209,49 @@ def test_refusal_builds_shift_steps_only_for_its_generator():
     (("lengths", "C1000000000", "[(1)^1000000000]"), "atom length bound 1000000000 exceeds the cap 20"),
     (("rho", "C1000000000"), "atom enumeration capped at 8 support elements, got 500000000"),
     (("atoms", "C1000000000", "all"), "atom enumeration capped at 8 support elements, got 500000000"),
+    # one support element with D(<S>) = 2 passes every cap, but the walk
+    # would build 30 pairs of 2^30-bit rotation masks
+    (("atoms", "x".join(["C2"] * 30), "[(" + ",".join(["1"] * 30) + ")]"),
+     "zero-sum walk capped at 67108864 bytes of rotation masks; 30 steps over C2xC2"),
 ])
 def test_refusals_over_huge_groups_build_nothing_of_size_g(argv, message):
-    # each cap needs only the fold size or D(<S>), so a child whose address
-    # space is capped at 256 MB refuses at once, where listing G (or any
-    # table of |G| entries) would end in a MemoryError traceback
+    # each cap needs only the fold size, D(<S>) or the walk's steps, so a
+    # child whose address space is capped at 256 MB refuses at once, where
+    # listing G (or any table of |G| entries) would end in a MemoryError
+    # traceback
     code, err, seconds = run_cli_limited(*argv, memory_mb=256)
     assert code == EXIT_RESOURCE and message in err and "Traceback" not in err, err
     assert seconds < 1.0
 
 
+def test_walk_over_a_huge_group_builds_only_its_own_masks():
+    # the walk over {10^7} builds one pair of 2 * 10^7-bit masks and no
+    # table of |G| entries
+    code, err, _ = run_cli_limited("atoms", "C20000000", "[(10000000)]", memory_mb=256)
+    assert code == EXIT_OK and err == "", err
+
+
+@pytest.mark.parametrize("power, code, err", [
+    (40, EXIT_OK, ""),
+    (41, EXIT_RESOURCE, "resource limit: factorization query capped at length 40, got 41\n"),
+])
+def test_factorization_query_is_capped_at_eight_times_the_bound(capsys, power, code, err):
+    # D(C5) = 5, so a query is capped at length 40; (1)^41 is a signed zero
+    # sum (23 terms +1 and 18 terms -1 sum to 5), so only the cap refuses it
+    got = run_cli(capsys, "lengths", "C5", f"[(1)^{power}]")
+    assert got[0] == code and got[2] == err
+    assert code != EXIT_OK or "lengths        {8, 11, 14, 17, 20}" in got[1]
+
+
 @pytest.mark.parametrize("order, code, message", [
     ("99999999999999999999999", EXIT_OK, ""),  # 3^2 * R23, a prime past trial division
-    ("1000036000099", EXIT_RESOURCE, "the cofactor 1000036000099 is composite"),  # 1000003 * 1000033
+    ("1000036000099", EXIT_OK, ""),  # 1000003 * 1000033, split by Pollard-Brent
     ("999999999999999999999999999989", EXIT_RESOURCE, "is too large to prove prime"),
 ])
 def test_group_of_a_huge_order_answers_or_refuses_at_once(order, code, message):
     # trial division stops at 10^6; a larger cofactor is a prime only when
-    # Miller-Rabin proves it, and otherwise the factorization is refused
+    # Miller-Rabin proves it, is split by Pollard-Brent when Miller-Rabin
+    # shows it composite, and is refused past the Miller-Rabin limit
     got, err, seconds = run_cli_limited("group", f"C{order}", memory_mb=256)
     assert got == code and message in err and "Traceback" not in err, err
     assert seconds < 1.0

@@ -65,25 +65,47 @@ def test_prime_factorization_matches_trial_division():
 
 
 def test_group_facts_factor_the_exponent_not_the_order():
-    # the order 1000003^2 is past what trial division and Miller-Rabin can
-    # split, but every fact reads the prime exponent
+    # the order 1000003^2 is split by Pollard-Brent, but every fact reads the
+    # prime exponent
     g = make_group([1000003, 1000003])
-    with pytest.raises(ResourceLimitError):
-        _prime_factorization(g.order)
+    assert _prime_factorization(g.order) == {1000003: 2}
     assert g.is_p_group and davenport(g) == g.d_star == 2000005
     assert group_invariants(g).m_ranks == {1000003: 2}
 
 
+@pytest.mark.parametrize("factors", [
+    {1000003: 1, 1000033: 1},
+    {7: 1, 1000003: 2},
+    {399165290221: 1, 798330580441: 1},  # a strong pseudoprime to every base below 41
+    {1000003: 1, 1000033: 1, 1000037: 1},
+    {1000003: 1, 2**61 - 1: 1},
+], ids=lambda factors: str(math.prod(p**e for p, e in factors.items())))
+def test_prime_factorization_splits_composite_cofactors(factors):
+    # a cofactor that Miller-Rabin shows composite is split by Pollard-Brent,
+    # and each part is proven prime or split again
+    assert _prime_factorization(math.prod(p**e for p, e in factors.items())) == factors
+
+
 @pytest.mark.parametrize("n, message", [
-    (1000003 * 1000033, "the cofactor 1000036000099 is composite"),
-    (7 * 1000003**2, "the cofactor 1000006000009 is composite"),
-    (318665857834031151167461, "is composite"),  # a strong pseudoprime to every base below 41
-    (3317044064679887385961981, "is too large to prove prime"),  # and to 41 as well
+    (3317044064679887385961981, "is too large to prove prime"),  # a strong pseudoprime to 41 as well
     (2**127 - 1, "is too large to prove prime"),
 ])
-def test_prime_factorization_refuses_what_it_cannot_prove(n, message):
+def test_prime_factorization_refuses_what_it_cannot_prove(monkeypatch, n, message):
+    # past the Miller-Rabin limit no primality proof is at hand, so the
+    # cofactor is refused before Pollard-Brent runs
+    monkeypatch.setattr(groups, "_rho_divisor", None)
     with pytest.raises(ResourceLimitError, match=message):
         _prime_factorization(n)
+
+
+def test_prime_factorization_refuses_a_cofactor_that_does_not_split(monkeypatch):
+    monkeypatch.setattr(groups, "_RHO_BUDGET", 1)
+    with pytest.raises(ResourceLimitError) as raised:
+        _prime_factorization(318665857834031151167461)
+    assert str(raised.value) == (
+        "factorization of 318665857834031151167461 capped at 1 Pollard-Brent steps: "
+        "the composite 318665857834031151167461 did not split"
+    )
 
 
 def test_make_group_rejects_bad_orders():
@@ -288,10 +310,14 @@ def test_davenport_search_agrees_with_formula_up_to_16():
         assert davenport_exhaustive(g) == g.d_star, str(g)
 
 
-def test_davenport_exhaustive_on_groups_past_the_formula():
-    # C2 + C2 + C2n has D = 2n + 2 = d_star; the default order cap refuses the search here
+def test_davenport_exhaustive_on_groups_past_the_formula(monkeypatch):
+    # C2 + C2 + C2n has D = 2n + 2 = d_star; the order cap is inclusive, so
+    # the search runs at order 24 and a cap of 23 refuses it
     g = make_group([2, 2, 6])
-    assert davenport_exhaustive(g) == davenport(g, max_order=24) == g.d_star == 8
+    assert davenport_exhaustive(g) == davenport(g) == g.d_star == 8
+    monkeypatch.setattr(groups, "MAX_DAVENPORT_ORDER", 23)
+    with pytest.raises(ResourceLimitError, match="capped at order 23"):
+        davenport(g)
 
 
 def test_minimal_zero_sums_match_brute_force():
@@ -326,7 +352,7 @@ def test_davenport_cap():
     assert davenport(make_group([3, 3, 3, 3])) == 9
 
 
-def test_automorphism_counts():
+def test_automorphism_counts(monkeypatch):
     assert len(automorphisms(make_group([3]))) == 2
     assert len(automorphisms(make_group([2, 2]))) == 6
     assert len(automorphisms(make_group([8]))) == 4
@@ -335,11 +361,15 @@ def test_automorphism_counts():
     with pytest.raises(ResourceLimitError):
         automorphisms(make_group([2, 2, 2, 2, 2]))
     # the cap is inclusive: C2^3xC4 is 131,072 tuples x 32 = 2^22, C3 is 3 tuples x 3
+    assert len(automorphisms(make_group([2, 2, 2, 4]))) == 21504  # Hillar--Rhea
+    monkeypatch.setattr(groups, "MAX_AUTOMORPHISM_WORK", 2**22 - 1)
     with pytest.raises(ResourceLimitError):
-        automorphisms(make_group([2, 2, 2, 4]), max_work=2**22 - 1)
-    assert len(automorphisms(make_group([3]), max_work=9)) == 2
-    with pytest.raises(ResourceLimitError):
-        automorphisms(make_group([3]), max_work=8)
+        automorphisms(make_group([2, 2, 2, 4]))
+    monkeypatch.setattr(groups, "MAX_AUTOMORPHISM_WORK", 9)
+    assert len(automorphisms(make_group([3]))) == 2
+    monkeypatch.setattr(groups, "MAX_AUTOMORPHISM_WORK", 8)
+    with pytest.raises(ResourceLimitError, match="over the work cap 8"):
+        automorphisms(make_group([3]))
 
 
 def test_automorphisms_match_full_product_oracle():

@@ -191,3 +191,39 @@ def test_sequence_validation(entries, message):
     with pytest.raises(DomainError) as raised:
         Sequence(C3, entries)
     assert str(raised.value) == message
+
+
+# the eight records that bind their fields with the base constructor
+PLAIN = [AtomSet, LengthProfile, DeltaStarReport, CharReport, CharComparison, GroupSummary, FactorizationSet,
+         SuiteResult]
+
+
+@pytest.mark.parametrize("cls", PLAIN, ids=lambda cls: cls.__name__)
+def test_plain_records_bind_their_fields_by_position_and_name(cls):
+    fields, first = CASES[cls][:2]
+    a = first()
+    values = tuple(getattr(a, name) for name in fields)
+    assert "__init__" not in vars(cls)
+    assert cls(*values) == cls(**dict(zip(fields, values))) == a
+    assert cls(*values[:1], **dict(zip(fields[1:], values[1:]))) == a
+    for k, name in enumerate(fields):
+        if name != "evaluated_only":  # the one field with a default
+            with pytest.raises(TypeError, match=f"^{cls.__name__} is missing the field {name!r}$"):
+                cls(*values[:k], **dict(zip(fields[k + 1:], values[k + 1:])))
+    with pytest.raises(TypeError, match=f"^{cls.__name__} got two values for the field {fields[0]!r}$"):
+        cls(*values, **{fields[0]: values[0]})
+    with pytest.raises(TypeError, match=f"^{cls.__name__} has no field 'extra'$"):
+        cls(*values, extra=1)
+    with pytest.raises(TypeError, match=f"^{cls.__name__} takes {len(fields)} fields, got {len(fields) + 1} values$"):
+        cls(*values, None)
+
+
+def test_a_default_fills_only_its_own_field():
+    values = (C3, True, (), (), None, {}, ())
+    assert DeltaStarReport(*values).evaluated_only is False
+    assert DeltaStarReport(*values, True).evaluated_only is True
+    assert DeltaStarReport(*values, evaluated_only=True).evaluated_only is True
+    with pytest.raises(TypeError, match="^DeltaStarReport is missing the field 'skipped'$"):
+        DeltaStarReport(*values[:-1])
+    with pytest.raises(TypeError, match="^LengthProfile is missing the field 'gcd_lengths_minus_2'$"):
+        LengthProfile(3)
