@@ -211,15 +211,14 @@ class _Record:
         if len(values) > len(fields):
             raise TypeError(f"{cls} takes {len(fields)} fields, got {len(values)} values")
         for name, value in zip(fields, values):
-            if name in named:
-                raise TypeError(f"{cls} got two values for the field {name!r}")
-            named[name] = value
-        for name in fields:
+            setattr(self, name, value)
+        for name in fields[len(values):]:
             if name not in named and name not in self._defaults:
                 raise TypeError(f"{cls} is missing the field {name!r}")
             setattr(self, name, named.pop(name) if name in named else self._defaults[name])
-        if named:
-            raise TypeError(f"{cls} has no field {next(iter(named))!r}")
+        for name in named:
+            problem = "got two values for the field" if name in fields else "has no field"
+            raise TypeError(f"{cls} {problem} {name!r}")
 
     def __eq__(self, other):
         if other.__class__ is not self.__class__:
@@ -794,14 +793,15 @@ def _minimal_zero_sums(group: Group, folded: tuple[int, ...], weights: tuple[int
         pair = (gi,) if neg[gi] == gi else (gi, neg[gi])
         elements += pair
         keys += (weight,) * len(pair)
-    # two |G|-bit masks per distinct step (k, c); U is closed under negation,
-    # so the steps by -u over U are those by u
+    # the distinct steps (k, c) of U, two |G|-bit masks each; U is closed
+    # under negation, so the steps by -u over U are those by u
     radix = group._radix
     needed = len({(k, c) for gi in elements for k, (n, stride) in enumerate(radix) if (c := gi // stride % n)})
-    if 2 * needed * (group.order + 7 >> 3) > MAX_WALK_MASK_BYTES:
+    need = 2 * needed * (group.order + 7 >> 3)
+    if need > MAX_WALK_MASK_BYTES:
         raise ResourceLimitError(
             f"zero-sum walk capped at {MAX_WALK_MASK_BYTES} bytes of rotation masks; "
-            f"{needed} steps over {group} need {2 * needed * (group.order + 7 >> 3)}"
+            f"{needed} steps over {group} need {need}"
         )
     steps = group._shift_steps
     position = {gi: p for p, gi in enumerate(elements)}
