@@ -63,7 +63,7 @@ def _proven_prime(n: int) -> bool:
 
 _RHO_BUDGET = 2**22
 """Pollard--Brent rho gives up on a cofactor once the cycle lengths it has
-tried sum past this, about a quarter of the squarings it has made."""
+tried sum past this; a cycle length r costs up to 2r squarings."""
 
 
 def _rho_divisor(n: int) -> int | None:
@@ -129,11 +129,11 @@ def _prime_factorization(n: int) -> dict[int, int]:
                 f"factorization of {n} capped at trial division below {_TRIAL_DIVISION_BOUND}: "
                 f"the cofactor {cofactor} is too large to prove prime"
             )
-        primes, parts = [], [cofactor]
+        parts, cofactor = [cofactor], 1
         while parts:
             part = parts.pop()
             if part < _TRIAL_DIVISION_BOUND**2 or _proven_prime(part):
-                primes.append(part)
+                out[part] = out.get(part, 0) + 1
                 continue
             d = _rho_divisor(part)
             if d is None:
@@ -142,9 +142,6 @@ def _prime_factorization(n: int) -> dict[int, int]:
                     f"the composite {part} did not split"
                 )
             parts += (d, part // d)
-        for p in sorted(primes):
-            out[p] = out.get(p, 0) + 1
-        return out
     if cofactor > 1:
         out[cofactor] = out.get(cofactor, 0) + 1
     return out
