@@ -48,10 +48,11 @@ weighted terms already contain a proper nonempty zero-sum block, and both the
 block and its complement inherit signed zero sums.  The walk does not read
 the bound.  It is the refusal rule of :func:`check_atom_caps`, which computes
 it only where the length cap could bind, and :attr:`AtomSet.bound` computes
-it on first read, for the cache key, the factorization query cap and the
-JSON form.  The support cap counts fold S.  The sequence (0) is an atom (in
-fact prime); a zero in the ground set is stripped and tracked by the
-``includes_zero`` flag since it never affects distances.
+it on first read, for the factorization query cap and the JSON form.  A
+cache load computes it only for an entry whose longest atom is longer than
+every ord(g), g in fold S.  The support cap counts fold S.  The sequence (0)
+is an atom (in fact prime); a zero in the ground set is stripped and tracked
+by the ``includes_zero`` flag since it never affects distances.
 """
 
 from __future__ import annotations
@@ -64,7 +65,7 @@ from itertools import product
 from pathlib import Path
 from typing import Iterable
 
-from .errors import DomainError, PmzsError, ResourceLimitError
+from .errors import DomainError, ResourceLimitError
 from .groups import (
     MAX_DAVENPORT_ORDER,
     Group,
@@ -79,7 +80,7 @@ from .groups import (
     signed_shift_mask,
 )
 from .limits import DEFAULT_LIMITS, Limits
-from .notation import format_group, parse_group, subset_from_json, subset_to_json
+from .notation import format_group, subset_to_json
 from .sequences import Sequence
 
 CACHE_VERSION = 1
@@ -153,21 +154,6 @@ class AtomSet(_Record):
             "atoms": [list(v) for v in self.vectors],
             "includes_zero": self.includes_zero,
         }
-
-    @classmethod
-    def from_json_dict(cls, data: dict) -> "AtomSet":
-        """The atom set of a dict over a folded ground set, such as a cache entry."""
-        group = parse_group(data["group"])
-        ground = subset_from_json(group, data["ground_set"])
-        indices = tuple(g.index for g in ground)
-        if fold_negatives(group, indices) != indices:
-            raise DomainError("an atom set is read back only over a folded ground set")
-        return cls(
-            group=group,
-            ground=ground,
-            folded=tuple(tuple(int(x) for x in v) for v in data["atoms"]),
-            includes_zero=bool(data["includes_zero"]),
-        )
 
 
 class LengthProfile(_Record):
@@ -300,27 +286,31 @@ def _atom_order(vec: tuple[int, ...]) -> tuple[int, tuple[int, ...]]:
     return sum(vec), vec
 
 
-def _is_valid_atom_list(
-    group: Group, ground_indices: tuple[int, ...], bound: int, vectors: tuple[tuple[int, ...], ...]
-) -> bool:
-    """True iff the vectors could be an enumerated atom list over the ground set.
+def _is_valid_atom_list(group: Group, ground_indices: tuple[int, ...], vectors: tuple[tuple[int, ...], ...]) -> bool:
+    """True iff the vectors could be an enumerated atom list over a folded ground set.
 
     Each vector must be a nonnegative exponent vector of the ground width with
-    a signed zero sum and length 2..bound, and the list must be strictly
-    increasing in :func:`_atom_order`, which also rules out duplicates.
-    Completeness is checked only in part: for each ground element g the list
-    must hold g^2, and g^ord(g) when ord(g) is odd, since both are atoms by
-    definition.  Irreducibility is not re-checked.
+    a signed zero sum and length 2..D(<S>), and the list must be strictly
+    increasing in :func:`_atom_order`, which also rules out duplicates.  The
+    order puts the longest vector last.  D(<S>) >= exp(<S>) >= ord(g) for
+    each ground element g, so D(<S>) is computed only when that vector is
+    longer than every ord(g).  Completeness is checked only in part: for each
+    ground element g the list must hold g^2, and g^ord(g) when ord(g) is odd,
+    since both are atoms by definition.  Irreducibility is not re-checked.
     """
     width = len(ground_indices)
-    if not all(len(v) == width and all(m >= 0 for m in v) and 2 <= sum(v) <= bound for v in vectors):
+    if not all(len(v) == width and all(m >= 0 for m in v) for v in vectors):
         return False
     keys = [_atom_order(v) for v in vectors]
     if any(a >= b for a, b in zip(keys, keys[1:])):
         return False
+    orders = [group.element_at(gi).order() for gi in ground_indices]
+    if keys:
+        shortest, longest = keys[0][0], keys[-1][0]
+        if shortest < 2 or longest > max(orders) and longest > _span_davenport(group, ground_indices):
+            return False
     listed = set(vectors)
-    for pos, gi in enumerate(ground_indices):
-        order = group.element_at(gi).order()
+    for pos, order in enumerate(orders):
         required = (2, order) if order % 2 else (2,)
         if any(tuple(p if i == pos else 0 for i in range(width)) not in listed for p in required):
             return False
@@ -387,50 +377,58 @@ class AtomCache:
     ground set: an atom set over fold S, whatever S a caller asked for.
 
     An entry's file is named ``atoms-<16 hex digits>.json`` after the 64-bit
-    FNV-1a digest of its key (cache version, group, folded ground indices,
-    length bound).  Two keys with one name are harmless: :meth:`load`
-    checks the group, ground set and bound, so the other key's entry is a
-    miss and gets overwritten.  Entries written under the earlier sha256
-    names are not found; they are misses and are written again under the
-    new names, with unchanged contents, so ``CACHE_VERSION`` stays 1.  A
-    cache pickles as its directory; unpickling it makes no directory.
+    FNV-1a digest of its key (cache version, group, folded ground indices).
+    The entry is :meth:`AtomSet.to_json_dict` of the folded set.  Two keys
+    with one name are harmless: :meth:`load` compares the entry's version,
+    group and ground set with the requested key, so the other key's entry is
+    a miss and gets overwritten.  It ignores the stored ``bound`` and
+    ``includes_zero``.  Entries written under earlier names (the sha256
+    digests, then keys that also held D(<S>)) are not found; they are misses
+    and are written again under the new names, with unchanged contents, so
+    ``CACHE_VERSION`` stays 1.  A cache pickles as its directory; unpickling
+    it makes no directory.
     """
 
     def __init__(self, directory: str | Path):
         self.directory = Path(directory)
         self.directory.mkdir(parents=True, exist_ok=True)
 
-    def _path(self, group: Group, ground_indices: tuple[int, ...], bound: int) -> Path:
-        key = f"{CACHE_VERSION}|{format_group(group)}|{','.join(map(str, ground_indices))}|{bound}"
+    def _path(self, group: Group, ground_indices: tuple[int, ...]) -> Path:
+        key = f"{CACHE_VERSION}|{format_group(group)}|{','.join(map(str, ground_indices))}"
         return self.directory / f"atoms-{_fnv1a_64(key.encode()):016x}.json"
 
-    def load(self, group: Group, ground_indices: tuple[int, ...], bound: int) -> AtomSet | None:
+    def load(self, group: Group, ground_indices: tuple[int, ...]) -> AtomSet | None:
         """The stored atom set over a folded ground set, or None on a miss.
 
-        An entry that cannot be read, decoded or parsed, that describes a
-        different group, ground set or bound, or whose atom list fails
-        :func:`_is_valid_atom_list`, counts as a miss.
+        An entry that cannot be read or decoded, whose version, group string
+        or ground-set coordinates differ from the requested key's, whose atoms
+        are not lists of ints, or whose atom list fails
+        :func:`_is_valid_atom_list` counts as a miss.  The set is built from
+        the requested group and indices, with ``includes_zero`` False: the
+        flag belongs to the subset a caller asked for, not to the entry.
         """
-        path = self._path(group, ground_indices, bound)
         try:
-            data = json.loads(path.read_text())
-            if data.get("version") != CACHE_VERSION or int(data["bound"]) != bound:
+            data = json.loads(self._path(group, ground_indices).read_bytes())
+            if (
+                data["version"] != CACHE_VERSION
+                or data["group"] != format_group(group)
+                or data["ground_set"] != [list(group._coords_of(i)) for i in ground_indices]
+            ):
                 return None
-            atom_set = AtomSet.from_json_dict(data)
-        except (OSError, ValueError, KeyError, TypeError, AttributeError, PmzsError):
+            atoms = data["atoms"]
+        except (OSError, ValueError, KeyError, TypeError):
             return None
-        valid = (
-            atom_set.group == group
-            and tuple(g.index for g in atom_set.ground) == ground_indices
-            and _is_valid_atom_list(group, ground_indices, bound, atom_set.folded)
-        )
-        return atom_set if valid else None
+        if type(atoms) is not list or not all(type(v) is list and all(type(m) is int for m in v) for v in atoms):
+            return None
+        folded = tuple(map(tuple, atoms))
+        if not _is_valid_atom_list(group, ground_indices, folded):
+            return None
+        return AtomSet(group, tuple(map(group.element_at, ground_indices)), folded, False)
 
     def store(self, atom_set: AtomSet) -> None:
         """Write the entry of an atom set over a folded ground set atomically,
         so an interrupted run never leaves a partial file."""
-        ground_indices = tuple(g.index for g in atom_set.ground)
-        path = self._path(atom_set.group, ground_indices, atom_set.bound)
+        path = self._path(atom_set.group, tuple(g.index for g in atom_set.ground))
         tmp = path.with_name(f"{path.name}.{os.getpid()}.tmp")
         try:
             tmp.write_text(json.dumps(atom_set.to_json_dict(), sort_keys=True))
@@ -509,7 +507,7 @@ def enumerate_atoms(
     ground_indices = tuple(sorted(indices))
     folded_indices = fold_negatives(group, ground_indices)
     check_atom_caps(group, folded_indices, limits)
-    entry = None if cache is None else cache.load(group, folded_indices, _span_davenport(group, folded_indices))
+    entry = None if cache is None else cache.load(group, folded_indices)
     if entry is not None:
         folded = entry.folded
     else:

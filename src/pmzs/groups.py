@@ -410,7 +410,12 @@ def _rotations(order: int, radix: tuple[tuple[int, int], ...]) -> Callable[[int]
             n, stride = radix[k]
             full = (1 << order) - 1
             if k not in repeats:
-                repeats[k] = full // ((1 << (n * stride)) - 1)
+                # doubling shifts take O(|G| log) bit operations; full // (2^(n stride) - 1) is quadratic
+                pattern, width = 1, n * stride
+                while width < order:
+                    pattern |= pattern << width
+                    width *= 2
+                repeats[k] = pattern & full
             lo = ((1 << ((n - c) * stride)) - 1) * repeats[k]
             found = steps[k, c] = (lo, c * stride, full ^ lo, (n - c) * stride)
         return found

@@ -92,9 +92,10 @@ class FactorizationSet(_Record):
 
 
 def delta_of_lengths(lengths: Iterable[int]) -> tuple[int, ...]:
-    """Successive gaps of a finite set of integers, in increasing order."""
+    """The set of distances Delta(L) of a finite set L of integers: the
+    distinct gaps between successive elements of L, in increasing order."""
     ordered = sorted(set(lengths))
-    return tuple(b - a for a, b in zip(ordered, ordered[1:]))
+    return tuple(sorted({b - a for a, b in zip(ordered, ordered[1:])}))
 
 
 class Factorizer:

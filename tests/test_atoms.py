@@ -531,6 +531,8 @@ def test_atom_cache_pickles_as_its_directory(tmp_path):
     lambda atoms: atoms[:1] + atoms,  # a duplicate
     lambda atoms: atoms[::-1],  # out of (length, vector) order
     lambda atoms: atoms[1:],  # (3e)^2 deleted: every g^2 is an atom
+    lambda atoms: atoms[:-1] + [[1.0 * m for m in atoms[-1]]],  # multiplicities that are not ints
+    lambda atoms: {"atoms": atoms},  # not a list
 ])
 def test_tampered_cache_entry_is_rejected(tmp_path, tamper):
     g8 = make_group([8])
@@ -538,34 +540,130 @@ def test_tampered_cache_entry_is_rejected(tmp_path, tamper):
     cache = AtomCache(tmp_path)
     cold = enumerate_atoms(g8, subset, cache=cache)
     ground = tuple(g.index for g in cold.ground)
-    assert cache.load(g8, ground, cold.bound) is not None
+    assert cache.load(g8, ground) is not None
     (entry,) = tmp_path.glob("atoms-*.json")
     data = json.loads(entry.read_text())
     data["atoms"] = tamper(data["atoms"])
     entry.write_text(json.dumps(data))
-    assert cache.load(g8, ground, cold.bound) is None
+    assert cache.load(g8, ground) is None
     assert enumerate_atoms(g8, subset, cache=cache) == cold
 
 
-@pytest.mark.parametrize("field", ["version", "bound"])
-def test_cache_entry_of_another_version_or_bound_is_a_miss(tmp_path, capsys, field):
-    # an entry is read back only under the version and the bound it was
-    # stored under; a sweep over an edited entry prints the same report and
-    # writes the entry again
+def _entry_key(data):
+    group = parse_group(data["group"])
+    return group, tuple(group.element(tuple(c)).index for c in data["ground_set"])
+
+
+@pytest.mark.parametrize("field, edit", [
+    ("version", lambda data: data["version"] + 1),
+    ("group", lambda data: "C2xC4"),
+    ("ground_set", lambda data: data["ground_set"] + [[0]]),
+], ids=["version", "group", "ground_set"])
+def test_cache_entry_of_another_version_or_key_is_a_miss(tmp_path, capsys, field, edit):
+    # an entry is read back only under the version, group and ground set it
+    # was stored under; a sweep over an edited entry prints the same report
+    # and writes the entry again
     argv = ["delta-star", "C8", "--cache-dir", str(tmp_path), "--format", "json"]
     assert cli.main(argv) == 0
     cold = capsys.readouterr().out
     entry = min(tmp_path.glob("atoms-*.json"))
     stored = entry.read_text()
     data = json.loads(stored)
-    atoms = AtomSet.from_json_dict(data)
-    key = (atoms.group, tuple(g.index for g in atoms.ground), data["bound"])
-    assert AtomCache(tmp_path).load(*key) == atoms
-    data[field] += 1
+    key = _entry_key(data)
+    assert AtomCache(tmp_path).load(*key).to_json_dict() == data
+    data[field] = edit(data)
     entry.write_text(json.dumps(data, sort_keys=True))
     assert AtomCache(tmp_path).load(*key) is None
     assert cli.main(argv) == 0
     assert capsys.readouterr().out == cold and entry.read_text() == stored
+
+
+def test_cache_load_ignores_the_stored_bound_and_zero_flag(tmp_path):
+    g8 = make_group([8])
+    cache = AtomCache(tmp_path)
+    atoms = enumerate_atoms(g8, parse_subset(g8, "[(1),(3)]"), cache=cache)
+    (entry,) = tmp_path.glob("atoms-*.json")
+    data = json.loads(entry.read_text())
+    data["bound"], data["includes_zero"] = "eight", 1
+    entry.write_text(json.dumps(data))
+    assert cache.load(g8, (1, 3)) == atoms
+
+
+@pytest.mark.parametrize("factors, too_long", [
+    ([2, 2, 2], [1, 1, 1, 2, 0, 0, 0]),  # (0,0,1) + (0,1,0) + (0,1,1) = 0, times (1,0,0)^2
+    ([3, 3], [6, 0, 0, 0]),  # six copies of one element
+])
+def test_whole_set_entries_check_lengths_against_the_span_davenport_constant(tmp_path, monkeypatch, factors, too_long):
+    # the longest atom of the whole set (4 in C2^3, 5 in C3xC3) passes every
+    # element order, so the load reads D(<S>); a signed zero sum of length
+    # D(<S>) + 1 makes the entry a miss
+    group = make_group(factors)
+    ground = fold_negatives(group, range(1, group.order))
+    cache = AtomCache(tmp_path)
+    atoms = enumerate_atoms(group, [group.element_at(i) for i in ground], cache=cache)
+    assert atom_length_profile(atoms).max_length > max(group.element_at(i).order() for i in ground)
+    assert sum(too_long) == davenport(group) + 1
+    computed = []
+    span = pmzs.atoms._span_davenport
+
+    def recording(group, folded):
+        computed.append(folded)
+        return span(group, folded)
+
+    monkeypatch.setattr(pmzs.atoms, "_span_davenport", recording)
+    assert cache.load(group, ground) == atoms and computed == [ground]
+    (entry,) = tmp_path.glob("atoms-*.json")
+    data = json.loads(entry.read_text())
+    data["atoms"].append(too_long)
+    entry.write_text(json.dumps(data))
+    assert cache.load(group, ground) is None
+
+
+def test_cache_entries_under_the_bound_keyed_names_are_not_read(tmp_path, capsys):
+    # entries named after the earlier key, which also held D(<S>), are misses;
+    # the sweep writes the same bytes again under the new names
+    argv = ["delta-star", "C8", "--cache-dir", str(tmp_path), "--format", "json"]
+    assert cli.main(argv) == 0
+    cold = capsys.readouterr().out
+    stored = {p.name: p.read_bytes() for p in tmp_path.iterdir()}
+    cache = AtomCache(tmp_path)
+    old_names = set()
+    for name, raw in stored.items():
+        data = json.loads(raw)
+        group, ground = _entry_key(data)
+        old_key = f"1|{format_group(group)}|{','.join(map(str, ground))}|{data['bound']}"
+        old = tmp_path / f"atoms-{_fnv1a_64(old_key.encode()):016x}.json"
+        (tmp_path / name).rename(old)
+        old_names.add(old.name)
+        assert cache.load(group, ground) is None
+    assert not old_names & stored.keys()
+    assert cli.main(argv) == 0
+    assert capsys.readouterr().out == cold
+    assert {p.name: p.read_bytes() for p in tmp_path.iterdir() if p.name not in old_names} == stored
+
+
+@pytest.mark.parametrize("name, stored", [("C12", 14), ("C13", 4)])
+def test_warm_sweeps_compute_no_span_davenport_constant(tmp_path, monkeypatch, name, stored):
+    # the cold sweep reads D(<S>) once per entry it stores, for the entry's
+    # "bound"; the warm sweep reads none, and prints the same report
+    calls = []
+    span = pmzs.atoms._span_davenport
+
+    def recording(group, folded):
+        calls.append(folded)
+        return span(group, folded)
+
+    monkeypatch.setattr(pmzs.atoms, "_span_davenport", recording)
+    argv = ("delta-star", name, "--format", "json", "--cache-dir", str(tmp_path)) + BENCHMARK_CAPS
+    outputs = []
+    for _ in range(2):
+        calls.clear()
+        with contextlib.redirect_stdout(io.StringIO()) as out:
+            assert cli.main(list(argv)) == 0
+        outputs.append(out.getvalue())
+        if len(outputs) == 1:
+            assert len(list(tmp_path.glob("atoms-*.json"))) == stored and len(calls) <= stored
+    assert calls == [] and outputs[0] == outputs[1]
 
 
 def test_cache_digest_is_fnv1a_64():
@@ -575,7 +673,7 @@ def test_cache_digest_is_fnv1a_64():
     assert _fnv1a_64(b"foobar") == 0x85944171F73967E8
 
 
-PINNED_NAME = "atoms-56cb7b6bfc21fddd.json"  # key "1|C8|1,3|8"
+PINNED_NAME = "atoms-2a286b1526cf6c71.json"  # key "1|C8|1,3"
 
 
 def test_cache_file_name_is_pinned(tmp_path):
@@ -589,7 +687,7 @@ def test_cache_file_name_is_the_same_under_any_hash_seed(tmp_path):
 from pmzs import make_group
 from pmzs.atoms import AtomCache
 
-print(AtomCache({str(tmp_path)!r})._path(make_group([8]), (1, 3), 8).name)
+print(AtomCache({str(tmp_path)!r})._path(make_group([8]), (1, 3)).name)
 """
     names = {run_fresh(snippet, env={"PYTHONHASHSEED": seed}).strip() for seed in ("0", "4242")}
     assert names == {PINNED_NAME}
@@ -597,29 +695,30 @@ print(AtomCache({str(tmp_path)!r})._path(make_group([8]), (1, 3), 8).name)
 
 def test_cache_file_names_do_not_collide_over_sweeps(tmp_path):
     # every key the C12, C13 and C4xC4 sweeps store, and more: each nonempty
-    # subset of G minus 0 with the largest length bound its group's sweep used
+    # subset of G minus 0
     class RecordingCache(AtomCache):
-        def _path(self, group, ground_indices, bound):
-            used.add((group, ground_indices, bound))
-            return super()._path(group, ground_indices, bound)
+        def _path(self, group, ground_indices):
+            used.add((group, ground_indices))
+            return super()._path(group, ground_indices)
 
     used = set()
     cache = RecordingCache(tmp_path)
     for name in ("C12", "C13", "C4xC4"):
         delta_star(parse_group(name), cache=cache)
     keys = set(used)
-    for group in {g for g, _, _ in used}:
-        bound = max(b for g, _, b in used if g == group)
+    for group in {g for g, _ in used}:
         for mask in range(1, 1 << (group.order - 1)):
-            keys.add((group, tuple(i + 1 for i in range(group.order - 1) if mask >> i & 1), bound))
+            keys.add((group, tuple(i + 1 for i in range(group.order - 1) if mask >> i & 1)))
     names = {AtomCache._path(cache, *key).name for key in keys}
     assert used < keys and len(names) == len(keys)
 
 
-def test_atom_set_json_round_trip():
-    from pmzs.atoms import AtomSet
-
+def test_atom_set_json_round_trip(tmp_path):
+    # the cache entry of an atom set is its JSON form, and loads back equal
     g8 = make_group([8])
     atoms = enumerate_atoms(g8, parse_subset(g8, "[(1),(3)]"))
-    clone = AtomSet.from_json_dict(atoms.to_json_dict())
-    assert clone == atoms
+    cache = AtomCache(tmp_path)
+    cache.store(atoms)
+    (entry,) = tmp_path.glob("atoms-*.json")
+    assert json.loads(entry.read_text()) == atoms.to_json_dict()
+    assert cache.load(g8, (1, 3)) == atoms

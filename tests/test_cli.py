@@ -231,6 +231,16 @@ def test_walk_over_a_huge_group_builds_only_its_own_masks():
     assert code == EXIT_OK and err == "", err
 
 
+def test_walk_builds_a_coordinate_of_large_blocks_in_near_linear_time():
+    # the block starts of the second coordinate of C2^25 lie 2^24 bits
+    # apart; the pattern is built by doubling shifts, where a long division
+    # of the 2^25-bit mask ran for minutes
+    argv = ("atoms", "x".join(["C2"] * 25), "[(" + ",".join(["0", "1"] + ["0"] * 23) + ")]")
+    code, err, seconds = run_cli_limited(*argv, memory_mb=256)
+    assert code == EXIT_OK and err == "", err
+    assert seconds < 2.0
+
+
 @pytest.mark.parametrize("power, code, err", [
     (40, EXIT_OK, ""),
     (41, EXIT_RESOURCE, "resource limit: factorization query capped at length 40, got 41\n"),
@@ -240,7 +250,7 @@ def test_factorization_query_is_capped_at_eight_times_the_bound(capsys, power, c
     # sum (23 terms +1 and 18 terms -1 sum to 5), so only the cap refuses it
     got = run_cli(capsys, "lengths", "C5", f"[(1)^{power}]")
     assert got[0] == code and got[2] == err
-    assert code != EXIT_OK or "lengths        {8, 11, 14, 17, 20}" in got[1]
+    assert code != EXIT_OK or "lengths        {8, 11, 14, 17, 20}\ndelta          {3}\n" in got[1]
 
 
 @pytest.mark.parametrize("order, code, message", [
@@ -428,7 +438,7 @@ def test_sets_with_one_fold_share_one_cache_entry(capsys, tmp_path):
     for subset in ("[(1),(5)]", "[(1),(3)]"):
         code, out, _ = run_cli(capsys, "min-delta", "C8", subset, "--cache-dir", str(cache_dir))
         assert code == EXIT_OK and out == "min delta = 2\n"
-    assert [p.name for p in cache_dir.iterdir()] == ["atoms-56cb7b6bfc21fddd.json"]
+    assert [p.name for p in cache_dir.iterdir()] == ["atoms-2a286b1526cf6c71.json"]
 
 
 def test_support_cap_counts_the_folded_set(capsys):

@@ -179,6 +179,22 @@ def test_shift_mask_matches_bit_loop():
                 assert signed_shift_mask(g, mask, gi) == signed, (str(g), gi, mask)
 
 
+def test_rotation_block_starts_match_the_long_division():
+    # the block-start pattern of coordinate k, a 1 every n_k * stride_k bits,
+    # is (2^|G| - 1) / (2^(n_k stride_k) - 1); every step of every element of
+    # every abelian group of order 2..64 is built from it
+    for g in small_group_list(64):
+        full = (1 << g.order) - 1
+        steps = groups._rotations(g.order, g._radix)
+        for gi in range(g.order):
+            expected = []
+            for n, stride in g._radix:
+                if c := gi // stride % n:
+                    lo = ((1 << ((n - c) * stride)) - 1) * (full // ((1 << (n * stride)) - 1))
+                    expected.append((lo, c * stride, full ^ lo, (n - c) * stride))
+            assert steps(gi) == tuple(expected), (str(g), gi)
+
+
 def test_index_round_trip():
     # element_at hands out one interned element per index, equal and
     # hash-equal to the element built from its coordinates

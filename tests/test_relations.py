@@ -399,7 +399,8 @@ def test_rho_k_stopped_by_length_matches_every_product():
 
 
 def test_delta_of_lengths():
-    assert delta_of_lengths([2, 5, 7]) == (3, 2)
+    assert delta_of_lengths([2, 5, 7]) == (2, 3)
+    assert delta_of_lengths([8, 11, 14, 17, 20]) == (3,)
     assert delta_of_lengths([3]) == ()
     assert delta_of_lengths([]) == ()
 
