@@ -654,16 +654,18 @@ def test_warm_sweeps_compute_no_span_davenport_constant(tmp_path, monkeypatch, n
         return span(group, folded)
 
     monkeypatch.setattr(pmzs.atoms, "_span_davenport", recording)
-    argv = ("delta-star", name, "--format", "json", "--cache-dir", str(tmp_path)) + BENCHMARK_CAPS
-    outputs = []
-    for _ in range(2):
+    argv = ["delta-star", name, "--format", "json", "--cache-dir", str(tmp_path), *BENCHMARK_CAPS]
+
+    def sweep():
         calls.clear()
         with contextlib.redirect_stdout(io.StringIO()) as out:
-            assert cli.main(list(argv)) == 0
-        outputs.append(out.getvalue())
-        if len(outputs) == 1:
-            assert len(list(tmp_path.glob("atoms-*.json"))) == stored and len(calls) <= stored
-    assert calls == [] and outputs[0] == outputs[1]
+            assert cli.main(argv) == 0
+        return out.getvalue()
+
+    cold = sweep()
+    assert len(list(tmp_path.glob("atoms-*.json"))) == stored and len(calls) <= stored
+    warm = sweep()
+    assert calls == [] and warm == cold
 
 
 def test_cache_digest_is_fnv1a_64():
