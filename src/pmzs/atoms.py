@@ -45,12 +45,12 @@ fact off a single sequence, signing by signing.
 Atom lengths are bounded by the Davenport constant of the subgroup generated
 by the ground set: in any longer signed zero sum, the first length-minus-one
 weighted terms already contain a proper nonempty zero-sum block, and both the
-block and its complement inherit signed zero sums.  The walk does not read
-the bound.  It is the refusal rule of :func:`check_atom_caps`, which computes
-it only where the length cap could bind, and :attr:`AtomSet.bound` computes
-it on first read, for the factorization query cap and the JSON form.  A
-cache load computes it only for an entry whose longest atom is longer than
-every ord(g), g in fold S.  The support cap counts fold S.  The sequence (0)
+block and its complement inherit signed zero sums.  Neither the walk nor
+:class:`AtomSet` holds the bound D(<S>); it is read only where it decides a
+cap.  :func:`check_atom_caps` computes it only where the length cap could
+bind, a cache load only for an entry whose longest atom is longer than every
+ord(g), g in fold S, and :class:`pmzs.relations.Factorizer` on its first
+query, for its query cap.  The support cap counts fold S.  The sequence (0)
 is an atom (in fact prime); a zero in the ground set is stripped and tracked
 by the ``includes_zero`` flag since it never affects distances.
 """
@@ -71,6 +71,7 @@ from .groups import (
     Group,
     GroupElement,
     _Record,
+    _check_walk_masks,
     _minimal_zero_sums,
     _span_type,
     davenport,
@@ -83,7 +84,7 @@ from .limits import DEFAULT_LIMITS, Limits
 from .notation import format_group, subset_to_json
 from .sequences import Sequence
 
-CACHE_VERSION = 1
+CACHE_VERSION = 2
 
 
 class AtomSet(_Record):
@@ -94,15 +95,11 @@ class AtomSet(_Record):
     ``folded[k][j]`` is the multiplicity of the j-th element of fold S.
     ``vectors`` lists the atoms over S, lifted from ``folded`` on first use;
     ``vectors[k][i]`` is the multiplicity of ``ground[i]``.  The length-1
-    atom (0) is tracked only by the bool ``includes_zero``.
+    atom (0) is tracked only by the bool ``includes_zero``.  The record holds
+    the enumeration alone: no bound on atom lengths.
     """
 
     _fields = ("group", "ground", "folded", "includes_zero")
-
-    @cached_property
-    def bound(self) -> int:
-        """D(<S>), the Davenport bound on atom lengths, computed on first read."""
-        return _span_davenport(self.group, fold_negatives(self.group, tuple(g.index for g in self.ground)))
 
     @cached_property
     def source(self) -> tuple[int, ...]:
@@ -150,7 +147,6 @@ class AtomSet(_Record):
             "version": CACHE_VERSION,
             "group": format_group(self.group),
             "ground_set": subset_to_json(self.ground),
-            "bound": self.bound,
             "atoms": [list(v) for v in self.vectors],
             "includes_zero": self.includes_zero,
         }
@@ -378,15 +374,13 @@ class AtomCache:
 
     An entry's file is named ``atoms-<16 hex digits>.json`` after the 64-bit
     FNV-1a digest of its key (cache version, group, folded ground indices).
-    The entry is :meth:`AtomSet.to_json_dict` of the folded set.  Two keys
+    The entry is :meth:`AtomSet.to_json_dict` of the folded set with
+    ``includes_zero`` False, so it holds the key and the enumerated atoms
+    only, and its bytes do not depend on which caller missed first.  Two keys
     with one name are harmless: :meth:`load` compares the entry's version,
     group and ground set with the requested key, so the other key's entry is
-    a miss and gets overwritten.  It ignores the stored ``bound`` and
-    ``includes_zero``.  Entries written under earlier names (the sha256
-    digests, then keys that also held D(<S>)) are not found; they are misses
-    and are written again under the new names, with unchanged contents, so
-    ``CACHE_VERSION`` stays 1.  A cache pickles as its directory; unpickling
-    it makes no directory.
+    a miss and gets overwritten.  A cache pickles as its directory;
+    unpickling it makes no directory.
     """
 
     def __init__(self, directory: str | Path):
@@ -462,7 +456,9 @@ def check_atom_caps(group: Group, ground_indices: tuple[int, ...] | None, limits
     before it is listed.  It spans G, and fold S has (|G| - 1 + t) / 2
     elements: x and -x are two elements that fold onto one, except for the
     t = 2^e - 1 nonzero elements with 2x = 0, e the number of even
-    invariant factors.
+    invariant factors.  After the two caps it is held to the walk's mask
+    budget (:func:`pmzs.groups._check_walk_masks`), since the walk over it
+    steps by every value c != 0 of every coordinate k: sum(n_k - 1) steps.
     """
     if ground_indices is None:
         support = (group.order - 2 + 2 ** group.m_rank(2)) // 2
@@ -477,6 +473,8 @@ def check_atom_caps(group: Group, ground_indices: tuple[int, ...] | None, limits
             raise ResourceLimitError(
                 f"atom length bound {bound} exceeds the cap {limits.max_atom_length} for {format_group(group)}"
             )
+    if ground_indices is None:
+        _check_walk_masks(group, sum(n - 1 for n in group.invariant_factors))
 
 
 def enumerate_atoms(
@@ -491,9 +489,9 @@ def enumerate_atoms(
     Zero is stripped first and recorded in the flag.  Raises
     :class:`ResourceLimitError` when :func:`check_atom_caps` refuses the
     folded ground set, rather than returning a partial list.  The atoms are
-    enumerated once per process over the folded ground set, which with
-    D(<S>) keys the ``cache``; a cache miss that the process already
-    enumerated is still stored.
+    enumerated once per process over the folded ground set, which keys the
+    ``cache``; a cache miss that the process already enumerated is still
+    stored, with ``includes_zero`` False.
     """
     indices = set()
     includes_zero = False
@@ -513,7 +511,7 @@ def enumerate_atoms(
     else:
         folded = _folded_atom_vectors(group, folded_indices)
         if cache is not None:
-            cache.store(AtomSet(group, tuple(map(group.element_at, folded_indices)), folded, includes_zero))
+            cache.store(AtomSet(group, tuple(map(group.element_at, folded_indices)), folded, False))
     return AtomSet(group, tuple(map(group.element_at, ground_indices)), folded, includes_zero)
 
 

@@ -757,6 +757,18 @@ MAX_WALK_MASK_BYTES = 2**26
 builds: two per distinct (coordinate, value) step of its elements."""
 
 
+def _check_walk_masks(group: Group, steps: int) -> None:
+    """Refuse with a ResourceLimitError a zero-sum walk over ``group`` whose
+    elements make ``steps`` distinct (coordinate, value) steps, when their
+    rotation masks, two |G|-bit masks a step, pass ``MAX_WALK_MASK_BYTES``."""
+    need = 2 * steps * (group.order + 7 >> 3)
+    if need > MAX_WALK_MASK_BYTES:
+        raise ResourceLimitError(
+            f"zero-sum walk capped at {MAX_WALK_MASK_BYTES} bytes of rotation masks; "
+            f"{steps} steps over {group} need {need}"
+        )
+
+
 def _minimal_zero_sums(group: Group, folded: tuple[int, ...], weights: tuple[int, ...]) -> dict[int, int]:
     """The minimal zero-sum sequences w over U = F u -F, for F a folded set
     of nonzero element indices, one of each pair {w, -w}, counted by their
@@ -783,8 +795,8 @@ def _minimal_zero_sums(group: Group, folded: tuple[int, ...], weights: tuple[int
     its first term in F; and w = -w only for f * -f, which starts at f, and
     for sequences of elements of order 2, which come last.
 
-    The walk is refused with a ResourceLimitError before any mask is built
-    when the rotation masks it needs pass ``MAX_WALK_MASK_BYTES``.
+    The walk is refused by :func:`_check_walk_masks` before any mask is
+    built when the rotation masks it needs pass ``MAX_WALK_MASK_BYTES``.
     """
     neg = group._neg
     elements: list[int] = []
@@ -799,12 +811,7 @@ def _minimal_zero_sums(group: Group, folded: tuple[int, ...], weights: tuple[int
     # under negation, so the steps by -u over U are those by u
     radix = group._radix
     needed = len({(k, c) for gi in elements for k, (n, stride) in enumerate(radix) if (c := gi // stride % n)})
-    need = 2 * needed * (group.order + 7 >> 3)
-    if need > MAX_WALK_MASK_BYTES:
-        raise ResourceLimitError(
-            f"zero-sum walk capped at {MAX_WALK_MASK_BYTES} bytes of rotation masks; "
-            f"{needed} steps over {group} need {need}"
-        )
+    _check_walk_masks(group, needed)
     steps = group._shift_steps
     position = {gi: p for p, gi in enumerate(elements)}
     # from each position on: the term, its key and the rotations that translate by -u

@@ -27,9 +27,10 @@ from __future__ import annotations
 from itertools import chain, combinations_with_replacement, product
 from typing import Iterable
 
+from . import atoms
 from .atoms import AtomCache, AtomSet, enumerate_atoms, atom_length_profile
 from .errors import DomainError, ResourceLimitError
-from .groups import Group, GroupElement, _echelon_rows, _Record
+from .groups import Group, GroupElement, _echelon_rows, _Record, fold_negatives
 from .limits import DEFAULT_LIMITS, Limits
 from .sequences import Sequence
 
@@ -121,6 +122,10 @@ class Factorizer:
     it is a transfer homomorphism (see :mod:`pmzs.atoms`), so
     L(v) = L(phi(v)).  Queries are answered at phi(v).  Only the listing of
     :meth:`factorizations` reads the atoms over the ground set itself.
+
+    A query longer than 8 D(<S>) is refused.  D(<S>) is read on each query
+    from :func:`pmzs.atoms._span_davenport`, which computes it once per
+    folded ground set per process.
     """
 
     def __init__(self, atom_set: AtomSet):
@@ -229,11 +234,10 @@ class Factorizer:
     def _vector_and_zeros(self, element: Sequence) -> tuple[tuple[int, ...], int]:
         if element.group != self.atom_set.group:
             raise DomainError("element belongs to a different group than the atom set")
-        if len(element) > 8 * max(self.atom_set.bound, 1):
-            raise ResourceLimitError(
-                f"factorization query capped at length {8 * max(self.atom_set.bound, 1)}, "
-                f"got {len(element)}"
-            )
+        folded = fold_negatives(element.group, [g.index for g in self.atom_set.ground])
+        cap = 8 * max(atoms._span_davenport(element.group, folded), 1)
+        if len(element) > cap:
+            raise ResourceLimitError(f"factorization query capped at length {cap}, got {len(element)}")
         zeros = 0
         stripped = element
         # entries are sorted by index, so a 0 term comes first

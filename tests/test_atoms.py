@@ -98,6 +98,11 @@ def test_is_atom_matches_brute_force():
     assert min(outcomes.values()) >= 80, outcomes
 
 
+def _span_bound(atoms):
+    """D(<S>) of an atom set's folded ground set: the oracles' length bound."""
+    return _span_davenport(atoms.group, fold_negatives(atoms.group, [g.index for g in atoms.ground]))
+
+
 def test_enumerate_atoms_matches_brute_force():
     # C8 is left out: its oracle run alone takes about 5 s
     for group in small_group_list(8):
@@ -106,9 +111,10 @@ def test_enumerate_atoms_matches_brute_force():
         ground = fold_negatives(group, range(1, group.order))
         atoms = enumerate_atoms(group, [group.element_at(i) for i in ground])
         indices = [g.index for g in atoms.ground]
+        bound = _span_bound(atoms)
         expected = sorted(
-            (vec for vec in product(range(atoms.bound + 1), repeat=len(indices))
-             if sum(vec) <= atoms.bound
+            (vec for vec in product(range(bound + 1), repeat=len(indices))
+             if sum(vec) <= bound
              and brute_is_atom(Sequence(group, tuple((i, m) for i, m in zip(indices, vec) if m)))),
             key=lambda v: (sum(v), v),
         )
@@ -119,7 +125,7 @@ def _lifted_and_unpruned(group, ground):
     """The lifted atoms of an atom set over the ground set, and the atoms
     enumerated over the unfolded ground set, no coordinate capped below the bound."""
     atoms = enumerate_atoms(group, [group.element_at(i) for i in ground])
-    bound = atoms.bound
+    bound = _span_bound(atoms)
     return atoms.vectors, tuple(_enumerate_atom_vectors(group, ground, bound, (bound,) * len(ground)))
 
 
@@ -292,7 +298,7 @@ def test_packed_fields_hold_the_bound():
     for n in range(2, 34):
         g = make_group([n])
         atoms = enumerate_atoms(g, [g.element(1)], limits=limits)
-        assert atoms.bound == n
+        assert _span_bound(atoms) == n
         assert atoms.vectors == (((2,),) if n % 2 == 0 else ((2,), (n,))), n
 
 
@@ -337,8 +343,9 @@ def test_completeness_every_pm_zero_sum_factors():
         atoms = enumerate_atoms(group, subset)
         vectors = atoms.vectors
         indices = [g.index for g in atoms.ground]
-        for combo in product(*[range(atoms.bound + 1) for _ in indices]):
-            if not 2 <= sum(combo) <= atoms.bound:
+        bound = _span_bound(atoms)
+        for combo in product(*[range(bound + 1) for _ in indices]):
+            if not 2 <= sum(combo) <= bound:
                 continue
             seq = Sequence(group, tuple((i, m) for i, m in zip(indices, combo) if m))
             if brute_is_pm_zero_sum(seq):
@@ -411,7 +418,10 @@ def test_atom_length_bound_caps_hold_on_every_call():
     ground = tuple(sorted(g.element(c).index for c in ((1, 0, 0), (0, 1, 0), (0, 0, 1))))
     bound = _span_davenport(g, ground)
     assert bound == davenport(g) == 8
-    assert enumerate_atoms(g, [g.element_at(i) for i in ground]).bound == bound
+    atoms = enumerate_atoms(g, [g.element_at(i) for i in ground])
+    element = Sequence.from_items(g, [(g.element_at(ground[0]), 8 * bound + 2)])
+    with pytest.raises(ResourceLimitError, match=f"factorization query capped at length {8 * bound}, got {8 * bound + 2}"):
+        pmzs.relations.Factorizer(atoms).length_set(element)
     for _ in range(2):
         check_atom_caps(g, ground, Limits(max_atom_length=bound))
     with pytest.raises(ResourceLimitError, match="support elements"):
@@ -619,33 +629,38 @@ def test_whole_set_entries_check_lengths_against_the_span_davenport_constant(tmp
     assert cache.load(group, ground) is None
 
 
-def test_cache_entries_under_the_bound_keyed_names_are_not_read(tmp_path, capsys):
-    # entries named after the earlier key, which also held D(<S>), are misses;
-    # the sweep writes the same bytes again under the new names
-    argv = ["delta-star", "C8", "--cache-dir", str(tmp_path), "--format", "json"]
-    assert cli.main(argv) == 0
+def test_cache_entries_of_version_1_are_not_read(tmp_path, capsys):
+    # a version-1 entry, named after "1|group|ground" and holding D(<S>) as
+    # its "bound", is a miss; the sweep writes the bytes of a fresh cache
+    # under the version-2 names and leaves the old entries as they are
+    fresh = tmp_path / "fresh"
+    argv = ["delta-star", "C8", "--format", "json", "--cache-dir"]
+    assert cli.main([*argv, str(fresh)]) == 0
     cold = capsys.readouterr().out
-    stored = {p.name: p.read_bytes() for p in tmp_path.iterdir()}
-    cache = AtomCache(tmp_path)
-    old_names = set()
-    for name, raw in stored.items():
+    stored = {p.name: p.read_bytes() for p in fresh.iterdir()}
+    old_dir = tmp_path / "old"
+    cache = AtomCache(old_dir)
+    old = {}
+    for raw in stored.values():
         data = json.loads(raw)
         group, ground = _entry_key(data)
-        old_key = f"1|{format_group(group)}|{','.join(map(str, ground))}|{data['bound']}"
-        old = tmp_path / f"atoms-{_fnv1a_64(old_key.encode()):016x}.json"
-        (tmp_path / name).rename(old)
-        old_names.add(old.name)
+        data.update(version=1, bound=_span_davenport(group, ground))
+        key = f"1|{format_group(group)}|{','.join(map(str, ground))}"
+        name = f"atoms-{_fnv1a_64(key.encode()):016x}.json"
+        old[name] = json.dumps(data, sort_keys=True).encode()
+        (old_dir / name).write_bytes(old[name])
         assert cache.load(group, ground) is None
-    assert not old_names & stored.keys()
-    assert cli.main(argv) == 0
+    assert not old.keys() & stored.keys()
+    assert cli.main([*argv, str(old_dir)]) == 0
     assert capsys.readouterr().out == cold
-    assert {p.name: p.read_bytes() for p in tmp_path.iterdir() if p.name not in old_names} == stored
+    assert {p.name: p.read_bytes() for p in old_dir.iterdir()} == {**stored, **old}
 
 
 @pytest.mark.parametrize("name, stored", [("C12", 14), ("C13", 4)])
 def test_warm_sweeps_compute_no_span_davenport_constant(tmp_path, monkeypatch, name, stored):
-    # the cold sweep reads D(<S>) once per entry it stores, for the entry's
-    # "bound"; the warm sweep reads none, and prints the same report
+    # an entry holds no bound, so neither the cold sweep, which stores the
+    # entries, nor the warm sweep, which loads them, reads D(<S>); both print
+    # the same report
     calls = []
     span = pmzs.atoms._span_davenport
 
@@ -663,7 +678,7 @@ def test_warm_sweeps_compute_no_span_davenport_constant(tmp_path, monkeypatch, n
         return out.getvalue()
 
     cold = sweep()
-    assert len(list(tmp_path.glob("atoms-*.json"))) == stored and len(calls) <= stored
+    assert len(list(tmp_path.glob("atoms-*.json"))) == stored and calls == []
     warm = sweep()
     assert calls == [] and warm == cold
 
@@ -675,7 +690,7 @@ def test_cache_digest_is_fnv1a_64():
     assert _fnv1a_64(b"foobar") == 0x85944171F73967E8
 
 
-PINNED_NAME = "atoms-2a286b1526cf6c71.json"  # key "1|C8|1,3"
+PINNED_NAME = "atoms-1ce6185478f1c9ce.json"  # key "2|C8|1,3"
 
 
 def test_cache_file_name_is_pinned(tmp_path):

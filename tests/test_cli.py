@@ -213,6 +213,14 @@ def test_refusal_builds_shift_steps_only_for_its_generator():
     # would build 30 pairs of 2^30-bit rotation masks
     (("atoms", "x".join(["C2"] * 30), "[(" + ",".join(["1"] * 30) + ")]"),
      "zero-sum walk capped at 67108864 bytes of rotation masks; 30 steps over C2xC2"),
+    # G minus 0 passes the support and D caps; its walk's masks are refused
+    # before it is listed
+    (("atoms", "x".join(["C2"] * 25), "all", "--max-support", "100000000", "--max-atom-len", "100"),
+     "zero-sum walk capped at 67108864 bytes of rotation masks; 25 steps over C2xC2"),
+    (("davenport", "x".join(["C2"] * 25), "all", "--max-support", "100000000", "--max-atom-len", "100"),
+     "zero-sum walk capped at 67108864 bytes of rotation masks; 25 steps over C2xC2"),
+    (("atoms", "C20000000", "all", "--max-support", "100000000", "--max-atom-len", "100000000"),
+     "zero-sum walk capped at 67108864 bytes of rotation masks; 19999999 steps over C20000000"),
 ])
 def test_refusals_over_huge_groups_build_nothing_of_size_g(argv, message):
     # each cap needs only the fold size, D(<S>) or the walk's steps, so a
@@ -438,7 +446,32 @@ def test_sets_with_one_fold_share_one_cache_entry(capsys, tmp_path):
     for subset in ("[(1),(5)]", "[(1),(3)]"):
         code, out, _ = run_cli(capsys, "min-delta", "C8", subset, "--cache-dir", str(cache_dir))
         assert code == EXIT_OK and out == "min delta = 2\n"
-    assert [p.name for p in cache_dir.iterdir()] == ["atoms-2a286b1526cf6c71.json"]
+    assert [p.name for p in cache_dir.iterdir()] == ["atoms-1ce6185478f1c9ce.json"]
+
+
+def test_cache_entry_bytes_do_not_depend_on_which_subset_missed_first(capsys, tmp_path):
+    # {0, 1, 3} and {1, 3} share the entry of {1, 3}; it is written with
+    # includes_zero false whichever of them misses first
+    def entries(cache_dir, *subsets):
+        for subset in subsets:
+            code, _, _ = run_cli(capsys, "min-delta", "C8", subset, "--cache-dir", str(cache_dir))
+            assert code == EXIT_OK
+        return {p.name: p.read_bytes() for p in cache_dir.iterdir()}
+
+    after_zero = entries(tmp_path / "after-zero", "[(0),(1),(3)]", "[(1),(3)]")
+    assert after_zero == entries(tmp_path / "alone", "[(1),(3)]")
+    assert b'"includes_zero": false' in after_zero["atoms-1ce6185478f1c9ce.json"]
+
+
+@pytest.mark.parametrize("group, subset, includes_zero", [("C8", "[(1)]", False), ("C6", "[(0),(1)]", True)])
+def test_atoms_json_document_is_pinned(capsys, group, subset, includes_zero):
+    # the key, the enumeration and its profile; no bound on atom lengths
+    code, out, _ = run_cli(capsys, "atoms", group, subset, "--format", "json")
+    assert code == EXIT_OK
+    assert json.loads(out) == {
+        "version": 2, "group": group, "ground_set": [[1]], "atoms": [[2]], "includes_zero": includes_zero,
+        "count": 1, "max_length": 2, "gcd_lengths_minus_2": 0,
+    }
 
 
 def test_support_cap_counts_the_folded_set(capsys):
