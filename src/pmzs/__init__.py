@@ -8,7 +8,6 @@ verification suite.
 from .errors import DomainError, PmzsError, ResourceLimitError
 from .limits import DEFAULT_LIMITS, Limits
 from .groups import (
-    ElementSet,
     Group,
     GroupElement,
     GroupSummary,
@@ -18,16 +17,12 @@ from .groups import (
     davenport_exhaustive,
     fold_negatives,
     group_invariants,
-    is_independent,
     make_group,
-    subgroup_generated,
 )
-from .sequences import Sequence, divides_pm
+from .sequences import Sequence
 from .notation import (
     format_group,
-    format_sequence,
     format_subset,
-    parse_element,
     parse_group,
     parse_sequence,
     parse_subset,
@@ -39,7 +34,6 @@ from .atoms import (
     atom_length_profile,
     davenport_monoid,
     enumerate_atoms,
-    is_atom,
 )
 from .relations import (
     FactorizationSet,
@@ -47,7 +41,6 @@ from .relations import (
     delta_of_element,
     delta_of_lengths,
     factorizations,
-    is_half_factorial,
     length_set,
     min_delta,
     min_delta_of_atoms,
@@ -58,7 +51,6 @@ from .delta_star import (
     CharReport,
     CheckReport,
     DeltaStarReport,
-    canonical_subset,
     char_compare,
     char_invariants,
     check_elementary_p_gcd,
@@ -66,7 +58,6 @@ from .delta_star import (
     check_parity,
     delta_star,
     folded_automorphisms,
-    subset_orbits,
 )
 
 __version__ = "0.1.0"

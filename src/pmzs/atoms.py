@@ -1,5 +1,5 @@
-"""Atom (irreducible element) testing and complete enumeration for the monoid
-of plus-minus weighted zero-sum sequences over a subset of a finite abelian group.
+"""Complete enumeration of the atoms (irreducible elements) of the monoid of
+plus-minus weighted zero-sum sequences over a subset of a finite abelian group.
 
 Atoms are enumerated over the folded ground set fold S
 (:func:`pmzs.groups.fold_negatives`), once per folded set per process, and an
@@ -39,8 +39,9 @@ f * -f or has only terms of order 2, so it is minimal only when it is
 f * -f or the sole preimage.  So the walk visits one of each pair {w, -w},
 and v is kept iff N(v) = 1 or N(v) is twice the number of pairs found.
 Zero-sum-free sequences are shorter than D(<S>), so the walk needs no
-length bound; it builds no |G| x |G| table.  :func:`is_atom` reads the same
-fact off a single sequence, signing by signing.
+length bound; it builds no |G| x |G| table.  The walk is the only
+irreducibility test: a sequence is an atom iff it is on the list over its
+support.
 
 Atom lengths are bounded by the Davenport constant of the subgroup generated
 by the ground set: in any longer signed zero sum, the first length-minus-one
@@ -61,7 +62,6 @@ import json
 import math
 import os
 from functools import cached_property, lru_cache
-from itertools import product
 from pathlib import Path
 from typing import Iterable
 
@@ -77,7 +77,6 @@ from .groups import (
     davenport,
     fold_negatives,
     fold_positions,
-    shift_mask,
     signed_shift_mask,
 )
 from .limits import DEFAULT_LIMITS, Limits
@@ -203,7 +202,7 @@ def _minimal_zero_sum_atom_vectors(group: Group, folded: tuple[int, ...]) -> lis
     counted by a DP over the coordinates: the m copies of f split as k
     copies of f and m - k of -f, with sum (2k - m) f, for k = 0..m, or as
     one choice when 2f = 0.  Sums are added as indices through the block
-    rotations of :func:`pmzs.groups.shift_mask`.
+    rotations of :func:`pmzs.groups._rotations`.
     """
     n = len(folded)
     neg = group._neg
@@ -320,45 +319,6 @@ def _is_valid_atom_list(group: Group, ground_indices: tuple[int, ...], vectors: 
     return True
 
 
-@lru_cache(maxsize=4096)
-def is_atom(seq: Sequence) -> bool:
-    """True iff the sequence is an irreducible element of the signed zero-sum monoid.
-
-    Decided by the fact of the module docstring: v is an atom iff every
-    zero-sum signing w of phi(v) over U = F u -F, F = fold S, is a minimal
-    zero-sum sequence.  Write w = T * u with u its last term.  Then w is a
-    zero sum iff -sigma(T) = u, and it is minimal iff T is zero-sum free,
-    which the step of :func:`pmzs.groups._minimal_zero_sums` tests term by
-    term.  The single-term sequence (0) is an atom; any longer sequence
-    containing 0 splits off (0) and is reducible.
-    """
-    if not seq.is_pm_zero_sum() or not seq.entries:
-        return False
-    if seq.entries[0][0] == 0:  # entries are sorted by index, so a 0 term comes first
-        return len(seq) == 1
-    group = seq.group
-    neg = group._neg
-    folded, source = fold_positions(group, tuple(idx for idx, _ in seq.entries))
-    image = [0] * len(folded)
-    for j, (_, m) in zip(source, seq.entries):
-        image[j] += m
-    per_coordinate = [_signed_multiples(group, f, m) for f, m in zip(folded, image)]
-    for ks in product(*(range(len(sums)) for sums in per_coordinate)):
-        total = 0
-        for sums, k in zip(per_coordinate, ks):
-            total = _add_index(group, total, sums[k])
-        if total:
-            continue
-        # k copies of f and m - k of -f; all m are f when 2f = 0 (one choice, k = 0)
-        terms = [x for f, m, k in zip(folded, image, ks) for x in (f,) * k + (neg[f],) * (m - k)]
-        minus_sums = 1
-        for x in terms[:-1]:
-            if minus_sums >> x & 1:
-                return False
-            minus_sums |= shift_mask(group, minus_sums, neg[x])
-    return True
-
-
 def _fnv1a_64(data: bytes) -> int:
     """The 64-bit FNV-1a digest of ``data``: fixed across processes and
     platforms, unlike :func:`hash`, and needing no OpenSSL, unlike hashlib."""
@@ -394,7 +354,8 @@ class AtomCache:
     def load(self, group: Group, ground_indices: tuple[int, ...]) -> AtomSet | None:
         """The stored atom set over a folded ground set, or None on a miss.
 
-        An entry that cannot be read or decoded, whose version, group string
+        An entry that cannot be read or decoded (JSON nested past the
+        recursion limit included), whose version, group string
         or ground-set coordinates differ from the requested key's, whose atoms
         are not lists of ints, or whose atom list fails
         :func:`_is_valid_atom_list` counts as a miss.  The set is built from
@@ -410,7 +371,7 @@ class AtomCache:
             ):
                 return None
             atoms = data["atoms"]
-        except (OSError, ValueError, KeyError, TypeError):
+        except (OSError, ValueError, KeyError, TypeError, RecursionError):
             return None
         if type(atoms) is not list or not all(type(v) is list and all(type(m) is int for m in v) for v in atoms):
             return None

@@ -93,9 +93,6 @@ class _FoldedOrbits:
         self.bit_maps = [tuple(map(self.bit_of.__getitem__, m)) for m in maps]
         self._canonical: dict[int, int] = {}
 
-    def mask(self, folded: tuple[int, ...]) -> int:
-        return sum(map(self.bit_of.__getitem__, folded))
-
     def members(self, mask: int) -> tuple[int, ...]:
         return tuple(u for u, unit in zip(self.universe, self.units) if mask & unit)
 
@@ -134,40 +131,11 @@ def _by_size(masks) -> list[int]:
     return sorted(masks, key=lambda mask: (mask.bit_count(), -mask))
 
 
-def canonical_subset(group: Group, indices: tuple[int, ...], maps: list[tuple[int, ...]]) -> tuple[int, ...]:
-    """Lexicographically least image of the subset under automorphisms and sign folding.
-
-    ``maps`` come from :func:`folded_automorphisms`.  Automorphisms commute
-    with negation, so the least image of the folded subset under the maps is
-    the least ``fold_negatives(p(S))``; a map is injective on a folded subset,
-    which holds no pair g, -g.  Each call builds the bit maps of
-    :class:`_FoldedOrbits`; the sweep builds them once.
-    """
-    folded = fold_negatives(group, indices)
-    if not folded:
-        return ()
-    orbits = _FoldedOrbits(group, maps)
-    return orbits.members(orbits.canonical(orbits.mask(folded)))
-
-
 def _check_orbit_listing(group: Group, limits: Limits) -> None:
     """Refuse to list every orbit of a group over the sweep cap: the listing
     walks every subset of the folded universe."""
     if group.order > limits.max_sweep_order:
         raise ResourceLimitError(f"an unpruned sweep evaluates every orbit, capped at order {limits.max_sweep_order}")
-
-
-def subset_orbits(group: Group, *, limits: Limits = DEFAULT_LIMITS) -> list[tuple[int, ...]]:
-    """Canonical representatives of the nonempty subsets of G minus 0.
-
-    Representatives are ordered by (size, index tuple).  Raises
-    :class:`ResourceLimitError` when the automorphism search is over its cap
-    or the group order is over ``max_sweep_order``.
-    """
-    maps = folded_automorphisms(group)
-    _check_orbit_listing(group, limits)
-    orbits = _FoldedOrbits(group, maps)
-    return [orbits.members(mask) for mask in orbits.representatives]
 
 
 # -- sweep -------------------------------------------------------------------------

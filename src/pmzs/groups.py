@@ -6,7 +6,7 @@ subsets of a group can be stored as integer bitmasks.  Translating a bitmask
 by a group element rotates each coordinate: the bits of coordinate k fall in
 blocks of n_k * stride_k consecutive indices (stride_k the product of the
 later factors), and adding c to that coordinate rotates every block by
-c * stride_k bits, which is one masked shift each way.
+c * stride_k bits, which is one masked shift each way (:func:`_rotations`).
 
 Every fact about an element index (its element object, its negative, the
 rotations that translate a bitmask by it) is computed from the index's
@@ -189,8 +189,8 @@ class _Record:
     or unknown field is a TypeError.  Two records are equal only when they are
     of the same class and their fields are equal in order, and a record's hash
     is the hash of the tuple of its fields: both as for a frozen dataclass of
-    those fields.  Records are immutable by convention, as :class:`ElementSet`
-    is: nothing assigns to a field after ``__init__``.
+    those fields.  Records are immutable by convention: nothing assigns to a
+    field after ``__init__``.
     """
 
     __slots__ = ()
@@ -502,90 +502,11 @@ class GroupElement(_Record):
         return f"{self.group}:{self}"
 
 
-class ElementSet:
-    """An immutable subset of a group stored as a bitmask over element indices."""
-
-    __slots__ = ("group", "mask")
-
-    def __init__(self, group: Group, mask: int = 0):
-        self.group = group
-        self.mask = mask
-
-    @classmethod
-    def from_elements(cls, group: Group, elements: Iterable[GroupElement]) -> "ElementSet":
-        mask = 0
-        for g in elements:
-            if g.group != group:
-                raise DomainError("element set members must belong to the given group")
-            mask |= 1 << g.index
-        return cls(group, mask)
-
-    def __contains__(self, g: GroupElement) -> bool:
-        return g.group == self.group and (self.mask >> g.index) & 1 == 1
-
-    @property
-    def contains_zero(self) -> bool:
-        return self.mask & 1 == 1
-
-    def __len__(self) -> int:
-        return self.mask.bit_count()
-
-    def __iter__(self) -> Iterator[GroupElement]:
-        m = self.mask
-        while m:
-            low = m & -m
-            yield self.group.element_at(low.bit_length() - 1)
-            m ^= low
-
-    def __or__(self, other: "ElementSet") -> "ElementSet":
-        if self.group != other.group:
-            raise DomainError("cannot combine element sets over different groups")
-        return ElementSet(self.group, self.mask | other.mask)
-
-    def __and__(self, other: "ElementSet") -> "ElementSet":
-        if self.group != other.group:
-            raise DomainError("cannot combine element sets over different groups")
-        return ElementSet(self.group, self.mask & other.mask)
-
-    def shift(self, g: GroupElement) -> "ElementSet":
-        """The translate {x + g : x in self}."""
-        if g.group != self.group:
-            raise DomainError("shift element must belong to the same group")
-        return ElementSet(self.group, shift_mask(self.group, self.mask, g.index))
-
-    def negate(self) -> "ElementSet":
-        neg = self.group._neg
-        out = 0
-        m = self.mask
-        while m:
-            low = m & -m
-            out |= 1 << neg[low.bit_length() - 1]
-            m ^= low
-        return ElementSet(self.group, out)
-
-    def __eq__(self, other) -> bool:
-        return isinstance(other, ElementSet) and self.group == other.group and self.mask == other.mask
-
-    def __hash__(self) -> int:
-        return hash((self.group, self.mask))
-
-    def __repr__(self) -> str:
-        return "{" + ", ".join(str(g) for g in self) + "}"
-
-
-def shift_mask(group: Group, mask: int, gi: int) -> int:
-    """Translate a bitmask of element indices by the element with index gi,
-    one block rotation per nonzero coordinate of the element."""
-    for lo, up, hi, down in group._shift_steps[gi]:
-        mask = (mask & lo) << up | (mask & hi) >> down
-    return mask
-
-
 def signed_shift_mask(group: Group, mask: int, gi: int) -> int:
     """(T + g) | (T - g) for a bitmask T; one step of the signed-sum recursion.
 
-    The two rotations of :func:`shift_mask` are inlined, so a step makes no
-    call beyond the lookups in the lazily filled step table.
+    Each side applies the block rotations of :func:`_rotations` inline, so a
+    step makes no call beyond the lookups in the lazily filled step table.
     """
     steps = group._shift_steps
     plus = minus = mask
@@ -594,59 +515,6 @@ def signed_shift_mask(group: Group, mask: int, gi: int) -> int:
     for lo, up, hi, down in steps[group._neg[gi]]:
         minus = (minus & lo) << up | (minus & hi) >> down
     return plus | minus
-
-
-def is_independent(elements: Iterable[GroupElement]) -> bool:
-    """True iff sum(ai * ei) = 0 forces every ai * ei = 0.
-
-    Decided by comparing |<e1, ..., es>|, read from its type
-    (:func:`_span_type`), with prod(ord(ei)).
-    """
-    elems = list(elements)
-    if not elems:
-        return True
-    group = elems[0].group
-    return _span_type(group, _generator_coords(group, elems)).order == math.prod(g.order() for g in elems)
-
-
-def subgroup_generated(group: Group, elements: Iterable[GroupElement]) -> tuple[ElementSet, Group]:
-    """Closure of the given elements under addition, plus its abstract type.
-
-    The closure is a bitmask: starting from {0}, each generator is taken in
-    by ORing in translates of the mask (block rotations, see
-    :func:`shift_mask`) by it and its doublings until the mask stops changing
-    (see :func:`_span_mask`).  In a finite group a set closed under adding
-    each generator is the subgroup they span.  The type comes from the
-    relation lattice of the generators (:func:`_span_type`), not from the mask.
-    """
-    elements = list(elements)
-    kind = _span_type(group, _generator_coords(group, elements))
-    return ElementSet(group, _span_mask(group, tuple(g.index for g in elements))), kind
-
-
-def _generator_coords(group: Group, elements: list[GroupElement]) -> list[tuple[int, ...]]:
-    """The coordinates of the generators, each checked to belong to the group."""
-    for g in elements:
-        if g.group != group:
-            raise DomainError("generators must belong to the given group")
-    return [g.coords for g in elements]
-
-
-def _span_mask(group: Group, indices: tuple[int, ...]) -> int:
-    """Bitmask of the subgroup spanned by the elements with the given indices.
-
-    Each generator g is taken in by doubling: with H the span so far, ORing in
-    the translate by k = 2^j g turns H + {0, ..., 2^j - 1}g into
-    H + {0, ..., 2^(j+1) - 1}g, and k doubles, until the mask stops growing.
-    A mask M = H + {0, ..., 2^j - 1}g with M + 2^j g inside M is closed under
-    adding g, so it is H + <g>: about log2 ord(g) translates instead of ord(g).
-    """
-    mask = 1
-    for k in indices:
-        while (grown := mask | shift_mask(group, mask, k)) != mask:
-            mask = grown
-            k = shift_mask(group, 1 << k, k).bit_length() - 1  # the index of 2k
-    return mask
 
 
 def _echelon_rows(vectors: Iterable[SequenceABC[int]]) -> dict[int, list[int]]:
@@ -781,7 +649,7 @@ def _minimal_zero_sums(group: Group, folded: tuple[int, ...], weights: tuple[int
     the empty one included, as a bitmask, and -sigma(T) as an index.  T * u
     is zero-sum free iff the bit of u is clear in that mask, so the test
     comes before any shift; extending by u translates the mask and the index
-    by -u with the same block rotations (:func:`shift_mask`).  T * u is a
+    by -u with the same block rotations (:func:`_rotations`).  T * u is a
     zero sum iff u = -sigma(T), and then it is minimal: a proper zero-sum
     subsequence would contain u, and T minus the rest of it would be a
     nonempty zero sum in T.  Every minimal zero-sum sequence w is met exactly

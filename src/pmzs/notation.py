@@ -1,9 +1,10 @@
-"""Textual and JSON forms for groups, elements, subsets and sequences.
+"""Textual forms of groups, subsets and sequences, and the JSON form of subsets.
 
 Grammar accepted by the parsers:
 
 * group:    ``C2xC4`` (case-insensitive, ``x`` separated; ``C1`` factors drop out)
-* element:  ``(1,3)``; the one-coordinate shorthand ``(3)`` works for cyclic groups
+* element (a term of a subset or sequence):  ``(1,3)``; the one-coordinate
+  shorthand ``(3)`` works for cyclic groups
 * subset:   ``[(1),(3)]`` (duplicates rejected)
 * sequence: ``[(1,0)^2, (0,3)]`` with ``^mult`` optional
 """
@@ -57,13 +58,6 @@ def _parse_coords(body: str, group: Group) -> GroupElement:
     return group.element(coords)
 
 
-def parse_element(group: Group, text: str) -> GroupElement:
-    text = text.strip()
-    if not (text.startswith("(") and text.endswith(")")):
-        raise DomainError(f"element literal must be parenthesized, got {text!r}")
-    return _parse_coords(text[1:-1], group)
-
-
 def parse_subset(group: Group, text: str) -> tuple[GroupElement, ...]:
     """Parse a subset literal like ``[(1,0),(0,1)]``; order is normalized, duplicates rejected."""
     text = text.strip()
@@ -112,24 +106,8 @@ def format_subset(elements) -> str:
     return "[" + ", ".join(str(g) for g in elements) + "]"
 
 
-def format_sequence(seq: Sequence) -> str:
-    return str(seq)
-
-
 # -- JSON forms -----------------------------------------------------------------
 
 
 def subset_to_json(elements) -> list[list[int]]:
     return [list(g.coords) for g in sorted(elements, key=lambda g: g.index)]
-
-
-def subset_from_json(group: Group, data) -> tuple[GroupElement, ...]:
-    return tuple(sorted((group.element(tuple(c)) for c in data), key=lambda g: g.index))
-
-
-def sequence_to_json(seq: Sequence) -> list[dict]:
-    return [{"coords": list(g.coords), "mult": mult} for g, mult in seq.items()]
-
-
-def sequence_from_json(group: Group, data) -> Sequence:
-    return Sequence.from_items(group, [(group.element(tuple(d["coords"])), int(d["mult"])) for d in data])

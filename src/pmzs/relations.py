@@ -28,7 +28,7 @@ from itertools import chain, combinations_with_replacement, product
 from typing import Iterable
 
 from . import atoms
-from .atoms import AtomCache, AtomSet, enumerate_atoms, atom_length_profile
+from .atoms import AtomCache, AtomSet, enumerate_atoms
 from .errors import DomainError, ResourceLimitError
 from .groups import Group, GroupElement, _echelon_rows, _Record, fold_negatives
 from .limits import DEFAULT_LIMITS, Limits
@@ -236,8 +236,10 @@ class Factorizer:
             raise DomainError("element belongs to a different group than the atom set")
         folded = fold_negatives(element.group, [g.index for g in self.atom_set.ground])
         cap = 8 * max(atoms._span_davenport(element.group, folded), 1)
-        if len(element) > cap:
-            raise ResourceLimitError(f"factorization query capped at length {cap}, got {len(element)}")
+        # summed here, since len() cannot return a length past sys.maxsize
+        length = sum(mult for _, mult in element.entries)
+        if length > cap:
+            raise ResourceLimitError(f"factorization query capped at length {cap}, got {length}")
         zeros = 0
         stripped = element
         # entries are sorted by index, so a 0 term comes first
@@ -283,26 +285,6 @@ def length_set(element: Sequence, atom_set: AtomSet) -> tuple[int, ...]:
 
 def delta_of_element(element: Sequence, atom_set: AtomSet) -> tuple[int, ...]:
     return delta_of_lengths(length_set(element, atom_set))
-
-
-def is_half_factorial(
-    group: Group,
-    subset: Iterable[GroupElement],
-    *,
-    limits: Limits = DEFAULT_LIMITS,
-    cache: AtomCache | None = None,
-) -> bool:
-    """True iff every element has a single factorization length.
-
-    Equivalent to an empty distance set, and to a monoid Davenport constant
-    of at most 2; both are computed and cross-checked.
-    """
-    atom_set = enumerate_atoms(group, subset, limits=limits, cache=cache)
-    by_delta = min_delta_of_atoms(atom_set) is None
-    by_davenport = atom_length_profile(atom_set).max_length <= 2
-    if by_delta != by_davenport:
-        raise AssertionError("half-factoriality criteria disagree; atom enumeration is inconsistent")
-    return by_delta
 
 
 def rho_k(

@@ -10,7 +10,7 @@ from __future__ import annotations
 from typing import Iterable, Iterator
 
 from .errors import DomainError
-from .groups import ElementSet, Group, GroupElement, _Record, signed_shift_mask
+from .groups import Group, GroupElement, _Record, signed_shift_mask
 
 
 class Sequence(_Record):
@@ -95,26 +95,6 @@ class Sequence(_Record):
             counts[idx] = counts.get(idx, 0) + mult
         return Sequence(self.group, tuple(counts.items()))
 
-    def remove(self, other: "Sequence") -> "Sequence":
-        if other.group != self.group:
-            raise DomainError("cannot remove a sequence over a different group")
-        counts = dict(self.entries)
-        for idx, mult in other.entries:
-            have = counts.get(idx, 0)
-            if have < mult:
-                raise DomainError("removal would make a multiplicity negative")
-            if have == mult:
-                del counts[idx]
-            else:
-                counts[idx] = have - mult
-        return Sequence(self.group, tuple(counts.items()))
-
-    def is_subsequence_of(self, other: "Sequence") -> bool:
-        if other.group != self.group:
-            return False
-        theirs = dict(other.entries)
-        return all(theirs.get(idx, 0) >= mult for idx, mult in self.entries)
-
     def power(self, k: int) -> "Sequence":
         if k < 0:
             raise DomainError("sequence powers must be non-negative")
@@ -131,21 +111,18 @@ class Sequence(_Record):
             total = total + mult * g
         return total
 
-    def signed_sums(self) -> ElementSet:
-        """The set of all sums with per-term weights in {+1, -1}.
+    def is_pm_zero_sum(self) -> bool:
+        """True iff some choice of plus-minus weights makes the sequence sum to 0.
 
-        Computed by set dynamic programming: starting from {0}, each copy of
-        g maps the running set T to (T + g) | (T - g).
+        Decided by set dynamic programming on a bitmask of sums: starting
+        from {0}, each copy of g maps the running set T to (T + g) | (T - g),
+        and the answer is the bit of 0.
         """
         mask = 1
         for idx, mult in self.entries:
             for _ in range(mult):
                 mask = signed_shift_mask(self.group, mask, idx)
-        return ElementSet(self.group, mask)
-
-    def is_pm_zero_sum(self) -> bool:
-        """True iff some choice of plus-minus weights makes the sequence sum to 0."""
-        return self.signed_sums().contains_zero
+        return mask & 1 == 1
 
     def __str__(self) -> str:
         parts = []
@@ -153,15 +130,3 @@ class Sequence(_Record):
             parts.append(str(g) if mult == 1 else f"{g}^{mult}")
         return "[" + ", ".join(parts) + "]"
 
-
-def divides_pm(part: Sequence, whole: Sequence) -> bool:
-    """Divisibility in the monoid of plus-minus weighted zero-sum sequences.
-
-    True iff ``part`` is a subsequence of ``whole`` and both ``part`` and the
-    complementary subsequence admit a signed zero sum.
-    """
-    if part.group != whole.group:
-        raise DomainError("divisibility requires sequences over the same group")
-    if not part.is_subsequence_of(whole):
-        return False
-    return part.is_pm_zero_sum() and whole.remove(part).is_pm_zero_sum()

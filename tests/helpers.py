@@ -250,7 +250,8 @@ def brute_is_atom(seq: Sequence) -> bool:
         if taken == 0 or taken == len(seq):
             continue
         part = Sequence(seq.group, tuple((idx, c) for (idx, _), c in zip(entries, combo) if c))
-        if brute_is_pm_zero_sum(part) and brute_is_pm_zero_sum(seq.remove(part)):
+        rest = Sequence(seq.group, tuple((idx, m - c) for (idx, m), c in zip(entries, combo) if m > c))
+        if brute_is_pm_zero_sum(part) and brute_is_pm_zero_sum(rest):
             return False
     return True
 

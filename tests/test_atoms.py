@@ -12,6 +12,7 @@ import pytest
 from pmzs import (
     AtomCache,
     AtomSet,
+    DEFAULT_LIMITS,
     Group,
     Limits,
     ResourceLimitError,
@@ -20,12 +21,11 @@ from pmzs import (
     davenport,
     davenport_monoid,
     delta_star,
-    divides_pm,
     enumerate_atoms,
     fold_negatives,
     format_group,
-    is_atom,
     make_group,
+    min_delta,
     parse_group,
     parse_subset,
 )
@@ -38,41 +38,57 @@ from pmzs.atoms import (
     _span_davenport,
     check_atom_caps,
 )
-from pmzs.groups import subgroup_generated
 from helpers import (
     _enumerate_atom_vectors,
     brute_factorization_lengths,
     brute_is_atom,
     brute_is_pm_zero_sum,
+    brute_subgroup_generated,
     mixed_unfolded_grounds,
     run_fresh,
     small_group_list,
 )
 
 
+def is_listed_atom(seq, limits=DEFAULT_LIMITS):
+    """Whether the sequence is on the atom list over its own support: one of
+    its ``vectors``, or the atom (0), which ``includes_zero`` stands for."""
+    atoms = enumerate_atoms(seq.group, seq.support, limits=limits)
+    if seq.entries and seq.entries[0][0] == 0:
+        return atoms.includes_zero and len(seq) == 1
+    return atoms.vector_of(seq) in atoms.vectors
+
+
 def test_is_atom_examples():
     g8 = make_group([8])
     e, e3 = g8.element(1), g8.element(3)
-    assert is_atom(Sequence.of(g8, e, e))
-    assert is_atom(Sequence.of(g8, e3, e3))
-    assert is_atom(Sequence.of(g8, e, e, e, e3))
-    assert not is_atom(Sequence.from_items(g8, [(e, 4)]))
+    assert is_listed_atom(Sequence.of(g8, e, e))
+    assert is_listed_atom(Sequence.of(g8, e3, e3))
+    assert is_listed_atom(Sequence.of(g8, e, e, e, e3))
+    assert not is_listed_atom(Sequence.from_items(g8, [(e, 4)]))
     g5 = make_group([5])
-    assert is_atom(Sequence.from_items(g5, [(g5.element(1), 5)]))
-    assert not is_atom(Sequence.from_items(g5, [(g5.element(1), 4)]))
-    assert not is_atom(Sequence.empty(g5))
+    assert is_listed_atom(Sequence.from_items(g5, [(g5.element(1), 5)]))
+    assert not is_listed_atom(Sequence.from_items(g5, [(g5.element(1), 4)]))
+    assert not is_listed_atom(Sequence.empty(g5))
     # far longer than Python's recursion limit
     g1001, g1002 = make_group([1001]), make_group([1002])
-    assert is_atom(Sequence.from_items(g1001, [(g1001.element(1), 1001)]))
-    assert not is_atom(Sequence.from_items(g1002, [(g1002.element(1), 1002)]))
+    limits = Limits(max_atom_length=1002)
+    assert is_listed_atom(Sequence.from_items(g1001, [(g1001.element(1), 1001)]), limits)
+    assert not is_listed_atom(Sequence.from_items(g1002, [(g1002.element(1), 1002)]), limits)
 
 
 def test_zero_is_prime_atom():
     g4 = make_group([4])
     zero = g4.zero()
-    assert is_atom(Sequence.of(g4, zero))
-    assert not is_atom(Sequence.of(g4, zero, zero))
-    assert not is_atom(Sequence.of(g4, zero, g4.element(1), g4.element(1)))
+    assert is_listed_atom(Sequence.of(g4, zero))
+    assert not is_listed_atom(Sequence.of(g4, zero, zero))
+    assert not is_listed_atom(Sequence.of(g4, zero, g4.element(1), g4.element(1)))
+    # (0) is prime: a zero sum holding 0 k times has only lengths shifted by k
+    atoms = enumerate_atoms(g4, [zero, g4.element(1)])
+    fz = pmzs.relations.Factorizer(atoms)
+    assert fz.length_set(Sequence.of(g4, zero)) == (1,)
+    assert fz.length_set(Sequence.of(g4, zero, zero)) == (2,)
+    assert fz.length_set(Sequence.of(g4, zero, g4.element(1), g4.element(1))) == (2,)
 
 
 def test_is_atom_matches_brute_force():
@@ -81,7 +97,7 @@ def test_is_atom_matches_brute_force():
         for _ in range(12):
             terms = [group.element_at(rng.randrange(group.order)) for _ in range(rng.randrange(1, 7))]
             seq = Sequence.of(group, *terms)
-            assert is_atom(seq) == brute_is_atom(seq), str(seq)
+            assert is_listed_atom(seq) == brute_is_atom(seq), str(seq)
     # the earlier-atom rule over the sequence's own support, capped at its exponents
     rng = random.Random(7)
     outcomes = {"atom": 0, "reducible zero sum": 0}
@@ -92,7 +108,7 @@ def test_is_atom_matches_brute_force():
             ground = tuple(idx for idx, _ in seq.entries)
             vec = tuple(mult for _, mult in seq.entries)
             expected = vec in _enumerate_atom_vectors(group, ground, len(seq), vec)
-            assert is_atom(seq) == expected, str(seq)
+            assert is_listed_atom(seq) == expected, str(seq)
             if seq.is_pm_zero_sum():
                 outcomes["atom" if expected else "reducible zero sum"] += 1
     assert min(outcomes.values()) >= 80, outcomes
@@ -357,11 +373,13 @@ def test_no_atom_divides_another():
     for spec, subset_literal in [("C8", "[(1),(3)]"), ("C17", "[(1),(4)]"), ("C9", "[(1),(3)]")]:
         group = parse_group(spec)
         atoms = enumerate_atoms(group, parse_subset(group, subset_literal))
-        seqs = atoms.sequences()
-        for a in seqs:
-            for b in seqs:
-                if a != b:
-                    assert not divides_pm(a, b), f"{a} divides {b}"
+        indices = [g.index for g in atoms.ground]
+        # a divides b iff a <= b and b - a is a signed zero sum (a is one)
+        for a in atoms.vectors:
+            for b in atoms.vectors:
+                if a != b and all(x <= y for x, y in zip(a, b)):
+                    rest = Sequence(group, tuple((i, y - x) for i, x, y in zip(indices, a, b) if y > x))
+                    assert not brute_is_pm_zero_sum(rest), f"{a} divides {b}"
 
 
 def test_single_generator_laws():
@@ -432,11 +450,12 @@ def test_atom_length_bound_caps_hold_on_every_call():
 
 def _refusal_by_the_span_davenport_constant(group, folded, limits):
     """The message of the cap rule that computes D(<S>) on every call, from
-    the subgroup as :func:`subgroup_generated` builds it, or None."""
+    the subgroup type that a breadth-first search over the addition table
+    finds, or None."""
     if len(folded) > limits.max_support:
         return f"atom enumeration capped at {limits.max_support} support elements, got {len(folded)}"
     try:
-        bound = davenport(subgroup_generated(group, [group.element_at(i) for i in folded])[1])
+        bound = davenport(make_group(brute_subgroup_generated(group, list(folded))[1]))
     except ResourceLimitError as exc:
         return str(exc)
     if bound > limits.max_atom_length:
@@ -543,6 +562,8 @@ def test_atom_cache_pickles_as_its_directory(tmp_path):
     lambda atoms: atoms[1:],  # (3e)^2 deleted: every g^2 is an atom
     lambda atoms: atoms[:-1] + [[1.0 * m for m in atoms[-1]]],  # multiplicities that are not ints
     lambda atoms: {"atoms": atoms},  # not a list
+    # a string is the whole entry: lists nested past the recursion limit of json.loads
+    lambda atoms: "[" * 200000 + "]" * 200000,
 ])
 def test_tampered_cache_entry_is_rejected(tmp_path, tamper):
     g8 = make_group([8])
@@ -552,11 +573,19 @@ def test_tampered_cache_entry_is_rejected(tmp_path, tamper):
     ground = tuple(g.index for g in cold.ground)
     assert cache.load(g8, ground) is not None
     (entry,) = tmp_path.glob("atoms-*.json")
-    data = json.loads(entry.read_text())
-    data["atoms"] = tamper(data["atoms"])
-    entry.write_text(json.dumps(data))
+    stored = entry.read_text()
+    data = json.loads(stored)
+    tampered = tamper(data["atoms"])
+    if isinstance(tampered, str):
+        entry.write_text(tampered)
+    else:
+        data["atoms"] = tampered
+        entry.write_text(json.dumps(data))
     assert cache.load(g8, ground) is None
+    # the miss is enumerated again, answers as before and rewrites the entry
     assert enumerate_atoms(g8, subset, cache=cache) == cold
+    assert min_delta(g8, subset, cache=cache) == 2
+    assert entry.read_text() == stored
 
 
 def _entry_key(data):

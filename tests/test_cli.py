@@ -176,8 +176,8 @@ def test_delta_star_refuses_automorphism_search_at_once(capsys, group):
 
 
 def test_min_delta_refuses_a_long_atom_bound_at_once(capsys):
-    # the span of the ground set is closed on bitmasks, so refusing C3000
-    # builds no table with |G|^2 entries
+    # the span of the ground set is typed from its relation lattice, so
+    # refusing C3000 builds no table with |G|^2 entries
     start = time.perf_counter()
     code, out, err = run_cli(capsys, "min-delta", "C3000", "[(1)]")
     assert time.perf_counter() - start < 1.0
@@ -221,6 +221,12 @@ def test_refusal_builds_shift_steps_only_for_its_generator():
      "zero-sum walk capped at 67108864 bytes of rotation masks; 25 steps over C2xC2"),
     (("atoms", "C20000000", "all", "--max-support", "100000000", "--max-atom-len", "100000000"),
      "zero-sum walk capped at 67108864 bytes of rotation masks; 19999999 steps over C20000000"),
+    # D(C4) = 4 caps a query at length 32, read off the multiplicities before
+    # any signed sum is taken; 2^63 is past what len() can return
+    (("lengths", "C4", "[(1)^4611686018427387904]"),
+     "factorization query capped at length 32, got 4611686018427387904"),
+    (("lengths", "C4", "[(1)^9223372036854775808]"),
+     "factorization query capped at length 32, got 9223372036854775808"),
 ])
 def test_refusals_over_huge_groups_build_nothing_of_size_g(argv, message):
     # each cap needs only the fold size, D(<S>) or the walk's steps, so a

@@ -10,7 +10,6 @@ import pytest
 from pmzs import (
     AtomCache,
     Limits,
-    canonical_subset,
     char_compare,
     char_invariants,
     check_elementary_p_gcd,
@@ -21,9 +20,8 @@ from pmzs import (
     make_group,
     min_delta,
     parse_group,
-    subset_orbits,
 )
-from pmzs.delta_star import NOT_APPLICABLE, PASS
+from pmzs.delta_star import NOT_APPLICABLE, PASS, _FoldedOrbits
 from pmzs.errors import ResourceLimitError
 from pmzs.groups import Group, automorphisms, fold_negatives
 from helpers import small_group_list
@@ -33,20 +31,32 @@ def indices(group, *coords_list):
     return tuple(sorted(group.element(c).index for c in coords_list))
 
 
+def orbit_listing(group):
+    """The canonical representative of every orbit of nonempty subsets of
+    G minus 0 under the folded maps, in table order, as the sweep lists them."""
+    orbits = _FoldedOrbits(group, folded_automorphisms(group))
+    return [orbits.members(mask) for mask in orbits.representatives]
+
+
+def canonical_form(orbits, group, subset):
+    """The least image of a subset under the folded maps, computed on masks as the sweep does."""
+    return orbits.members(orbits.canonical(sum(orbits.bit_of[i] for i in fold_negatives(group, subset))))
+
+
 def test_subset_orbits_c3():
     g = make_group([3])
-    assert subset_orbits(g) == [(1,)]
+    assert orbit_listing(g) == [(1,)]
 
 
 def test_subset_orbits_c5():
     g = make_group([5])
-    orbits = subset_orbits(g)
+    orbits = orbit_listing(g)
     assert orbits == [(1,), (1, 2)]
 
 
 def test_subset_orbits_c2xc2():
     g = make_group([2, 2])
-    orbits = subset_orbits(g)
+    orbits = orbit_listing(g)
     assert len(orbits) == 3
     assert orbits[0] == (1,)
     assert sorted(len(o) for o in orbits) == [1, 2, 3]
@@ -56,11 +66,11 @@ def test_orbit_members_share_min_delta():
     rng = random.Random(23)
     for spec in ("C7", "C8", "C3xC3"):
         group = parse_group(spec)
-        maps = folded_automorphisms(group)
+        orbits = _FoldedOrbits(group, folded_automorphisms(group))
         nonzero = list(range(1, group.order))
         for _ in range(5):
             subset = tuple(sorted(rng.sample(nonzero, rng.randrange(1, 4))))
-            rep = canonical_subset(group, subset, maps)
+            rep = canonical_form(orbits, group, subset)
             md_subset = min_delta(group, [group.element_at(i) for i in subset])
             md_rep = min_delta(group, [group.element_at(i) for i in rep])
             assert md_subset == md_rep, f"{spec}: {subset} vs {rep}"
@@ -138,15 +148,15 @@ def test_subset_orbits_match_unfolded_enumeration():
             for size in range(1, group.order)
             for subset in combinations(nonzero, size)
         }
-        orbits = subset_orbits(group, limits=Limits(max_sweep_order=12))
+        orbits = orbit_listing(group)
         assert orbits == sorted(images, key=lambda s: (len(s), s)), str(group)
 
 
 def test_subset_orbits_refuses_over_the_sweep_cap():
-    # C64 has 2^32 subsets in its folded universe
+    # C64 has 2^32 subsets in its folded universe; an unpruned sweep lists them all
     start = time.perf_counter()
     with pytest.raises(ResourceLimitError, match="capped at order 10"):
-        subset_orbits(make_group([64]))
+        delta_star(make_group([64]), prune=False)
     assert time.perf_counter() - start < 1.0
 
 
@@ -168,7 +178,7 @@ def test_subset_orbits_count_by_burnside():
                     unseen.remove(u)
             fixed += 2**cycles
         assert fixed % len(maps) == 0, str(group)
-        assert len(subset_orbits(group, limits=Limits(max_sweep_order=16))) == fixed // len(maps) - 1, str(group)
+        assert len(orbit_listing(group)) == fixed // len(maps) - 1, str(group)
 
 
 def test_canonical_subset_matches_least_folded_image():
@@ -181,10 +191,11 @@ def test_canonical_subset_matches_least_folded_image():
         auts = automorphisms(group)
         maps = folded_automorphisms(group)
         assert len(maps) == (len(auts) if spec == "C2xC2xC2xC2" else len(auts) // 2), spec
+        orbits = _FoldedOrbits(group, maps)
         nonzero = range(1, group.order)
         for _ in range(samples):
             subset = tuple(sorted(rng.sample(nonzero, rng.randrange(1, 8))))
-            assert canonical_subset(group, subset, maps) == least_folded_image(group, subset, auts), (spec, subset)
+            assert canonical_form(orbits, group, subset) == least_folded_image(group, subset, auts), (spec, subset)
 
 
 def test_parallel_sweep_deterministic(tmp_path):
@@ -330,7 +341,7 @@ def test_automorphism_cap_refuses_before_the_search():
     # refusal comes before the addition table is built or any per-index memo
     # is filled
     for factors in ((2, 2, 2, 2, 2), (10**12,)):
-        for sweep in (delta_star, subset_orbits):
+        for sweep in (delta_star, folded_automorphisms):
             g = Group(factors)
             with pytest.raises(ResourceLimitError, match="automorphism search"):
                 sweep(g)

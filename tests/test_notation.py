@@ -2,16 +2,8 @@
 
 import pytest
 
-from pmzs import DomainError, Sequence, make_group, parse_element, parse_group, parse_sequence, parse_subset
-from pmzs.notation import (
-    format_group,
-    format_sequence,
-    format_subset,
-    sequence_from_json,
-    sequence_to_json,
-    subset_from_json,
-    subset_to_json,
-)
+from pmzs import DomainError, Sequence, make_group, parse_group, parse_sequence, parse_subset
+from pmzs.notation import format_group, format_subset, subset_to_json
 
 
 def test_parse_group():
@@ -34,14 +26,16 @@ def test_group_format_round_trip():
 
 
 def test_parse_element():
+    # an element literal is a term of a subset or sequence literal
     g = make_group([2, 4])
-    assert parse_element(g, "(1,3)").coords == (1, 3)
+    assert parse_subset(g, "[(1,3)]")[0].coords == (1, 3)
     g8 = make_group([8])
-    assert parse_element(g8, "(3)").coords == (3,)
-    with pytest.raises(DomainError):
-        parse_element(g8, "(1,2)")
-    with pytest.raises(DomainError):
-        parse_element(g8, "3")
+    assert parse_sequence(g8, "[(3)]").support[0].coords == (3,)
+    for bad in ("[(1,2)]", "[3]", "[()]", "[(x)]"):
+        with pytest.raises(DomainError):
+            parse_subset(g8, bad)
+        with pytest.raises(DomainError):
+            parse_sequence(g8, bad)
 
 
 def test_parse_subset():
@@ -76,7 +70,7 @@ def test_sequence_literal_round_trip():
     g24 = make_group([2, 4])
     for literal in ("[(1,0)^2, (0,3)]", "[(0,1)]", "[]"):
         seq = parse_sequence(g24, literal)
-        assert parse_sequence(g24, format_sequence(seq)) == seq
+        assert parse_sequence(g24, str(seq)) == seq
 
 
 def test_subset_format_round_trip():
@@ -87,8 +81,8 @@ def test_subset_format_round_trip():
 
 
 def test_json_round_trips():
+    # a subset's JSON form lists its coordinates in index order
     g24 = make_group([2, 4])
-    subset = parse_subset(g24, "[(1,0),(0,3)]")
-    assert subset_from_json(g24, subset_to_json(subset)) == subset
-    seq = parse_sequence(g24, "[(1,0)^2, (0,3)]")
-    assert sequence_from_json(g24, sequence_to_json(seq)) == seq
+    subset = parse_subset(g24, "[(0,3),(1,0)]")
+    assert subset_to_json(subset) == [[0, 3], [1, 0]]
+    assert tuple(g24.element(tuple(c)) for c in subset_to_json(subset)) == subset

@@ -14,7 +14,6 @@ from pmzs import (
     delta_of_element,
     enumerate_atoms,
     factorizations,
-    is_half_factorial,
     length_set,
     make_group,
     min_delta,
@@ -344,6 +343,14 @@ def test_max_length_of_vector_after_widening():
 
 
 def test_is_half_factorial():
+    # a monoid is half-factorial iff its distance set is empty, iff it has no
+    # atom longer than 2; the two criteria must agree
+    def is_half_factorial(group, subset):
+        atom_set = enumerate_atoms(group, subset)
+        by_delta = min_delta_of_atoms(atom_set) is None
+        assert by_delta == (atom_length_profile(atom_set).max_length <= 2), (str(group), subset)
+        return by_delta
+
     g2 = make_group([2])
     assert is_half_factorial(g2, [g2.element(1)])
     assert is_half_factorial(g2, [g2.element_at(i) for i in range(1, 2)])

@@ -1,15 +1,23 @@
-"""Sequences, plain and signed sums, divisibility."""
+"""Sequences, plain and signed sums."""
 
 import random
 
 import pytest
 
-from pmzs import DomainError, Sequence, divides_pm, make_group
+from pmzs import DomainError, Sequence, make_group
 from helpers import brute_signed_sums, small_group_list
 
 
 def seq_of_powers(group, *pairs):
     return Sequence.from_items(group, [(group.element_at(i), m) for i, m in pairs])
+
+
+def signed_sums(seq):
+    """The signed sums of a sequence, read off the plus-minus zero-sum test:
+    x is a signed sum of S iff S * x has a signed zero sum (the signed sums
+    of S are closed under negation)."""
+    group = seq.group
+    return {x for x in group.elements() if seq.concat(Sequence.of(group, x)).is_pm_zero_sum()}
 
 
 def test_plain_sum():
@@ -24,12 +32,12 @@ def test_plain_sum():
 def test_signed_sums_examples():
     g5 = make_group([5])
     e = g5.element(1)
-    assert {x.coords[0] for x in Sequence.of(g5, e).signed_sums()} == {1, 4}
-    assert {x.coords[0] for x in Sequence.of(g5, e, e).signed_sums()} == {0, 2, 3}
+    assert {x.coords[0] for x in signed_sums(Sequence.of(g5, e))} == {1, 4}
+    assert {x.coords[0] for x in signed_sums(Sequence.of(g5, e, e))} == {0, 2, 3}
     g8 = make_group([8])
     s = Sequence.of(g8, g8.element(1), g8.element(3))
-    assert {x.coords[0] for x in s.signed_sums()} == {2, 4, 6}
-    assert {x.coords for x in Sequence.empty(g8).signed_sums()} == {(0,)}
+    assert {x.coords[0] for x in signed_sums(s)} == {2, 4, 6}
+    assert {x.coords for x in signed_sums(Sequence.empty(g8))} == {(0,)}
 
 
 def test_pm_zero_sum_examples():
@@ -48,7 +56,7 @@ def test_signed_sums_match_brute_force():
         for _ in range(8):
             terms = [group.element_at(rng.randrange(group.order)) for _ in range(rng.randrange(6))]
             seq = Sequence.of(group, *terms)
-            assert {x.coords for x in seq.signed_sums()} == brute_signed_sums(seq), str(seq)
+            assert {x.coords for x in signed_sums(seq)} == brute_signed_sums(seq), str(seq)
 
 
 def test_signed_sums_invariants():
@@ -58,12 +66,12 @@ def test_signed_sums_invariants():
             terms = [group.element_at(rng.randrange(1, group.order)) for _ in range(rng.randrange(5))]
             s = Sequence.of(group, *terms)
             t = Sequence.of(group, *[group.element_at(rng.randrange(1, group.order)) for _ in range(2)])
-            sums = s.signed_sums()
-            assert sums.negate() == sums
+            sums = signed_sums(s)
+            assert {-x for x in sums} == sums
             assert s.sum() in sums
             # concatenation gives the sumset
-            combined = {(a + b).coords for a in sums for b in t.signed_sums()}
-            assert {x.coords for x in s.concat(t).signed_sums()} == combined
+            combined = {(a + b).coords for a in sums for b in signed_sums(t)}
+            assert {x.coords for x in signed_sums(s.concat(t))} == combined
             if s.sum().is_zero:
                 assert s.is_pm_zero_sum()
 
@@ -74,7 +82,7 @@ def test_single_support_progression():
     for length in range(6):
         seq = Sequence.from_items(g7, [(e, length)]) if length else Sequence.empty(g7)
         expected = {((length - 2 * k) % 7,) for k in range(length + 1)}
-        assert {x.coords for x in seq.signed_sums()} == expected
+        assert {x.coords for x in signed_sums(seq)} == expected
 
 
 def test_multiset_operations():
@@ -84,25 +92,12 @@ def test_multiset_operations():
     t = Sequence.of(g8, e)
     assert len(s.concat(t)) == 3
     whole = Sequence.from_items(g8, [(e, 3), (e3, 1)])
-    rest = whole.remove(Sequence.of(g8, e, e3))
-    assert rest == Sequence.of(g8, e, e)
+    assert Sequence.of(g8, e, e3).concat(s) == whole
     assert len(Sequence.from_items(g8, [(e, 2), (e3, 3)])) == 5
     assert whole.support == (e, e3)
     assert whole.multiplicity(e) == 3 and whole.multiplicity(g8.element(5)) == 0
     with pytest.raises(DomainError):
-        t.remove(s)
-
-
-def test_divides_pm():
-    g4 = make_group([4])
-    e = g4.element(1)
-    assert divides_pm(Sequence.empty(g4), Sequence.of(g4, e, e))
-    assert not divides_pm(Sequence.empty(g4), Sequence.of(g4, e))
-    assert divides_pm(Sequence.of(g4, e, e), Sequence.from_items(g4, [(e, 4)]))
-    g8 = make_group([8])
-    e8, e83 = g8.element(1), g8.element(3)
-    whole = Sequence.from_items(g8, [(e8, 3), (e83, 1)])
-    assert not divides_pm(Sequence.of(g8, e8, e8), whole)
+        Sequence.from_items(g8, [(e, -1)])
 
 
 def test_classical_zero_sum_is_pm_zero_sum():
