@@ -38,10 +38,7 @@ from .atoms import (
 from .relations import (
     FactorizationSet,
     Factorizer,
-    delta_of_element,
     delta_of_lengths,
-    factorizations,
-    length_set,
     min_delta,
     min_delta_of_atoms,
     rho_k,

@@ -1,8 +1,17 @@
 """Command-line interface.
 
 Commands: group | atoms | min-delta | lengths | rho | delta-star | davenport | verify.
-Output formats: table (human), json, csv.  Every flag can also be set through
-an environment variable named PMZS_<FLAG> (upper case, dashes to underscores).
+Output formats: table (human), json, csv.  Every common flag can also be set
+through an environment variable named PMZS_<FLAG> (upper case, dashes to
+underscores).
+
+The argv is read from two tables, ``_ARGUMENTS`` (each command's own
+arguments) and ``_common_flags`` (the flags every command takes), which also
+give ``-h/--help``, the usage lines and the error messages.  A flag takes its
+value as ``--flag value`` or ``--flag=value`` (``-k3`` or ``-k 3``), flags go
+before, between or after the positionals, and ``--`` ends the flags.  A flag
+matches only by its full name, so a new flag never changes what an old argv
+means.
 
 Exit codes: 0 success, 1 domain or usage error, 2 resource cap exceeded,
 3 verification suite failure.  ``verify`` reports a check over a cap as not
@@ -11,16 +20,15 @@ applicable, so it exits 0 or 3 (1 on bad input), never 2.
 
 from __future__ import annotations
 
-import argparse
 import csv
 import gc
 import io
 import json
-import locale  # noqa: F401  (see the gc.freeze() note below)
 import os
 import sys
 from contextlib import nullcontext
-from typing import Callable, Iterable, Iterator
+from types import SimpleNamespace
+from typing import Callable, Iterable, Iterator, NamedTuple
 
 from .atoms import AtomCache, atom_length_profile, check_atom_caps, davenport_monoid, enumerate_atoms
 from .delta_star import FAIL, NOT_APPLICABLE, delta_star
@@ -38,11 +46,10 @@ from .notation import (
 from .relations import Factorizer, min_delta_of_atoms, rho_k
 from .suite import run_suite
 
-# Start-up ends here.  argparse imports locale on its first parse, through
-# gettext, so it is imported above with the rest; then the command loads no
-# module of its own.  gc.freeze() moves every object made so far, which lives
-# as long as the process, out of the collector's generations, so the
-# collections that a command triggers do not scan the imported modules again.
+# Start-up ends here; a command loads no module of its own.  gc.freeze() moves
+# every object made so far, which lives as long as the process, out of the
+# collector's generations, so the collections that a command triggers do not
+# scan the imported modules again.
 gc.freeze()
 
 EXIT_OK = 0
@@ -50,17 +57,26 @@ EXIT_DOMAIN = 1
 EXIT_RESOURCE = 2
 EXIT_VERIFY = 3
 
-
-class _Parser(argparse.ArgumentParser):
-    def error(self, message):
-        self.print_usage(sys.stderr)
-        print(f"{self.prog}: error: {message}", file=sys.stderr)
-        raise SystemExit(EXIT_DOMAIN)
+_FORMATS = ("table", "json", "csv")
+_REQUIRED = object()  # the default of a positional that argv must give
 
 
-def _env_default(name: str, fallback):
-    value = os.environ.get(f"PMZS_{name}")
-    return value if value is not None else fallback
+class _Arg(NamedTuple):
+    """One argument of a command: a flag when ``name`` starts with '-', else a
+    positional, which is optional when it has a default."""
+
+    name: str
+    help: str = ""
+    default: object = _REQUIRED
+    convert: Callable[[str], object] | None = str  # None: a switch, which takes no value
+
+    @property
+    def dest(self) -> str:
+        return self.name.lstrip("-").replace("-", "_")
+
+
+_HELP = _Arg("-h/--help", "show this help and exit", None, None)
+_HELP_FLAGS = {"-h": _HELP, "--help": _HELP}
 
 
 def _positive_int(text: str) -> int:
@@ -69,90 +85,263 @@ def _positive_int(text: str) -> int:
     except ValueError:
         value = 0
     if value < 1:
-        raise argparse.ArgumentTypeError(f"expected a positive integer, got {text!r}")
+        raise ValueError(f"expected a positive integer, got {text!r}")
     return value
 
 
-def _env_flag(parser: _Parser, name: str) -> bool:
+def _int(text: str) -> int:
+    try:
+        return int(text)
+    except ValueError:
+        raise ValueError(f"invalid int value: {text!r}") from None
+
+
+def _format(text: str) -> str:
+    if text not in _FORMATS:
+        raise ValueError(f"invalid choice: {text!r} (choose from {', '.join(map(repr, _FORMATS))})")
+    return text
+
+
+def _env_default(name: str, fallback):
+    value = os.environ.get(f"PMZS_{name}")
+    return value if value is not None else fallback
+
+
+def _env_flag(name: str) -> bool:
     value = _env_default(name, "0")
     try:
         return bool(int(value))
     except ValueError:
-        parser.error(f"PMZS_{name}: expected an integer, got {value!r}")
+        _fail(None, f"PMZS_{name}: expected an integer, got {value!r}")
 
 
-def _env_choice(parser: _Parser, name: str, choices: tuple[str, ...]) -> str:
-    """The PMZS_<name> value, or the first choice; argparse checks choices only on the command line."""
+def _env_choice(name: str, choices: tuple[str, ...]) -> str:
     value = _env_default(name, choices[0])
     if value not in choices:
-        parser.error(f"PMZS_{name}: expected one of {', '.join(choices)}, got {value!r}")
+        _fail(None, f"PMZS_{name}: expected one of {', '.join(choices)}, got {value!r}")
     return value
 
 
-# each command's help line and its own arguments, as (name, add_argument
-# keywords); every command also takes the common flags
+def _common_flags() -> tuple[_Arg, ...]:
+    """The flags every command takes, with their PMZS_<FLAG> defaults.
+
+    A bad PMZS_FORMAT or PMZS_NO_PRUNE is refused here, whatever argv says.
+    Every other string default is checked like its flag, in this order, and
+    only where argv omits the flag: so ``PMZS_JOBS=x pmzs group C4 --jobs 2``
+    runs.
+    """
+    defaults = DEFAULT_LIMITS
+    return (
+        _Arg("--format", "table, json or csv", _env_choice("FORMAT", _FORMATS), _format),
+        _Arg("--cache-dir", "directory of the persistent atom cache", _env_default("CACHE_DIR", None)),
+        _Arg("--jobs", "worker processes for delta-star and verify", _env_default("JOBS", "1"), _positive_int),
+        _Arg("--max-atom-len", "cap on atom length", _env_default("MAX_ATOM_LEN", str(defaults.max_atom_length)), _positive_int),
+        _Arg("--max-order", "largest group order whose delta-star report lists every orbit",
+             _env_default("MAX_ORDER", str(defaults.max_sweep_order)), _positive_int),
+        _Arg("--no-prune", "evaluate every orbit representative of the sweep", _env_flag("NO_PRUNE"), None),
+        _Arg("--rho-cap", "largest k of rho_k", _env_default("RHO_CAP", str(defaults.rho_cap)), _positive_int),
+        _Arg("--max-support", "cap on the size of a folded subset", _env_default("MAX_SUPPORT", str(defaults.max_support)), _positive_int),
+    )
+
+
+# each command's help line and its own arguments; every command also takes
+# the common flags
 _ARGUMENTS = {
-    "group": ("structural invariants of a group", [("group", {})]),
-    "atoms": ("complete atom list over a subset", [
-        ("group", {}),
-        ("subset", {"help": "subset literal like '[(1),(3)]', or 'all' for G minus 0"}),
-    ]),
-    "min-delta": ("exact minimal distance over a subset", [("group", {}), ("subset", {})]),
-    "lengths": ("set of factorization lengths of a sequence", [
-        ("group", {}),
-        ("sequence", {"help": "sequence literal like '[(1)^10]'"}),
-    ]),
-    "rho": ("k-th local elasticity", [
-        ("group", {}),
-        ("subset", {"nargs": "?", "default": "all"}),
-        ("-k", {"type": int, "default": 2}),
-    ]),
-    "delta-star": ("sweep minimal distances over subsets", [("group", {})]),
-    "davenport": ("Davenport constant of the group or of the monoid over a subset", [
-        ("group", {}),
-        ("subset", {"nargs": "?", "default": None}),
-    ]),
-    "verify": ("run the mechanical verification suite", [
-        ("target", {"help": "a group literal, or 'all-small'"}),
-        ("--out", {"default": None, "help": "also write the JSON report to this path"}),
-    ]),
+    "group": ("structural invariants of a group", (_Arg("group"),)),
+    "atoms": ("complete atom list over a subset", (
+        _Arg("group"),
+        _Arg("subset", "subset literal like '[(1),(3)]', or 'all' for G minus 0"),
+    )),
+    "min-delta": ("exact minimal distance over a subset", (_Arg("group"), _Arg("subset"))),
+    "lengths": ("set of factorization lengths of a sequence", (
+        _Arg("group"),
+        _Arg("sequence", "sequence literal like '[(1)^10]'"),
+    )),
+    "rho": ("k-th local elasticity", (
+        _Arg("group"),
+        _Arg("subset", default="all"),
+        _Arg("-k", default=2, convert=_int),
+    )),
+    "delta-star": ("sweep minimal distances over subsets", (_Arg("group"),)),
+    "davenport": ("Davenport constant of the group or of the monoid over a subset", (
+        _Arg("group"),
+        _Arg("subset", default=None),
+    )),
+    "verify": ("run the mechanical verification suite", (
+        _Arg("target", "a group literal, or 'all-small'"),
+        _Arg("--out", "also write the JSON report to this path", None),
+    )),
 }
 
 
-def _build_parser(command: str | None = None) -> _Parser:
-    """The parser of every command, or of ``command`` alone when it names one.
+def _usage(command: str | None) -> str:
+    if command is None:
+        return "usage: pmzs [-h] {" + ",".join(_ARGUMENTS) + "} ..."
+    words = [f"usage: pmzs {command} [-h] [common flags]"]
+    for arg in _ARGUMENTS[command][1]:
+        if arg.name[0] == "-":
+            words.append(f"[{arg.name} {arg.dest.upper()}]")
+        else:
+            words.append(arg.name if arg.default is _REQUIRED else f"[{arg.name}]")
+    return " ".join(words)
 
-    ``main`` passes the first word of argv: each subparser copies the common
-    flags, so building all of them costs a run several milliseconds.  The
-    metavar keeps the full parser's usage line, which an error in the top
-    parser prints.
-    """
-    parser = _Parser(prog="pmzs", description="Invariants of plus-minus weighted zero-sum sequence monoids.")
-    common = argparse.ArgumentParser(add_help=False)
-    formats = ("table", "json", "csv")
-    common.add_argument("--format", choices=formats, default=_env_choice(parser, "FORMAT", formats))
-    common.add_argument("--cache-dir", default=_env_default("CACHE_DIR", None))
-    # a string default goes through ``type`` too, so a PMZS_* value is checked like its flag
-    common.add_argument("--jobs", type=_positive_int, default=_env_default("JOBS", "1"))
-    common.add_argument("--max-atom-len", type=_positive_int, default=_env_default("MAX_ATOM_LEN", str(DEFAULT_LIMITS.max_atom_length)))
-    common.add_argument("--max-order", type=_positive_int, default=_env_default("MAX_ORDER", str(DEFAULT_LIMITS.max_sweep_order)),
-                        help="largest group order whose delta-star report lists every orbit")
-    common.add_argument("--no-prune", action="store_true", default=_env_flag(parser, "NO_PRUNE"))
-    common.add_argument("--rho-cap", type=_positive_int, default=_env_default("RHO_CAP", str(DEFAULT_LIMITS.rho_cap)))
-    common.add_argument("--max-support", type=_positive_int, default=_env_default("MAX_SUPPORT", str(DEFAULT_LIMITS.max_support)))
 
-    if command in _ARGUMENTS:
-        names = (command,)
-        sub = parser.add_subparsers(dest="command", required=True, metavar="{" + ",".join(_ARGUMENTS) + "}")
+def _fail(command: str | None, message: str):
+    """Refuse argv: the usage line of ``command`` (of pmzs itself for None)
+    and the message go to stderr, and the run exits 1."""
+    print(_usage(command), file=sys.stderr)
+    print(f"pmzs{'' if command is None else ' ' + command}: error: {message}", file=sys.stderr)
+    raise SystemExit(EXIT_DOMAIN)
+
+
+def _help_line(arg: _Arg) -> str:
+    name = arg.name if arg.name[0] != "-" or arg.convert is None else f"{arg.name} {arg.dest.upper()}"
+    return f"  {name:<22} {arg.help}".rstrip() if len(name) <= 22 else f"  {name}\n  {'':<22} {arg.help}"
+
+
+def _help(command: str | None, common: tuple[_Arg, ...] = ()):
+    """Print the help of ``command`` (of pmzs itself for None) and exit 0."""
+    lines = [_usage(command), ""]
+    if command is None:
+        lines += ["Invariants of plus-minus weighted zero-sum sequence monoids.", "", "commands:"]
+        lines += [f"  {name:<12} {text}" for name, (text, _) in _ARGUMENTS.items()]
+        lines += ["", "Run 'pmzs <command> --help' for the arguments of a command."]
     else:
-        names = tuple(_ARGUMENTS)
-        sub = parser.add_subparsers(dest="command", required=True)
-    for name in names:
-        help_text, arguments = _ARGUMENTS[name]
-        p = sub.add_parser(name, parents=[common], help=help_text)
-        for arg, kwargs in arguments:
-            p.add_argument(arg, **kwargs)
-    return parser
+        text, own = _ARGUMENTS[command]
+        lines += [text, "", "arguments:", *map(_help_line, (*own, _HELP)), ""]
+        lines += ["common flags (each also read from PMZS_<FLAG>, e.g. PMZS_JOBS):", *map(_help_line, common)]
+    print("\n".join(lines))
+    raise SystemExit(EXIT_OK)
+
+
+def _is_negative_number(word: str) -> bool:
+    whole, dot, fraction = word[1:].partition(".")
+    if dot:
+        return (not whole or whole.isdecimal()) and fraction.isdecimal()
+    return whole.isdecimal()
+
+
+def _flag_of(word: str, flags: dict[str, _Arg]) -> tuple[_Arg | None, str | None] | None:
+    """How ``word`` reads against ``flags``: None for a positional word, else
+    the flag (None for an unknown one) and the value given in the same word,
+    after ``=`` or after a one-letter flag (None if there is none)."""
+    if word[:1] != "-" or word == "-":
+        return None
+    if word in flags:
+        return flags[word], None
+    name, equals, value = word.partition("=")
+    if equals and name in flags:
+        return flags[name], value
+    if word[1] != "-" and word[:2] in flags:
+        return flags[word[:2]], word[2:]
+    if _is_negative_number(word) or " " in word:
+        return None
+    return None, None
+
+
+def _fill(run: list[str], dashes: int | None, positionals: list[_Arg], values: dict) -> list[str]:
+    """Give one run of positional words to the positionals not yet filled, in
+    order, and return the words left over.  A positional takes one word; an
+    optional one that the run does not reach keeps its default and is done.
+    The '--' at index ``dashes`` of the run goes with the positional beside
+    it.  So in ``rho C4 -k 3 [(1)]`` the first run fills both positionals and
+    ``[(1)]`` is left over, a usage error, as argparse read it."""
+    i = 0
+    while positionals:
+        arg = positionals[0]
+        j = i + (i == dashes)
+        if j < len(run):
+            values[arg.dest] = run[j]
+            j += 1
+        elif arg.default is _REQUIRED:
+            break
+        i = j + (j == dashes)
+        del positionals[0]
+    return run[i:]
+
+
+def _parse_command(command: str, words: list[str], common: tuple[_Arg, ...]) -> tuple[dict, list[str]]:
+    """The values of ``command``'s arguments in ``words``, and the words left
+    over; a refused argv exits through :func:`_fail`."""
+    arguments = (*common, *_ARGUMENTS[command][1])
+    flags = dict(_HELP_FLAGS)
+    flags.update((arg.name, arg) for arg in arguments if arg.name[0] == "-")
+    positionals = [arg for arg in arguments if arg.name[0] != "-"]
+    values = {"command": command}
+    values.update((arg.dest, arg.default) for arg in arguments if arg.default is not _REQUIRED)
+    given, left_over, run, dashes = set(), [], [], None
+    i = 0
+    while i < len(words):
+        word = words[i]
+        i += 1
+        if dashes is None and word == "--":  # every later word is positional
+            dashes = len(run)
+        found = None if dashes is not None else _flag_of(word, flags)
+        if found is None:
+            run.append(word)
+            continue
+        if run:
+            left_over += _fill(run, None, positionals, values)
+            run = []
+        arg, value = found
+        if arg is None:
+            left_over.append(word)
+            continue
+        if arg.convert is None:
+            if value is not None:
+                _fail(command, f"argument {arg.name}: ignored explicit argument {value!r}")
+            if arg is _HELP:
+                _help(command, common)
+            values[arg.dest] = True
+        else:
+            if value is None:
+                if i == len(words) or words[i] == "--" or _flag_of(words[i], flags) is not None:
+                    _fail(command, f"argument {arg.name}: expected one argument")
+                value = words[i]
+                i += 1
+            try:
+                values[arg.dest] = arg.convert(value)
+            except ValueError as exc:
+                _fail(command, f"argument {arg.name}: {exc}")
+        given.add(arg)
+    left_over += _fill(run, dashes, positionals, values)
+    for arg in arguments:
+        if arg.name[0] == "-" and arg not in given and isinstance(arg.default, str):
+            try:
+                values[arg.dest] = arg.convert(arg.default)
+            except ValueError as exc:
+                _fail(command, f"argument {arg.name}: {exc}")
+    missing = [arg.name for arg in positionals if arg.default is _REQUIRED]
+    if missing:
+        _fail(command, f"the following arguments are required: {', '.join(missing)}")
+    return values, left_over
+
+
+def _parse_args(argv: list[str]) -> SimpleNamespace:
+    """The command and every argument of ``argv``, by name.  Help exits 0 and
+    a refused argv exits 1, both as SystemExit."""
+    common = _common_flags()
+    left_over = []
+    for i, word in enumerate(argv):
+        # a '--' before the command is read as the command, unless it is the last word
+        found = None if word == "--" and i + 1 < len(argv) else _flag_of(word, _HELP_FLAGS)
+        if found is None:
+            break
+        arg, value = found
+        if arg is None:
+            left_over.append(word)
+        elif value is not None:
+            _fail(None, f"argument {arg.name}: ignored explicit argument {value!r}")
+        else:
+            _help(None)
+    else:
+        _fail(None, "the following arguments are required: command")
+    if word not in _ARGUMENTS:
+        _fail(None, f"argument command: invalid choice: {word!r} (choose from {', '.join(map(repr, _ARGUMENTS))})")
+    values, unknown = _parse_command(word, argv[i + 1:], common)
+    if left_over or unknown:
+        _fail(None, f"unrecognized arguments: {' '.join(left_over + unknown)}")
+    return SimpleNamespace(**values)
 
 
 def _limits_from(args) -> Limits:
@@ -198,20 +387,26 @@ def _nonzero_elements(group, limits: Limits) -> Iterator[GroupElement]:
     yield from map(group.element_at, range(1, group.order))
 
 
+def _json_text(payload: dict) -> str:
+    return json.dumps(payload, sort_keys=True, indent=2)
+
+
 def _emit(
     args,
     payload: dict,
     table: Callable[[], Iterable[str]],
     csv_rows: Callable[[], Iterable[list]] | None = None,
+    json_text: str | None = None,
 ) -> None:
     """Print the report in the chosen format.
 
     ``table`` and ``csv_rows`` build the table lines and the CSV rows, and
     only the chosen format's builder runs.  Without ``csv_rows`` the CSV
-    holds one row per payload key.
+    holds one row per payload key.  ``json_text`` is the payload already
+    encoded, if it is.
     """
     if args.format == "json":
-        print(json.dumps(payload, sort_keys=True, indent=2))
+        print(json_text or _json_text(payload))
     elif args.format == "csv":
         out = io.StringIO()
         rows = csv_rows() if csv_rows is not None else ([k, payload[k]] for k in sorted(payload))
@@ -381,8 +576,11 @@ def _cmd_verify(args) -> int:
             cache=_cache_from(args),
         )
         payload = result.to_json_dict()
+        # the file and a JSON stdout share one encoding of the report
+        text = None
         if out_file is not None:
-            json.dump(payload, out_file, sort_keys=True, indent=2)
+            text = _json_text(payload)
+            out_file.write(text)
 
     def table():
         width = max(len(c.check_id) for c in result.checks) + 2
@@ -400,7 +598,7 @@ def _cmd_verify(args) -> int:
         for c in result.checks:
             yield [c.check_id, c.group, c.status]
 
-    _emit(args, payload, table, csv_rows)
+    _emit(args, payload, table, csv_rows, text)
     return EXIT_OK if result.passed else EXIT_VERIFY
 
 
@@ -420,9 +618,9 @@ def main(argv: list[str] | None = None) -> int:
     if argv is None:
         argv = sys.argv[1:]
     try:
-        args = _build_parser(argv[0] if argv else None).parse_args(argv)
+        args = _parse_args(argv)
     except SystemExit as exc:
-        return exc.code if isinstance(exc.code, int) else EXIT_DOMAIN
+        return exc.code
     try:
         # only the sweeps use a pool; the other commands pay no pool import
         with _pool(args.jobs if args.command in ("delta-star", "verify") else 1) as pool:

@@ -275,18 +275,6 @@ class Factorizer:
         return self._mask_of(vec).bit_length() - 1
 
 
-def factorizations(element: Sequence, atom_set: AtomSet) -> FactorizationSet:
-    return Factorizer(atom_set).factorizations(element)
-
-
-def length_set(element: Sequence, atom_set: AtomSet) -> tuple[int, ...]:
-    return Factorizer(atom_set).length_set(element)
-
-
-def delta_of_element(element: Sequence, atom_set: AtomSet) -> tuple[int, ...]:
-    return delta_of_lengths(length_set(element, atom_set))
-
-
 def rho_k(
     group: Group,
     subset: Iterable[GroupElement],

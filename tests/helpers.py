@@ -8,11 +8,14 @@ vectors and factorizations from every choice of atom multiplicities.  Two
 are second mechanisms for a library result: the earlier-atom rule
 (:func:`_enumerate_atom_vectors`) lists atoms by another search than
 the minimal-zero-sum walk, and :func:`integer_kernel_basis` computes the
-lattice of relations that the echelon form behind min delta reads.
+lattice of relations that the echelon form behind min delta reads.  The CLI's
+argv parser is checked against the argparse parser it replaced
+(:func:`argparse_parse_args`).
 """
 
 from __future__ import annotations
 
+import argparse
 import math
 import os
 import random
@@ -24,7 +27,7 @@ from collections import Counter
 from itertools import combinations_with_replacement, product
 from pathlib import Path
 
-from pmzs import AtomSet, DomainError, Group, Sequence, abelian_group_types, make_group
+from pmzs import DEFAULT_LIMITS, AtomSet, DomainError, Group, Sequence, abelian_group_types, make_group
 from pmzs.groups import signed_shift_mask
 
 
@@ -450,3 +453,109 @@ def integer_kernel_basis(matrix: list[list[int]]) -> list[list[int]]:
             if sum(a * b for a, b in zip(row, v)) != 0:
                 raise AssertionError("kernel basis vector fails re-multiplication check")
     return basis
+
+
+# The argparse parser that pmzs.cli built on every call before it read argv
+# from its own tables: the reference for the argv grid of tests/test_cli.py.
+# Its only reading that the CLI gave up on purpose is an abbreviated long
+# flag (``--max-sup 3`` for ``--max-support 3``).
+
+
+class _Parser(argparse.ArgumentParser):
+    def error(self, message):
+        self.print_usage(sys.stderr)
+        print(f"{self.prog}: error: {message}", file=sys.stderr)
+        raise SystemExit(1)
+
+
+def _env_default(name: str, fallback):
+    value = os.environ.get(f"PMZS_{name}")
+    return value if value is not None else fallback
+
+
+def _positive_int(text: str) -> int:
+    try:
+        value = int(text)
+    except ValueError:
+        value = 0
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"expected a positive integer, got {text!r}")
+    return value
+
+
+def _env_flag(parser: _Parser, name: str) -> bool:
+    value = _env_default(name, "0")
+    try:
+        return bool(int(value))
+    except ValueError:
+        parser.error(f"PMZS_{name}: expected an integer, got {value!r}")
+
+
+def _env_choice(parser: _Parser, name: str, choices: tuple[str, ...]) -> str:
+    """The PMZS_<name> value, or the first choice; argparse checks choices only on the command line."""
+    value = _env_default(name, choices[0])
+    if value not in choices:
+        parser.error(f"PMZS_{name}: expected one of {', '.join(choices)}, got {value!r}")
+    return value
+
+
+_ARGUMENTS = {
+    "group": ("structural invariants of a group", [("group", {})]),
+    "atoms": ("complete atom list over a subset", [
+        ("group", {}),
+        ("subset", {"help": "subset literal like '[(1),(3)]', or 'all' for G minus 0"}),
+    ]),
+    "min-delta": ("exact minimal distance over a subset", [("group", {}), ("subset", {})]),
+    "lengths": ("set of factorization lengths of a sequence", [
+        ("group", {}),
+        ("sequence", {"help": "sequence literal like '[(1)^10]'"}),
+    ]),
+    "rho": ("k-th local elasticity", [
+        ("group", {}),
+        ("subset", {"nargs": "?", "default": "all"}),
+        ("-k", {"type": int, "default": 2}),
+    ]),
+    "delta-star": ("sweep minimal distances over subsets", [("group", {})]),
+    "davenport": ("Davenport constant of the group or of the monoid over a subset", [
+        ("group", {}),
+        ("subset", {"nargs": "?", "default": None}),
+    ]),
+    "verify": ("run the mechanical verification suite", [
+        ("target", {"help": "a group literal, or 'all-small'"}),
+        ("--out", {"default": None, "help": "also write the JSON report to this path"}),
+    ]),
+}
+
+
+def _build_parser(command: str | None = None) -> _Parser:
+    parser = _Parser(prog="pmzs", description="Invariants of plus-minus weighted zero-sum sequence monoids.")
+    common = argparse.ArgumentParser(add_help=False)
+    formats = ("table", "json", "csv")
+    common.add_argument("--format", choices=formats, default=_env_choice(parser, "FORMAT", formats))
+    common.add_argument("--cache-dir", default=_env_default("CACHE_DIR", None))
+    # a string default goes through ``type`` too, so a PMZS_* value is checked like its flag
+    common.add_argument("--jobs", type=_positive_int, default=_env_default("JOBS", "1"))
+    common.add_argument("--max-atom-len", type=_positive_int, default=_env_default("MAX_ATOM_LEN", str(DEFAULT_LIMITS.max_atom_length)))
+    common.add_argument("--max-order", type=_positive_int, default=_env_default("MAX_ORDER", str(DEFAULT_LIMITS.max_sweep_order)),
+                        help="largest group order whose delta-star report lists every orbit")
+    common.add_argument("--no-prune", action="store_true", default=_env_flag(parser, "NO_PRUNE"))
+    common.add_argument("--rho-cap", type=_positive_int, default=_env_default("RHO_CAP", str(DEFAULT_LIMITS.rho_cap)))
+    common.add_argument("--max-support", type=_positive_int, default=_env_default("MAX_SUPPORT", str(DEFAULT_LIMITS.max_support)))
+
+    if command in _ARGUMENTS:
+        names = (command,)
+        sub = parser.add_subparsers(dest="command", required=True, metavar="{" + ",".join(_ARGUMENTS) + "}")
+    else:
+        names = tuple(_ARGUMENTS)
+        sub = parser.add_subparsers(dest="command", required=True)
+    for name in names:
+        help_text, arguments = _ARGUMENTS[name]
+        p = sub.add_parser(name, parents=[common], help=help_text)
+        for arg, kwargs in arguments:
+            p.add_argument(arg, **kwargs)
+    return parser
+
+
+def argparse_parse_args(argv: list[str]) -> argparse.Namespace:
+    """What the argparse CLI made of ``argv``; help and usage errors raise SystemExit."""
+    return _build_parser(argv[0] if argv else None).parse_args(argv)

@@ -1,6 +1,5 @@
 """CLI surface: commands, formats, exit codes, env overrides, determinism."""
 
-import argparse
 import json
 import os
 import time
@@ -9,8 +8,8 @@ import pytest
 
 import pmzs.cli
 from pmzs import DEFAULT_LIMITS, Group, ResourceLimitError, min_delta
-from pmzs.cli import EXIT_DOMAIN, EXIT_OK, EXIT_RESOURCE, EXIT_VERIFY, _build_parser, _limits_from, main
-from helpers import run_cli_limited, run_fresh
+from pmzs.cli import EXIT_DOMAIN, EXIT_OK, EXIT_RESOURCE, EXIT_VERIFY, _limits_from, _parse_args, main
+from helpers import argparse_parse_args, run_cli_limited, run_fresh
 
 
 def run_cli(capsys, *argv):
@@ -584,6 +583,8 @@ def test_verify_out_artifact(capsys, tmp_path):
     assert code == EXIT_OK
     data = json.loads(out_path.read_text())
     assert data["target"] == "C3" and data["passed"] is True
+    code, out, _ = run_cli(capsys, "verify", "C3", "--out", str(out_path), "--format", "json")
+    assert code == EXIT_OK and out_path.read_text() + "\n" == out
 
 
 def test_verify_out_in_missing_directory_is_an_error(capsys, tmp_path):
@@ -644,36 +645,122 @@ def test_cap_flags_below_one_are_usage_errors(capsys, command, flag, value):
     assert f"error: argument {flag}: expected a positive integer, got '{value}'" in err
 
 
-@pytest.mark.parametrize("env, argv", [
-    ({}, ["--help"]),
-    ({}, []),
-    ({}, ["nonsense", "C4"]),
-    ({}, ["delta-star", "--help"]),
-    ({}, ["group", "C4", "extra"]),
-    ({}, ["delta-star", "C5", "--jobs", "x"]),
-    ({"PMZS_FORMAT": "xml"}, ["group", "C4"]),
-    ({"PMZS_NO_PRUNE": "x"}, ["group", "C4"]),
-])
-def test_named_command_parser_prints_what_the_full_parser_prints(capsys, monkeypatch, env, argv):
+def _argv_grid():
+    """(env, argv) pairs that the parser must read as argparse read them."""
+    # first the argv of the test that compared argparse's one-command parser with its full one, so their ids stay
+    yield from [
+        ({}, ["--help"]),
+        ({}, []),
+        ({}, ["nonsense", "C4"]),
+        ({}, ["delta-star", "--help"]),
+        ({}, ["group", "C4", "extra"]),
+        ({}, ["delta-star", "C5", "--jobs", "x"]),
+        ({"PMZS_FORMAT": "xml"}, ["group", "C4"]),
+        ({"PMZS_NO_PRUNE": "x"}, ["group", "C4"]),
+    ]
+    # each command with too few, exactly enough and too many positionals
+    positionals = {
+        "group": (1, ["C4"]), "atoms": (2, ["C4", "all"]), "min-delta": (2, ["C4", "[(1)]"]),
+        "lengths": (2, ["C4", "[(1)^2]"]), "rho": (1, ["C4", "[(1)]"]), "delta-star": (1, ["C5"]),
+        "davenport": (1, ["C4", "all"]), "verify": (1, ["C4"]),
+    }
+    for command, (required, words) in positionals.items():
+        for argv in (words[:required - 1], words[:required], words, words + ["extra"]):
+            yield {}, [command, *argv]
+    # each common flag with a valid value, 0, x, a missing value and the --flag=value form,
+    # after and before the positional
+    for flag, valid in [("--format", "json"), ("--cache-dir", "d"), ("--jobs", "2"), ("--max-atom-len", "5"),
+                        ("--max-order", "5"), ("--rho-cap", "2"), ("--max-support", "4"), ("--no-prune", None)]:
+        for words in ([flag] if valid is None else [flag, valid]), [flag, "0"], [flag, "x"], [flag], [f"{flag}={valid or 1}"]:
+            yield {}, ["delta-star", "C5", *words]
+            yield {}, ["delta-star", *words, "C5"]
+    for words in (["-k3"], ["-k", "3"], ["-k", "x"], ["-k"], ["-k", "-1"], ["-k=4"]):
+        yield {}, ["rho", "C4", *words]
+    # flags before, between and after the positionals
+    for command, (_, words) in positionals.items():
+        for at in range(len(words) + 1):
+            yield {}, [command, *words[:at], "--jobs", "2", *words[at:]]
+        yield {}, [command, *words[:1], "--out", "f"]
+    yield {}, ["rho", "-k", "3", "C4", "[(1)]"]
+    yield {}, ["rho", "C4", "-k", "3", "[(1)]"]  # the first run of words fills both positionals
+    yield {}, ["davenport", "C4", "--no-prune", "all"]
+    # unknown commands and flags, help, '--' and flags before the command
+    for argv in (["Group", "C4"], ["group", "C4", "--bogus"], ["group", "--bogus=1", "C4"], ["group", "C4", "-z"],
+                 ["-h"], ["--help=x"], ["rho", "C4", "-h"], ["group", "-hx"], ["group", "C4", "--no-prune", "-h"],
+                 ["group", "--", "C4"], ["group", "C4", "--"], ["--", "group", "C4"], ["--"], ["rho", "C4", "--jobs", "1", "--"],
+                 ["rho", "--", "C4", "[(1)]"], ["group", "C4", "--jobs", "--"], ["--jobs", "2", "group", "C4"],
+                 ["--bogus", "group", "C4"], ["delta-star", "C5", "--jobs", "-3"], ["group", "-x y"]):
+        yield {}, argv
+    # the environment: PMZS_JOBS is checked only where --jobs is absent, PMZS_FORMAT and PMZS_NO_PRUNE always
+    yield {"PMZS_JOBS": "x"}, ["group", "C4"]
+    yield {"PMZS_JOBS": "x"}, ["group", "C4", "--jobs", "2"]
+    yield {"PMZS_JOBS": "x"}, ["delta-star", "--help"]
+    yield {"PMZS_FORMAT": "xml"}, ["group", "C4", "--format", "json"]
+    yield {"PMZS_FORMAT": "xml"}, ["--help"]
+    yield {"PMZS_NO_PRUNE": "yes"}, ["group", "C4"]
+    yield {"PMZS_NO_PRUNE": "yes", "PMZS_FORMAT": "xml"}, ["group", "C4"]
+    yield {"PMZS_FORMAT": "json", "PMZS_NO_PRUNE": "1", "PMZS_MAX_ORDER": "12", "PMZS_CACHE_DIR": "d"}, ["delta-star", "C5"]
+
+
+def _outcome(capsys, parse, argv):
+    try:
+        values, code = vars(parse(list(argv))), None
+    except SystemExit as exc:
+        values, code = None, exc.code
+    out, err = capsys.readouterr()
+    return code, values, out, err
+
+
+def _usage_words(text):
+    """'usage: pmzs' and the command, where the first line names one."""
+    words = text.splitlines()[0].split()
+    return words[:3] if len(words) > 2 and words[2] in pmzs.cli._ARGUMENTS else words[:2]
+
+
+def _clear_pmzs_env(monkeypatch):
+    for name in os.environ:
+        if name.startswith("PMZS_"):
+            monkeypatch.delenv(name)
+
+
+@pytest.mark.parametrize("env, argv", list(_argv_grid()))
+def test_parse_args_reads_argv_as_argparse_did(capsys, monkeypatch, env, argv):
+    _clear_pmzs_env(monkeypatch)
     for name, value in env.items():
         monkeypatch.setenv(name, value)
-    one = run_cli(capsys, *argv)
-    monkeypatch.setattr(pmzs.cli, "_build_parser", lambda command=None: _build_parser())
-    full = run_cli(capsys, *argv)
-    assert one == full
-    assert one[0] in (EXIT_OK, EXIT_DOMAIN) and one[1] + one[2]
+    code, values, out, err = _outcome(capsys, argparse_parse_args, argv)
+    got_code, got_values, got_out, got_err = _outcome(capsys, _parse_args, argv)
+    if code is None:
+        assert (got_code, got_values, got_out, got_err) == (None, values, "", "")
+    elif code == EXIT_OK:  # help
+        assert got_code == EXIT_OK and got_err == "" and _usage_words(got_out) == _usage_words(out)
+    else:
+        assert got_code == EXIT_DOMAIN and got_out == ""
+        assert _usage_words(got_err) == _usage_words(err)
+        assert got_err.splitlines()[-1] == err.splitlines()[-1]
 
 
-def _subparser_names(parser):
-    (action,) = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
-    return list(action.choices)
+def test_environment_values_are_checked_where_argparse_checked_them(capsys, monkeypatch):
+    _clear_pmzs_env(monkeypatch)
+    monkeypatch.setenv("PMZS_JOBS", "x")
+    assert run_cli(capsys, "group", "C4", "--jobs", "2")[0] == EXIT_OK
+    code, out, err = run_cli(capsys, "group", "C4")
+    assert (code, out) == (EXIT_DOMAIN, "")
+    assert err.splitlines()[-1] == "pmzs group: error: argument --jobs: expected a positive integer, got 'x'"
+    monkeypatch.setenv("PMZS_FORMAT", "xml")
+    code, out, err = run_cli(capsys, "group", "C4", "--format", "json")
+    assert (code, out) == (EXIT_DOMAIN, "")
+    assert err.splitlines()[-1] == "pmzs: error: PMZS_FORMAT: expected one of table, json, csv, got 'xml'"
 
 
-def test_named_command_builds_one_subparser():
-    every = _subparser_names(_build_parser())
-    assert len(every) == 8 and _subparser_names(_build_parser("nonsense")) == every
-    for name in every:
-        assert _subparser_names(_build_parser(name)) == [name]
+def test_abbreviated_long_flag_is_a_usage_error(capsys):
+    # argparse read --max-sup as --max-support; a flag now matches only by its full name
+    assert argparse_parse_args(["delta-star", "C5", "--max-sup", "3"]).max_support == 3
+    capsys.readouterr()
+    code, out, err = run_cli(capsys, "delta-star", "C5", "--max-sup", "3")
+    assert (code, out) == (EXIT_DOMAIN, "")
+    assert err.startswith("usage: pmzs")
+    assert err.splitlines()[-1] == "pmzs: error: unrecognized arguments: --max-sup 3"
 
 
 # Runs pmzs.cli.main(argv) and reports its exit code, stdout and stderr.
@@ -708,7 +795,5 @@ def test_searches_deeper_than_the_recursion_limit_end_without_a_traceback(argv, 
     ["rho", "C4"], ["delta-star", "C4"], ["davenport", "C4"], ["verify", "C4"],
 ], ids=lambda argv: argv[0])
 def test_cli_defaults_are_the_library_defaults(monkeypatch, argv):
-    for name in os.environ:
-        if name.startswith("PMZS_"):
-            monkeypatch.delenv(name)
-    assert _limits_from(_build_parser(argv[0]).parse_args(argv)) == DEFAULT_LIMITS
+    _clear_pmzs_env(monkeypatch)
+    assert _limits_from(_parse_args(argv)) == DEFAULT_LIMITS

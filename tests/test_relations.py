@@ -11,10 +11,7 @@ from pmzs import (
     ResourceLimitError,
     Sequence,
     atom_length_profile,
-    delta_of_element,
     enumerate_atoms,
-    factorizations,
-    length_set,
     make_group,
     min_delta,
     min_delta_of_atoms,
@@ -159,7 +156,7 @@ def test_factorizations_c5_tenth_power():
     g5 = make_group([5])
     atoms = enumerate_atoms(g5, [g5.element(1)])
     seq = Sequence.from_items(g5, [(g5.element(1), 10)])
-    result = factorizations(seq, atoms)
+    result = Factorizer(atoms).factorizations(seq)
     assert result.lengths == (2, 5)
     assert result.delta == (3,)
     assert len(result.factorizations) == 2
@@ -170,8 +167,8 @@ def test_factorizations_even_construction():
     e0, e1, e2 = g.element(2, 2), g.element(1, 0), g.element(0, 1)
     atoms = enumerate_atoms(g, [e0, e1, e2])
     u = Sequence.from_items(g, [(e0, 1), (e1, 2), (e2, 2)])
-    assert length_set(u.power(2), atoms) == (2, 5)
-    assert delta_of_element(u.power(2), atoms) == (3,)
+    assert Factorizer(atoms).length_set(u.power(2)) == (2, 5)
+    assert delta_of_lengths(Factorizer(atoms).length_set(u.power(2))) == (3,)
 
 
 def test_factorizations_c3xc6_pair():
@@ -179,29 +176,30 @@ def test_factorizations_c3xc6_pair():
     subset = [g.element(1, 1), g.element(0, 1)]
     atoms = enumerate_atoms(g, subset)
     u = Sequence.from_items(g, [(g.element(1, 1), 3), (g.element(0, 1), 3)])
-    assert length_set(u.power(2), atoms) == (2, 6)
+    assert Factorizer(atoms).length_set(u.power(2)) == (2, 6)
 
 
 def test_length_set_edges():
     g5 = make_group([5])
     atoms = enumerate_atoms(g5, [g5.element(1)])
+    fz = Factorizer(atoms)
     for k in range(len(atoms)):
-        assert length_set(atoms.sequence(k), atoms) == (1,)
-        assert delta_of_element(atoms.sequence(k), atoms) == ()
-    assert length_set(Sequence.empty(g5), atoms) == (0,)
+        assert fz.length_set(atoms.sequence(k)) == (1,)
+        assert delta_of_lengths(fz.length_set(atoms.sequence(k))) == ()
+    assert fz.length_set(Sequence.empty(g5)) == (0,)
     with pytest.raises(DomainError):
-        factorizations(Sequence.of(g5, g5.element(1)), atoms)
+        fz.factorizations(Sequence.of(g5, g5.element(1)))
 
 
 def test_factorizations_with_zero_support():
     g5 = make_group([5])
     atoms = enumerate_atoms(g5, [g5.zero(), g5.element(1)])
     seq = Sequence.from_items(g5, [(g5.zero(), 2), (g5.element(1), 2)])
-    result = factorizations(seq, atoms)
+    result = Factorizer(atoms).factorizations(seq)
     assert result.lengths == (3,)  # e^2 plus two prime factors (0)
     bare = enumerate_atoms(g5, [g5.element(1)])
     with pytest.raises(DomainError):
-        factorizations(Sequence.of(g5, g5.zero()), bare)
+        Factorizer(bare).factorizations(Sequence.of(g5, g5.zero()))
 
 
 def test_atom_square_contains_two_and_length():
@@ -229,7 +227,7 @@ def _assert_lengths_agree(fz, element, oracle_memo):
     listed = fz.factorizations(element).lengths
     oracle = tuple(sorted(brute_factorization_lengths(atoms.vector_of(element), atoms.vectors, oracle_memo)))
     assert fz.length_set(element) == listed == oracle, str(element)
-    assert length_set(element, atoms) == listed
+    assert Factorizer(atoms).length_set(element) == listed
     assert fz.max_length(element) == max(listed)
 
 

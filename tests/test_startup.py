@@ -36,10 +36,9 @@ print(" ".join(m for m in ("hashlib", "_hashlib", "concurrent.futures", "multipr
 
 
 # The modules that ``import pmzs.cli`` adds to a fresh interpreter, apart from
-# pmzs's own: argparse and what its first parse imports, the report formats,
-# gc for gc.freeze(), and __future__ for the annotations.
+# pmzs's own: the report formats, gc for gc.freeze(), and __future__ for the
+# annotations.
 STARTUP_MODULES = {
-    "argparse", "gettext", "locale", "_locale",
     "csv", "_csv", "json", "json.decoder", "json.encoder", "json.scanner", "_json",
     "gc", "__future__",
 }
@@ -58,16 +57,21 @@ print(" ".join(set(sys.modules) - before))
     assert added - own == STARTUP_MODULES
 
 
+# help and usage errors, with their exit codes, so that no parser of the
+# standard library comes back for them
+HELP_AND_ERRORS = {("--help",): 0, ("delta-star", "--help"): 0, ("delta-star", "C5", "--jobs", "x"): 1, (): 1}
+
+
 @pytest.mark.parametrize("argv", [
     ("delta-star", "C4xC4", "--format", "json"),
     ("verify", "C5"),
     ("group", "C4", "--jobs", "2"),  # a command that runs no sweep opens no pool
+    *HELP_AND_ERRORS,
 ])
 def test_command_imports_no_new_module(argv):
-    # argparse imports locale (through gettext) on its first parse, so this
-    # fails if start-up stops importing it
     result = run_main(*argv)
-    assert result["code"] == 0 and result["out"]
+    code = HELP_AND_ERRORS.get(argv, 0)
+    assert result["code"] == code and bool(result["out"]) == (code == 0)
     assert result["new"] == []
 
 
