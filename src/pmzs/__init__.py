@@ -43,18 +43,16 @@ from .relations import (
     min_delta_of_atoms,
     rho_k,
 )
-from .delta_star import (
+from .delta_star import DeltaStarReport, delta_star, folded_automorphisms
+from .suite import (
     CharComparison,
     CharReport,
     CheckReport,
-    DeltaStarReport,
     char_compare,
     char_invariants,
     check_elementary_p_gcd,
     check_odd_order_sandwich,
     check_parity,
-    delta_star,
-    folded_automorphisms,
 )
 
 __version__ = "0.1.0"

@@ -126,9 +126,6 @@ class AtomSet(_Record):
         vec = self.vectors[k]
         return Sequence.from_items(self.group, [(g, m) for g, m in zip(self.ground, vec) if m])
 
-    def sequences(self) -> list[Sequence]:
-        return [self.sequence(k) for k in range(len(self.vectors))]
-
     def vector_of(self, seq: Sequence) -> tuple[int, ...]:
         """Exponent vector of a sequence over this ground set (0 entries not represented)."""
         index_pos = self._positions
@@ -157,36 +154,21 @@ class LengthProfile(_Record):
     __slots__ = _fields = ("max_length", "gcd_lengths_minus_2")
 
 
-def _add_index(group: Group, x: int, y: int) -> int:
-    """The index of x + y, moved by the block rotations that translate by y."""
-    for lo, up, hi, down in group._shift_steps[y]:
-        x = x + up if lo >> x & 1 else x - down
-    return x
-
-
-def _signed_multiples(group: Group, f: int, m: int) -> list[int]:
-    """The sums (2k - m) f, by index, of the splits of m copies of f into k
-    copies of f and m - k of -f, for k = 0..m; the one sum m f when 2f = 0."""
-    neg = group._neg
-    if neg[f] == f:
-        return [f if m % 2 else 0]
-    e = 0
-    for _ in range(m):
-        e = _add_index(group, e, neg[f])
-    twice = _add_index(group, f, f)
-    out = [e]
-    for _ in range(m):
-        e = _add_index(group, e, twice)
-        out.append(e)
-    return out
-
-
 @lru_cache(maxsize=4096)
 def _split_sums(group: Group, f: int, m: int) -> dict[int, int]:
-    """The sums of :func:`_signed_multiples`, with the number of splits giving
-    each.  The memo hands every caller the same dict, so callers only read it."""
+    """The sums (2k - m) f, by index, of the splits of m copies of f into k
+    copies of f and m - k of -f, for k = 0..m, with the number of splits
+    giving each; the one sum m f when 2f = 0.  Each sum is built from the
+    coordinates of f.  The memo hands every caller the same dict, so callers
+    only read it."""
+    if group._neg[f] == f:
+        return {f if m % 2 else 0: 1}
+    nonzero = [(c, n, stride) for c, (n, stride) in zip(group._coords_of(f), group._radix) if c]
     out: dict[int, int] = {}
-    for e in _signed_multiples(group, f, m):
+    for t in range(-m, m + 1, 2):
+        e = 0
+        for c, n, stride in nonzero:
+            e += t * c % n * stride
         out[e] = out.get(e, 0) + 1
     return out
 
@@ -201,8 +183,8 @@ def _minimal_zero_sum_atom_vectors(group: Group, folded: tuple[int, ...]) -> lis
     except in f * -f, at most ord(f) times).  Its zero-sum preimages are
     counted by a DP over the coordinates: the m copies of f split as k
     copies of f and m - k of -f, with sum (2k - m) f, for k = 0..m, or as
-    one choice when 2f = 0.  Sums are added as indices through the block
-    rotations of :func:`pmzs.groups._rotations`.
+    one choice when 2f = 0 (:func:`_split_sums`).  The DP adds those sums as
+    indices through the block rotations of :func:`pmzs.groups._rotations`.
     """
     n = len(folded)
     neg = group._neg

@@ -31,7 +31,7 @@ from types import SimpleNamespace
 from typing import Callable, Iterable, Iterator, NamedTuple
 
 from .atoms import AtomCache, atom_length_profile, check_atom_caps, davenport_monoid, enumerate_atoms
-from .delta_star import FAIL, NOT_APPLICABLE, delta_star
+from .delta_star import delta_star
 from .errors import PmzsError, ResourceLimitError
 from .groups import GroupElement, davenport, group_invariants
 from .limits import DEFAULT_LIMITS, Limits
@@ -44,7 +44,7 @@ from .notation import (
     subset_to_json,
 )
 from .relations import Factorizer, min_delta_of_atoms, rho_k
-from .suite import run_suite
+from .suite import FAIL, NOT_APPLICABLE, run_suite
 
 # Start-up ends here; a command loads no module of its own.  gc.freeze() moves
 # every object made so far, which lives as long as the process, out of the

@@ -30,27 +30,19 @@ Up to ``max_sweep_order`` the table lists every orbit: a row the walk did not
 evaluate has a subset with value 1 and gets 1, or is skipped when over a cap.
 Above it the table lists the evaluated rows only.  ``prune=False`` evaluates
 every orbit representative, as a reference path.
+
+This module is the sweep alone; the checks that read its reports, and the
+characterization records built from them, are in :mod:`pmzs.suite`.
 """
 
 from __future__ import annotations
 
-import math
 from functools import cached_property, partial
-from itertools import combinations_with_replacement
 from operator import itemgetter
 
-from .atoms import AtomCache, check_atom_caps, davenport_monoid
+from .atoms import AtomCache, check_atom_caps
 from .errors import ResourceLimitError
-from .groups import (
-    Group,
-    GroupElement,
-    _Record,
-    automorphisms,
-    davenport,
-    fold_negatives,
-    make_group,
-    _prime_factorization,
-)
+from .groups import Group, GroupElement, _Record, automorphisms, fold_negatives
 from .limits import DEFAULT_LIMITS, Limits
 from .notation import format_group, subset_to_json
 from .relations import min_delta
@@ -279,240 +271,3 @@ def delta_star(
         skipped=tuple(skipped),
         evaluated_only=not listed,
     )
-
-
-# -- theorem checkers ---------------------------------------------------------------
-
-
-PASS = "pass"
-FAIL = "fail"
-NOT_APPLICABLE = "not-applicable"
-
-
-class CheckReport(_Record):
-    """Outcome of one mechanical check; failures carry a concrete counterexample."""
-
-    __slots__ = _fields = ("check_id", "group", "status", "details")
-
-    def __init__(self, check_id: str, group: str, status: str, details: dict | None = None):
-        self.check_id = check_id
-        self.group = group
-        self.status = status
-        self.details = {} if details is None else details
-
-    @property
-    def ok(self) -> bool:
-        return self.status != FAIL
-
-    def to_json_dict(self) -> dict:
-        return {
-            "check": self.check_id,
-            "group": self.group,
-            "status": self.status,
-            "details": self.details,
-        }
-
-
-def _run_check(check_id: str, group_name: str, compute, *sweeps) -> CheckReport:
-    """Run one check and build its report: pass or fail from ``compute``, or
-    not applicable when the check cannot reach its values.
-
-    ``sweeps`` are functions returning the delta-star reports the check reads,
-    and ``compute`` takes those reports and returns ``(ok, details)``.  The
-    check is not applicable, with the reason in its details, when one of the
-    sweeps skipped a subset, or when anything it reads is over a cap (a sweep
-    itself, or a value ``compute`` reads): then the reason is the message of
-    the :class:`ResourceLimitError`.  Whether a check applies to the group's
-    type is decided by its caller, before this runs.
-    """
-    try:
-        reports = []
-        for sweep in sweeps:
-            report = sweep()
-            if not report.complete:
-                return CheckReport(check_id, group_name, NOT_APPLICABLE, {"reason": "sweep incomplete"})
-            reports.append(report)
-        ok, details = compute(*reports)
-    except ResourceLimitError as exc:
-        return CheckReport(check_id, group_name, NOT_APPLICABLE, {"reason": str(exc)})
-    return CheckReport(check_id, group_name, PASS if ok else FAIL, details)
-
-
-def _divisors(n: int) -> list[int]:
-    return [d for d in range(1, n + 1) if n % d == 0]
-
-
-def _given_or_swept(group: Group, report: DeltaStarReport | None, limits: Limits):
-    """The sweep a theorem check reads: ``report``, or else a sweep of ``group`` under ``limits``."""
-    return partial(delta_star, group, limits=limits) if report is None else lambda: report
-
-
-def check_odd_order_sandwich(group: Group, report: DeltaStarReport | None = None, *, limits: Limits = DEFAULT_LIMITS) -> CheckReport:
-    """For odd group order: D1 <= computed set <= D2 and max = exponent - 2,
-
-    where D1 = {d - 2 : d | exponent, d >= 3} and D2 = all divisors of D1
-    members.
-    """
-    return _odd_order_sandwich(group, _given_or_swept(group, report, limits))
-
-
-def _odd_order_sandwich(group: Group, sweep) -> CheckReport:
-    name = format_group(group)
-    if group.order % 2 == 0 or group.exponent < 3:
-        return CheckReport("odd-order-sandwich", name, NOT_APPLICABLE)
-
-    def compute(report):
-        d1 = {d - 2 for d in _divisors(group.exponent) if d >= 3}
-        d2 = {q for d in d1 for q in _divisors(d)}
-        computed = set(report.delta_star)
-        ok = d1 <= computed <= d2 and report.max_delta == group.exponent - 2
-        details = {
-            "computed": sorted(computed),
-            "lower": sorted(d1),
-            "upper": sorted(d2),
-            "max_expected": group.exponent - 2,
-            "max_computed": report.max_delta,
-        }
-        return ok, details
-
-    return _run_check("odd-order-sandwich", name, compute, sweep)
-
-
-def check_parity(group: Group, report: DeltaStarReport | None = None, *, limits: Limits = DEFAULT_LIMITS) -> CheckReport:
-    """|G| even iff the computed set contains an even value (groups of order >= 5)."""
-    return _parity(group, _given_or_swept(group, report, limits))
-
-
-def _parity(group: Group, sweep) -> CheckReport:
-    name = format_group(group)
-    if group.order < 5:
-        return CheckReport("parity-even-element", name, NOT_APPLICABLE)
-
-    def compute(report):
-        has_even = any(d % 2 == 0 for d in report.delta_star)
-        details = {"computed": list(report.delta_star), "order_even": group.order % 2 == 0, "has_even": has_even}
-        return has_even == (group.order % 2 == 0), details
-
-    return _run_check("parity-even-element", name, compute, sweep)
-
-
-def _odd_elementary_prime(group: Group) -> int | None:
-    if group.rank == 0:
-        return None
-    factors = set(group.invariant_factors)
-    if len(factors) != 1:
-        return None
-    (p,) = factors
-    if p % 2 == 1 and _prime_factorization(p) == {p: 1}:
-        return p
-    return None
-
-
-def check_elementary_p_gcd(group: Group, report: DeltaStarReport | None = None, *, limits: Limits = DEFAULT_LIMITS) -> CheckReport:
-    """For odd elementary p-groups: the computed set equals all gcds of rank-many
-    values drawn from the cyclic case."""
-    return _elementary_p_gcd(group, _given_or_swept(group, report, limits), limits)
-
-
-def _elementary_p_gcd(group: Group, sweep, limits: Limits) -> CheckReport:
-    name = format_group(group)
-    p = _odd_elementary_prime(group)
-    if p is None:
-        return CheckReport("elementary-p-gcd", name, NOT_APPLICABLE)
-
-    def compute(report, base):
-        combos = {math.gcd(*combo) for combo in combinations_with_replacement(base.delta_star, group.rank)}
-        computed = set(report.delta_star)
-        details = {"computed": sorted(computed), "gcd_combinations": sorted(combos), "cyclic": list(base.delta_star)}
-        return computed == combos, details
-
-    return _run_check("elementary-p-gcd", name, compute, sweep, partial(delta_star, make_group([p]), limits=limits))
-
-
-# -- characterization invariants ----------------------------------------------------
-
-
-class CharReport(_Record):
-    """Length-system invariants used for telling groups apart: ``group`` is a
-    literal, ``delta_star`` a sorted tuple, ``max_delta_star`` an int or None,
-    ``has_even_delta`` and ``complete`` (nothing skipped) bools, the rest ints."""
-
-    __slots__ = _fields = (
-        "group", "order", "exponent", "davenport_group", "davenport_monoid",
-        "delta_star", "max_delta_star", "has_even_delta", "complete",
-    )
-
-    def to_json_dict(self) -> dict:
-        return {
-            "group": self.group,
-            "order": self.order,
-            "exponent": self.exponent,
-            "davenport_group": self.davenport_group,
-            "davenport_monoid": self.davenport_monoid,
-            "delta_star": list(self.delta_star),
-            "max_delta_star": self.max_delta_star,
-            "has_even_delta": self.has_even_delta,
-            "complete": self.complete,
-        }
-
-
-class CharComparison(_Record):
-    """Two :class:`CharReport` records, the tuple of the invariants that tell
-    them apart (empty when none does) and a note on what was compared."""
-
-    __slots__ = _fields = ("first", "second", "distinguished_by", "note")
-
-    @property
-    def indistinguishable(self) -> bool:
-        return not self.distinguished_by
-
-    def to_json_dict(self) -> dict:
-        return {
-            "first": self.first.group,
-            "second": self.second.group,
-            "distinguished_by": list(self.distinguished_by),
-            "indistinguishable": self.indistinguishable,
-            "note": self.note,
-        }
-
-
-def char_invariants(group: Group, *, limits: Limits = DEFAULT_LIMITS, cache: AtomCache | None = None) -> CharReport:
-    report = delta_star(group, limits=limits, cache=cache)
-    nonzero = [group.element_at(i) for i in range(1, group.order)]
-    d_monoid = davenport_monoid(group, nonzero, limits=limits, cache=cache)
-    return CharReport(
-        group=format_group(group),
-        order=group.order,
-        exponent=group.exponent,
-        davenport_group=davenport(group),
-        davenport_monoid=d_monoid,
-        delta_star=report.delta_star,
-        max_delta_star=report.max_delta,
-        has_even_delta=any(d % 2 == 0 for d in report.delta_star),
-        complete=report.complete,
-    )
-
-
-def char_compare(first: CharReport, second: CharReport) -> CharComparison:
-    """Which length-system invariants separate the two groups.
-
-    Uses the parity of the distance set, the exponent recovered as
-    max + 2 for groups of odd order, and the monoid Davenport constant
-    (recoverable from lengths via the second local elasticity).  Full distance
-    sets are reported but not compared: for equal length systems they are only
-    known to agree above half their maximum.
-    """
-    distinguished = []
-    if first.has_even_delta != second.has_even_delta:
-        distinguished.append("delta-star-parity")
-    both_odd = not first.has_even_delta and not second.has_even_delta
-    if both_odd and first.order % 2 == 1 and second.order % 2 == 1:
-        if first.max_delta_star != second.max_delta_star:
-            distinguished.append("exponent-via-max-delta-star")
-    if first.davenport_monoid != second.davenport_monoid:
-        distinguished.append("monoid-davenport-via-rho2")
-    note = (
-        "full distance sets are only comparable above half their maximum; "
-        "values below that threshold are informational"
-    )
-    return CharComparison(first, second, tuple(distinguished), note)

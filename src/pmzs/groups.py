@@ -283,9 +283,6 @@ class Group(_Record):
             coords = tuple(coords[0])
         return GroupElement(self, tuple(coords))
 
-    def zero(self) -> "GroupElement":
-        return GroupElement(self, (0,) * self.rank)
-
     def element_at(self, index: int) -> "GroupElement":
         if not 0 <= index < self.order:
             raise DomainError(f"element index {index} out of range for {self}")
@@ -462,27 +459,6 @@ class GroupElement(_Record):
     @cached_property
     def index(self) -> int:
         return self.group.index_of(self.coords)
-
-    def _check_same_group(self, other: "GroupElement") -> None:
-        if self.group != other.group:
-            raise DomainError(f"elements belong to different groups: {self.group} vs {other.group}")
-
-    def __add__(self, other: "GroupElement") -> "GroupElement":
-        self._check_same_group(other)
-        return GroupElement(self.group, tuple(a + b for a, b in zip(self.coords, other.coords)))
-
-    def __neg__(self) -> "GroupElement":
-        return GroupElement(self.group, tuple(-c for c in self.coords))
-
-    def __sub__(self, other: "GroupElement") -> "GroupElement":
-        return self + (-other)
-
-    def __mul__(self, k: int) -> "GroupElement":
-        if not isinstance(k, int):
-            return NotImplemented
-        return GroupElement(self.group, tuple(k * c for c in self.coords))
-
-    __rmul__ = __mul__
 
     @property
     def is_zero(self) -> bool:

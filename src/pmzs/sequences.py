@@ -68,32 +68,9 @@ class Sequence(_Record):
     def support(self) -> tuple[GroupElement, ...]:
         return tuple(self.group.element_at(idx) for idx, _ in self.entries)
 
-    def multiplicity(self, g: GroupElement) -> int:
-        if g.group != self.group:
-            raise DomainError("multiplicity query for an element of a different group")
-        for idx, mult in self.entries:
-            if idx == g.index:
-                return mult
-        return 0
-
     def items(self) -> Iterator[tuple[GroupElement, int]]:
         for idx, mult in self.entries:
             yield self.group.element_at(idx), mult
-
-    def terms(self) -> Iterator[GroupElement]:
-        """The elements of the sequence, repeated per multiplicity."""
-        for idx, mult in self.entries:
-            g = self.group.element_at(idx)
-            for _ in range(mult):
-                yield g
-
-    def concat(self, other: "Sequence") -> "Sequence":
-        if other.group != self.group:
-            raise DomainError("cannot concatenate sequences over different groups")
-        counts = dict(self.entries)
-        for idx, mult in other.entries:
-            counts[idx] = counts.get(idx, 0) + mult
-        return Sequence(self.group, tuple(counts.items()))
 
     def power(self, k: int) -> "Sequence":
         if k < 0:
@@ -103,13 +80,6 @@ class Sequence(_Record):
         return Sequence(self.group, tuple((idx, mult * k) for idx, mult in self.entries))
 
     # -- sums ------------------------------------------------------------------
-
-    def sum(self) -> GroupElement:
-        """The plain (all weights +1) sum; the empty sequence sums to 0."""
-        total = self.group.zero()
-        for g, mult in self.items():
-            total = total + mult * g
-        return total
 
     def is_pm_zero_sum(self) -> bool:
         """True iff some choice of plus-minus weights makes the sequence sum to 0.

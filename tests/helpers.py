@@ -27,7 +27,7 @@ from collections import Counter
 from itertools import combinations_with_replacement, product
 from pathlib import Path
 
-from pmzs import DEFAULT_LIMITS, AtomSet, DomainError, Group, Sequence, abelian_group_types, make_group
+from pmzs import DEFAULT_LIMITS, AtomSet, DomainError, Group, GroupElement, Sequence, abelian_group_types, make_group
 from pmzs.groups import signed_shift_mask
 
 
@@ -223,17 +223,24 @@ def brute_minimal_zero_sums(group: Group, folded: tuple[int, ...]) -> dict[tuple
     return {image: len(ws) for image, ws in pairs.items()}
 
 
+def concat(*seqs: Sequence) -> Sequence:
+    """The product of sequences over one group: their multiplicities added."""
+    return Sequence.from_items(seqs[0].group, [item for seq in seqs for item in seq.items()])
+
+
+def element_sum(group: Group, weighted) -> GroupElement:
+    """The sum of the (weight, element) pairs, coordinate by coordinate."""
+    total = [0] * group.rank
+    for k, g in weighted:
+        total = [t + k * c for t, c in zip(total, g.coords)]
+    return group.element(*total)
+
+
 def brute_signed_sums(seq: Sequence) -> set[tuple[int, ...]]:
     """All plus-minus weighted sums by explicit enumeration of sign patterns."""
-    terms = list(seq.terms())
     group = seq.group
-    sums = set()
-    for signs in product((1, -1), repeat=len(terms)):
-        total = group.zero()
-        for eps, g in zip(signs, terms):
-            total = total + eps * g
-        sums.add(total.coords)
-    return sums
+    terms = [group.element_at(idx) for idx, mult in seq.entries for _ in range(mult)]
+    return {element_sum(group, zip(signs, terms)).coords for signs in product((1, -1), repeat=len(terms))}
 
 
 def brute_is_pm_zero_sum(seq: Sequence) -> bool:

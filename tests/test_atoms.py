@@ -36,6 +36,7 @@ from pmzs.atoms import (
     _fnv1a_64,
     _minimal_zero_sum_atom_vectors,
     _span_davenport,
+    _split_sums,
     check_atom_caps,
 )
 from helpers import (
@@ -79,7 +80,7 @@ def test_is_atom_examples():
 
 def test_zero_is_prime_atom():
     g4 = make_group([4])
-    zero = g4.zero()
+    zero = g4.element(0)
     assert is_listed_atom(Sequence.of(g4, zero))
     assert not is_listed_atom(Sequence.of(g4, zero, zero))
     assert not is_listed_atom(Sequence.of(g4, zero, g4.element(1), g4.element(1)))
@@ -135,6 +136,22 @@ def test_enumerate_atoms_matches_brute_force():
             key=lambda v: (sum(v), v),
         )
         assert list(atoms.vectors) == expected, format_group(group)
+
+
+def test_split_sums_match_a_count_over_coordinates():
+    # m copies of f split as k of f and m - k of -f, k = 0..m, with sum
+    # (2k - m) f; when f = -f the split is one choice
+    for group in small_group_list(16):
+        factors = group.invariant_factors
+        for f in range(1, group.order):
+            coords = group.element_at(f).coords
+            self_inverse = all(2 * c % n == 0 for c, n in zip(coords, factors))
+            for m in range(2 * group.element_at(f).order() + 2):
+                expected: dict[int, int] = {}
+                for k in [m] if self_inverse else range(m + 1):
+                    e = group.index_of(tuple((2 * k - m) * c % n for c, n in zip(coords, factors)))
+                    expected[e] = expected.get(e, 0) + 1
+                assert _split_sums(group, f, m) == expected, (format_group(group), f, m)
 
 
 def _lifted_and_unpruned(group, ground):
@@ -261,7 +278,7 @@ def test_enumerate_atoms_single_generator_c5():
     g5 = make_group([5])
     atoms = enumerate_atoms(g5, [g5.element(1)])
     assert sorted(atoms.lengths()) == [2, 5]
-    assert {a for a in atoms.sequences()} == {
+    assert set(map(atoms.sequence, range(len(atoms)))) == {
         Sequence.from_items(g5, [(g5.element(1), 2)]),
         Sequence.from_items(g5, [(g5.element(1), 5)]),
     }
@@ -276,7 +293,7 @@ def test_enumerate_atoms_c8_pair():
         Sequence.from_items(g8, [(g8.element(1), 3), (g8.element(3), 1)]),
         Sequence.from_items(g8, [(g8.element(1), 1), (g8.element(3), 3)]),
     }
-    assert set(atoms.sequences()) == expected
+    assert set(map(atoms.sequence, range(len(atoms)))) == expected
 
 
 def test_enumerate_atoms_even_construction_c4x4():
@@ -289,12 +306,12 @@ def test_enumerate_atoms_even_construction_c4x4():
         Sequence.from_items(g, [(e2, 2)]),
         Sequence.from_items(g, [(e0, 1), (e1, 2), (e2, 2)]),
     }
-    assert set(atoms.sequences()) == expected
+    assert set(map(atoms.sequence, range(len(atoms)))) == expected
 
 
 def test_zero_stripped_and_flagged():
     g5 = make_group([5])
-    atoms = enumerate_atoms(g5, [g5.zero(), g5.element(1)])
+    atoms = enumerate_atoms(g5, [g5.element(0), g5.element(1)])
     assert atoms.includes_zero
     assert all(not g.is_zero for g in atoms.ground)
     assert sorted(atoms.lengths()) == [2, 5]
@@ -302,7 +319,7 @@ def test_zero_stripped_and_flagged():
         group = parse_group(spec)
         subset = parse_subset(group, literal)
         without = enumerate_atoms(group, subset)
-        with_zero = enumerate_atoms(group, [group.zero(), *subset])
+        with_zero = enumerate_atoms(group, [group.element_at(0), *subset])
         assert not without.includes_zero
         assert with_zero == AtomSet(without.group, without.ground, without.folded, True), spec
 
@@ -335,7 +352,7 @@ def test_atom_length_profile_goldens():
 
 def test_profile_degenerate_cases():
     g5 = make_group([5])
-    only_zero = enumerate_atoms(g5, [g5.zero()])
+    only_zero = enumerate_atoms(g5, [g5.element(0)])
     prof = atom_length_profile(only_zero)
     assert prof.max_length == 1 and prof.gcd_lengths_minus_2 == 0
     empty = enumerate_atoms(g5, [])

@@ -1,5 +1,5 @@
-"""The benchmark's four operations give the answers its checks accept, and
-the names its tracer wraps exist.
+"""The benchmark's four operations give the answers its checks accept, the
+names its tracer wraps exist, and a traced run spans every layer.
 
 ``perfbench/workloads.py`` pins each operation's argv, which ends in its
 ``CAPS``, its exit code and a check against ``perfbench/reference/``.  The
@@ -10,6 +10,8 @@ process, and a renamed method fails here rather than in a traced run.
 
 import importlib
 import importlib.util
+import json
+import subprocess
 import sys
 
 import pytest
@@ -17,7 +19,7 @@ import pytest
 from pmzs import enumerate_atoms, make_group
 from pmzs.cli import main
 from pmzs.relations import Factorizer
-from helpers import REPO
+from helpers import REPO, _child_env
 
 
 def _load(name):
@@ -61,3 +63,18 @@ def test_tracer_methods_exist():
     # the tracer times each Factorizer's factorization search through this attribute
     group = make_group([5])
     assert callable(Factorizer(enumerate_atoms(group, [group.element(1)]))._suffixes)
+
+
+def test_traced_child_spans_the_layers(tmp_path):
+    # a fresh interpreter started as the benchmark starts one, so the tracer
+    # meets the layer modules as they are laid out, not as a test imported them
+    record_path = tmp_path / "record.json"
+    done = subprocess.run(
+        [sys.executable, str(REPO / "perfbench" / "child.py"), str(record_path), "1", "verify", "C5", "--format", "json"],
+        cwd=REPO, env=_child_env(None), capture_output=True, text=True,
+    )
+    assert done.returncode == 0, done.stderr
+    record = json.loads(record_path.read_text())
+    assert record["code"] == 0
+    names = {span[0] for span in record["trace"]["spans"]}
+    assert {"cli.main", "suite.run_suite", "delta_star.delta_star"} <= names, sorted(names)

@@ -21,9 +21,10 @@ from pmzs import (
     min_delta,
     parse_group,
 )
-from pmzs.delta_star import NOT_APPLICABLE, PASS, _FoldedOrbits
+from pmzs.delta_star import _FoldedOrbits
 from pmzs.errors import ResourceLimitError
 from pmzs.groups import Group, automorphisms, fold_negatives
+from pmzs.suite import NOT_APPLICABLE, PASS
 from helpers import small_group_list
 
 
@@ -301,6 +302,22 @@ def test_char_invariants_and_compare():
     cmp_reports = char_compare(c9, c33)
     assert "exponent-via-max-delta-star" in cmp_reports.distinguished_by
     assert "monoid-davenport-via-rho2" in cmp_reports.distinguished_by
+    assert c9.to_json_dict() == {
+        "group": "C9", "order": 9, "exponent": 9, "davenport_group": 9, "davenport_monoid": 9,
+        "delta_star": [1, 7], "max_delta_star": 7, "has_even_delta": False, "complete": True,
+    }
+    assert c33.to_json_dict() == {
+        "group": "C3xC3", "order": 9, "exponent": 3, "davenport_group": 5, "davenport_monoid": 5,
+        "delta_star": [1], "max_delta_star": 1, "has_even_delta": False, "complete": True,
+    }
+    assert cmp_reports.to_json_dict() == {
+        "first": "C9",
+        "second": "C3xC3",
+        "distinguished_by": ["exponent-via-max-delta-star", "monoid-davenport-via-rho2"],
+        "indistinguishable": False,
+        "note": "full distance sets are only comparable above half their maximum; "
+        "values below that threshold are informational",
+    }
 
     c5 = char_invariants(parse_group("C5"))
     c7 = char_invariants(parse_group("C7"))
@@ -313,6 +330,11 @@ def test_char_invariants_and_compare():
 
     c8 = char_invariants(parse_group("C8"))
     assert "delta-star-parity" in char_compare(c8, c7).distinguished_by
+    # even order: the two Davenport constants differ, so the dict tells them apart
+    assert c8.to_json_dict() == {
+        "group": "C8", "order": 8, "exponent": 8, "davenport_group": 8, "davenport_monoid": 5,
+        "delta_star": [1, 2, 3], "max_delta_star": 3, "has_even_delta": True, "complete": True,
+    }
 
 
 def test_complete_report_invariants():

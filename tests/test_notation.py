@@ -55,8 +55,8 @@ def test_parse_sequence():
     g24 = make_group([2, 4])
     seq = parse_sequence(g24, "[(1,0)^2, (0,3)]")
     assert len(seq) == 3
-    assert seq.multiplicity(g24.element(1, 0)) == 2
-    assert seq.multiplicity(g24.element(0, 3)) == 1
+    assert dict(seq.items())[g24.element(1, 0)] == 2
+    assert dict(seq.items())[g24.element(0, 3)] == 1
     g5 = make_group([5])
     assert len(parse_sequence(g5, "[(1)^10]")) == 10
     assert parse_sequence(g5, "[]") == Sequence.empty(g5)

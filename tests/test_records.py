@@ -21,10 +21,10 @@ from pmzs import (
     make_group,
 )
 from pmzs.atoms import AtomSet, LengthProfile
-from pmzs.delta_star import CharComparison, CharReport, CheckReport, DeltaStarReport
+from pmzs.delta_star import DeltaStarReport
 from pmzs.groups import GroupElement, GroupSummary
 from pmzs.relations import FactorizationSet
-from pmzs.suite import SuiteResult, run_suite
+from pmzs.suite import CharComparison, CharReport, CheckReport, SuiteResult, run_suite
 
 C3, C2XC4 = make_group([3]), make_group([2, 4])
 S = Sequence.of(C3, *[C3.element(1)] * 3, *[C3.element(2)] * 3)

@@ -26,6 +26,7 @@ from helpers import (
     atom_matrix,
     brute_factorization_lengths,
     brute_factorizations,
+    concat,
     gcd_of_length_differences_up_to_3,
     integer_kernel_basis,
     mixed_unfolded_grounds,
@@ -193,13 +194,13 @@ def test_length_set_edges():
 
 def test_factorizations_with_zero_support():
     g5 = make_group([5])
-    atoms = enumerate_atoms(g5, [g5.zero(), g5.element(1)])
-    seq = Sequence.from_items(g5, [(g5.zero(), 2), (g5.element(1), 2)])
+    atoms = enumerate_atoms(g5, [g5.element(0), g5.element(1)])
+    seq = Sequence.from_items(g5, [(g5.element(0), 2), (g5.element(1), 2)])
     result = Factorizer(atoms).factorizations(seq)
     assert result.lengths == (3,)  # e^2 plus two prime factors (0)
     bare = enumerate_atoms(g5, [g5.element(1)])
     with pytest.raises(DomainError):
-        Factorizer(bare).factorizations(Sequence.of(g5, g5.zero()))
+        Factorizer(bare).factorizations(Sequence.of(g5, g5.element(0)))
 
 
 def test_atom_square_contains_two_and_length():
@@ -249,7 +250,7 @@ def test_length_set_of_three_atom_products_matches_listing_and_oracle():
         fz, memo = Factorizer(atoms), {}
         for _ in range(12):
             a, b, c = (atoms.sequence(rng.randrange(len(atoms))) for _ in range(3))
-            _assert_lengths_agree(fz, a.concat(b).concat(c), memo)
+            _assert_lengths_agree(fz, concat(a, b, c), memo)
 
 
 def test_folded_length_sets_match_oracle_on_unfolded_subsets():
@@ -296,7 +297,7 @@ def test_factorization_listing_matches_every_choice_of_atom_multiplicities():
     several = 0
     for atoms in _listing_instances(seed=61):
         fz = Factorizer(atoms)
-        zero = atoms.group.zero()
+        zero = atoms.group.element_at(0)
         for _ in range(8):
             product = (0,) * len(atoms.ground)
             for _ in range(rng.randint(1, 3)):

@@ -1,11 +1,11 @@
-"""Sequences, plain and signed sums."""
+"""Sequences and their signed sums."""
 
 import random
 
 import pytest
 
 from pmzs import DomainError, Sequence, make_group
-from helpers import brute_signed_sums, small_group_list
+from helpers import brute_signed_sums, concat, element_sum, small_group_list
 
 
 def seq_of_powers(group, *pairs):
@@ -17,16 +17,12 @@ def signed_sums(seq):
     x is a signed sum of S iff S * x has a signed zero sum (the signed sums
     of S are closed under negation)."""
     group = seq.group
-    return {x for x in group.elements() if seq.concat(Sequence.of(group, x)).is_pm_zero_sum()}
+    return {x for x in group.elements() if concat(seq, Sequence.of(group, x)).is_pm_zero_sum()}
 
 
-def test_plain_sum():
-    g3 = make_group([3])
-    assert Sequence.empty(g3).sum() == g3.zero()
-    e = g3.element(1)
-    assert Sequence.of(g3, e, e, e).sum() == g3.zero()
-    g8 = make_group([8])
-    assert Sequence.of(g8, g8.element(1), g8.element(3)).sum() == g8.element(4)
+def plain_sum(seq):
+    """The sum of a sequence with every weight +1."""
+    return element_sum(seq.group, [(mult, g) for g, mult in seq.items()])
 
 
 def test_signed_sums_examples():
@@ -67,12 +63,12 @@ def test_signed_sums_invariants():
             s = Sequence.of(group, *terms)
             t = Sequence.of(group, *[group.element_at(rng.randrange(1, group.order)) for _ in range(2)])
             sums = signed_sums(s)
-            assert {-x for x in sums} == sums
-            assert s.sum() in sums
+            assert {element_sum(group, [(-1, x)]) for x in sums} == sums
+            assert plain_sum(s) in sums
             # concatenation gives the sumset
-            combined = {(a + b).coords for a in sums for b in signed_sums(t)}
-            assert {x.coords for x in signed_sums(s.concat(t))} == combined
-            if s.sum().is_zero:
+            combined = {element_sum(group, [(1, a), (1, b)]).coords for a in sums for b in signed_sums(t)}
+            assert {x.coords for x in signed_sums(concat(s, t))} == combined
+            if plain_sum(s).is_zero:
                 assert s.is_pm_zero_sum()
 
 
@@ -88,14 +84,9 @@ def test_single_support_progression():
 def test_multiset_operations():
     g8 = make_group([8])
     e, e3 = g8.element(1), g8.element(3)
-    s = Sequence.of(g8, e, e)
-    t = Sequence.of(g8, e)
-    assert len(s.concat(t)) == 3
     whole = Sequence.from_items(g8, [(e, 3), (e3, 1)])
-    assert Sequence.of(g8, e, e3).concat(s) == whole
     assert len(Sequence.from_items(g8, [(e, 2), (e3, 3)])) == 5
     assert whole.support == (e, e3)
-    assert whole.multiplicity(e) == 3 and whole.multiplicity(g8.element(5)) == 0
     with pytest.raises(DomainError):
         Sequence.from_items(g8, [(e, -1)])
 
@@ -106,7 +97,7 @@ def test_classical_zero_sum_is_pm_zero_sum():
         for _ in range(20):
             terms = [group.element_at(rng.randrange(group.order)) for _ in range(rng.randrange(1, 6))]
             seq = Sequence.of(group, *terms)
-            if seq.sum().is_zero:
+            if plain_sum(seq).is_zero:
                 assert seq.is_pm_zero_sum()
 
 

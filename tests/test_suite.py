@@ -1,9 +1,9 @@
 """The verify suite's checks against the paths they replaced."""
 
-from pmzs.delta_star import FAIL, PASS, DeltaStarReport, delta_star
+from pmzs.delta_star import DeltaStarReport, delta_star
 from pmzs.limits import DEFAULT_LIMITS
 from pmzs.relations import Factorizer
-from pmzs.suite import _atom_square_lengths, _small_max_classification, _square_length_instances, small_groups
+from pmzs.suite import FAIL, PASS, _atom_square_lengths, _small_max_classification, _square_length_instances, small_groups
 
 
 def _lifted_square_failures():
