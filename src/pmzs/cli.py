@@ -23,10 +23,10 @@ from __future__ import annotations
 import csv
 import gc
 import io
-import json
 import os
 import sys
 from contextlib import nullcontext
+from json.encoder import encode_basestring_ascii
 from types import SimpleNamespace
 from typing import Callable, Iterable, Iterator, NamedTuple
 
@@ -388,7 +388,59 @@ def _nonzero_elements(group, limits: Limits) -> Iterator[GroupElement]:
 
 
 def _json_text(payload: dict) -> str:
-    return json.dumps(payload, sort_keys=True, indent=2)
+    """The text ``json.dumps(payload, sort_keys=True, indent=2)`` returns, for
+    the values of pmzs reports: dicts with str keys, lists, tuples, str, int,
+    bool and None.
+
+    ``json`` runs its C encoder only without ``indent``, so the text is
+    written here rather than by its pure-Python encoder, which makes about
+    ten calls per value.  Strings go through ``encode_basestring_ascii``, as
+    in ``json.dumps``.  Any other value, or a key that is not a str, is a
+    TypeError.
+    """
+    parts: list[str] = []
+    _write_json(payload, "\n", parts.append)
+    return "".join(parts)
+
+
+def _write_json(value, newline: str, write: Callable[[str], None]) -> None:
+    """Write ``value`` as ``json.dumps`` with sorted keys and indent 2 does,
+    at the depth whose line break, indent included, is ``newline``."""
+    if isinstance(value, str):
+        write(encode_basestring_ascii(value))
+    elif value is None:
+        write("null")
+    elif value is True:
+        write("true")
+    elif value is False:
+        write("false")
+    elif isinstance(value, int):
+        write(int.__repr__(value))
+    elif isinstance(value, (list, tuple)):
+        if not value:
+            write("[]")
+            return
+        inner = newline + "  "
+        opener = "[" + inner
+        for item in value:
+            write(opener)
+            _write_json(item, inner, write)
+            opener = "," + inner
+        write(newline + "]")
+    elif isinstance(value, dict):
+        if not value:
+            write("{}")
+            return
+        inner = newline + "  "
+        opener = "{" + inner
+        for key in sorted(value):
+            # a key that is not a str is a TypeError here, or in the sort
+            write(opener + encode_basestring_ascii(key) + ": ")
+            _write_json(value[key], inner, write)
+            opener = "," + inner
+        write(newline + "}")
+    else:
+        raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
 
 
 def _emit(

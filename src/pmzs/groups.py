@@ -314,10 +314,6 @@ class Group(_Record):
 
     # -- per-index memos and the addition table --------------------------------
 
-    def _coords(self) -> Iterator[tuple[int, ...]]:
-        """The coordinate vectors of the elements, in index order."""
-        return product(*(range(n) for n in self.invariant_factors))
-
     @cached_property
     def _elements(self) -> "_IndexMemo":
         """The element object of each index, so that :meth:`element_at` hands
@@ -345,14 +341,19 @@ class Group(_Record):
 
     @cached_property
     def _add_table(self) -> tuple[tuple[int, ...], ...]:
-        """The |G| x |G| table of sums by index; only the automorphism search needs it."""
-        coords_of = list(self._coords())
+        """The |G| x |G| table of sums by index; only the automorphism search needs it.
+
+        The index of a + b is the sum over k of ((a_k + b_k) mod n_k) * stride_k,
+        so row a is built one coordinate at a time: the sums, in index order, of
+        one entry from each strided column [(a_k + x) % n_k * stride_k for x < n_k].
+        """
         rows = []
-        for a in coords_of:
-            row = [
-                self.index_of(tuple((x + y) % n for x, y, n in zip(a, b, self.invariant_factors)))
-                for b in coords_of
-            ]
+        for a in range(self.order):
+            row = [0]
+            for n, stride in self._radix:
+                c = a // stride % n
+                column = [(c + x) % n * stride for x in range(n)]
+                row = [s + t for s in row for t in column]
             rows.append(tuple(row))
         return tuple(rows)
 
@@ -727,14 +728,17 @@ def automorphisms(group: Group) -> list[tuple[int, ...]]:
     """All automorphisms of the group, as permutations of element indices.
 
     Generator images are chosen depth first, in the order of a product over
-    the candidate images.  The image of ei ranges over the prod_j gcd(ni, nj)
-    elements killed by ni, so each choice induces a well-defined homomorphism
-    on <e1, ..., ei>, listed as the images of its elements.  A choice is
-    dropped as soon as that list repeats an index, since a restriction of a
-    bijection is injective; a full list without repeats permutes the group.
-    The work of a full product (image tuples times |G| entries) is computed
-    from the invariant factors before any table is built, and the search is
-    refused when it exceeds ``MAX_AUTOMORPHISM_WORK``.
+    the candidate images.  An automorphism keeps element orders, so the
+    image of ei ranges over the elements of order exactly ni, in index order;
+    each choice induces a well-defined homomorphism on <e1, ..., ei>, listed
+    as the images of its elements.  A choice is dropped as soon as that list
+    repeats an index, since a restriction of a bijection is injective; a
+    full list without repeats permutes the group.  (An image of smaller
+    order than ni would repeat the index 0, so leaving those out changes
+    neither the list nor its order.)  The work of a full product over the
+    prod_j gcd(ni, nj) elements killed by ni (image tuples times |G|
+    entries) is computed from the invariant factors before any table is
+    built, and the search is refused when it exceeds ``MAX_AUTOMORPHISM_WORK``.
     """
     factors = group.invariant_factors
     tuples = math.prod(math.gcd(n, m) for n in factors for m in factors)
@@ -746,13 +750,14 @@ def automorphisms(group: Group) -> list[tuple[int, ...]]:
     if group.order == 1:
         return [()]
     add = group._add_table
-    orders = [x.order() for x in group.elements()]
+    radix = group._radix
+    orders = [math.lcm(*[n // math.gcd(n, i // stride % n) for n, stride in radix]) for i in range(group.order)]
     # the multiples 0, gi, 2 gi, ... of each candidate image of ei
     candidates = []
     for n in factors:
         per_image = []
-        for gi in range(group.order):
-            if n % orders[gi] == 0:
+        for gi, order in enumerate(orders):
+            if order == n:
                 multiples = [0]
                 for _ in range(n - 1):
                     multiples.append(add[multiples[-1]][gi])

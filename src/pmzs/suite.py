@@ -171,10 +171,12 @@ def _odd_elementary_prime(group: Group) -> int | None:
 def check_elementary_p_gcd(group: Group, report: DeltaStarReport | None = None, *, limits: Limits = DEFAULT_LIMITS) -> CheckReport:
     """For odd elementary p-groups: the computed set equals all gcds of rank-many
     values drawn from the cyclic case."""
-    return _elementary_p_gcd(group, _given_or_swept(group, report, limits), limits)
+    return _elementary_p_gcd(group, _given_or_swept(group, report, limits), partial(delta_star, limits=limits))
 
 
-def _elementary_p_gcd(group: Group, sweep, limits: Limits) -> CheckReport:
+def _elementary_p_gcd(group: Group, sweep, sweep_of) -> CheckReport:
+    """The check on ``sweep``'s report, with ``sweep_of`` mapping the cyclic
+    group C_p to the report of its sweep."""
     name = format_group(group)
     p = _odd_elementary_prime(group)
     if p is None:
@@ -186,7 +188,7 @@ def _elementary_p_gcd(group: Group, sweep, limits: Limits) -> CheckReport:
         details = {"computed": sorted(computed), "gcd_combinations": sorted(combos), "cyclic": list(base.delta_star)}
         return computed == combos, details
 
-    return _run_check("elementary-p-gcd", name, compute, sweep, partial(delta_star, make_group([p]), limits=limits))
+    return _run_check("elementary-p-gcd", name, compute, sweep, partial(sweep_of, make_group([p])))
 
 
 # -- the suite ---------------------------------------------------------------------
@@ -429,11 +431,14 @@ def group_checks(
 
     The delta-star sweep, G minus 0 and D(B(G)) are computed once, when a
     check first reads them, and the sweep's report enters ``reports`` under
-    the group's name.  G minus 0 reads the sweep first, so a refused sweep
-    refuses it and D(B(G)) with the same message, and nothing of size |G| is
-    built for a group the sweep refuses.  A refusal leaves no value (and no
-    entry), so each check that reads the value meets the refusal again; the
-    caps are checked before their searches start, so that costs microseconds.
+    the group's name.  The elementary-p check reads the sweep of C_p from
+    ``reports`` when it is there, and otherwise sweeps C_p without adding
+    it, so the suite reports the same sweeps either way.  G minus 0 reads
+    the sweep first, so a refused sweep refuses it and D(B(G)) with the
+    same message, and nothing of size |G| is built for a group the sweep
+    refuses.  A refusal leaves no value (and no entry), so each check that
+    reads the value meets the refusal again; the caps are checked before
+    their searches start, so that costs microseconds.
     """
     name = format_group(group)
 
@@ -441,6 +446,10 @@ def group_checks(
         if name not in reports:
             reports[name] = delta_star(group, limits=limits, map_rows=map_rows, prune=prune, cache=cache)
         return reports[name]
+
+    def sweep_of(other: Group) -> DeltaStarReport:
+        known = reports.get(format_group(other))
+        return delta_star(other, limits=limits) if known is None else known
 
     @lru_cache(maxsize=None)
     def nonzero() -> list[GroupElement]:
@@ -457,7 +466,7 @@ def group_checks(
         _run_check("element-order-distances", name, partial(_element_order_distances, group), sweep),
         _odd_order_sandwich(group, sweep),
         _parity(group, sweep),
-        _elementary_p_gcd(group, sweep, limits),
+        _elementary_p_gcd(group, sweep, sweep_of),
         *_davenport_checks(group, nonzero, d_monoid, limits, cache),
     ]
 

@@ -42,6 +42,8 @@ def test_benchmark_operation_passes_its_check(capsys, op):
     out = capsys.readouterr().out
     assert code == op.exit_code, op.name
     assert op.check(out.encode()) == [], op.name
+    # the CLI writes its JSON itself; the text is what json.dumps writes
+    assert out == json.dumps(json.loads(out), sort_keys=True, indent=2) + "\n", op.name
 
 
 @pytest.mark.parametrize("op", OPS, ids=lambda op: op.name)

@@ -2,13 +2,14 @@
 
 import json
 import os
+import random
 import time
 
 import pytest
 
 import pmzs.cli
 from pmzs import DEFAULT_LIMITS, Group, ResourceLimitError, min_delta
-from pmzs.cli import EXIT_DOMAIN, EXIT_OK, EXIT_RESOURCE, EXIT_VERIFY, _limits_from, _parse_args, main
+from pmzs.cli import EXIT_DOMAIN, EXIT_OK, EXIT_RESOURCE, EXIT_VERIFY, _json_text, _limits_from, _parse_args, main
 from helpers import argparse_parse_args, run_cli_limited, run_fresh
 
 
@@ -370,9 +371,9 @@ def test_verify_reports_a_refused_sweep_as_not_applicable(capsys):
 @pytest.mark.parametrize("target", ["C1000000000", "C2xC500000"])
 def test_verify_lists_no_element_of_a_refused_group(capsys, monkeypatch, target):
     # G minus 0 and D(B(G)) read the sweep first, so a group whose sweep is
-    # refused is reported without walking its elements (the addition table
-    # is built from Group._coords) and without filling a per-index memo
-    monkeypatch.setattr(Group, "_coords", lambda self: pytest.fail(f"walked the elements of {self}"))
+    # refused is reported without building the addition table, which walks
+    # every element, and without filling a per-index memo
+    monkeypatch.setattr(Group, "_add_table", property(lambda self: pytest.fail(f"walked the elements of {self}")))
     group = pmzs.cli.parse_group(target)
     memos = ("_elements", "_neg", "_shift_steps")
     filled = [len(vars(group).get(memo, ())) for memo in memos]
@@ -585,6 +586,87 @@ def test_verify_out_artifact(capsys, tmp_path):
     assert data["target"] == "C3" and data["passed"] is True
     code, out, _ = run_cli(capsys, "verify", "C3", "--out", str(out_path), "--format", "json")
     assert code == EXIT_OK and out_path.read_text() + "\n" == out
+
+
+def indented_dumps(value):
+    return json.dumps(value, sort_keys=True, indent=2)
+
+
+@pytest.mark.parametrize("argv", [
+    ("group", "C2xC6"),
+    ("atoms", "C8", "[(1),(3)]"),
+    ("atoms", "C2xC2", "all"),
+    ("min-delta", "C8", "[(1),(3)]"),
+    ("min-delta", "C2", "all"),
+    ("lengths", "C5", "[(1)^10]"),
+    ("rho", "C6", "all", "-k", "2"),
+    ("delta-star", "C3xC3"),
+    ("delta-star", "C12"),
+    ("davenport", "C2xC4"),
+    ("davenport", "C6", "[(1),(2)]"),
+    ("verify", "C3xC3"),
+])
+def test_json_text_is_json_dumps_on_every_command(capsys, monkeypatch, argv):
+    payloads = []
+    monkeypatch.setattr(pmzs.cli, "_json_text", lambda payload: payloads.append(payload) or _json_text(payload))
+    code, out, _ = run_cli(capsys, *argv, "--format", "json")
+    assert code == EXIT_OK and len(payloads) == 1
+    assert out == _json_text(payloads[0]) + "\n" == indented_dumps(payloads[0]) + "\n"
+
+
+def test_json_text_is_json_dumps_on_the_verify_out_file(capsys, monkeypatch, tmp_path):
+    payloads = []
+    monkeypatch.setattr(pmzs.cli, "_json_text", lambda payload: payloads.append(payload) or _json_text(payload))
+    out_path = tmp_path / "report.json"
+    code, out, _ = run_cli(capsys, "verify", "all-small", "--out", str(out_path))
+    assert code == EXIT_VERIFY and len(payloads) == 1 and out
+    assert out_path.read_text() == indented_dumps(payloads[0])
+
+
+# characters json escapes in every way it can: quotes, backslashes, control
+# characters with and without a short escape, non-ASCII in and past the BMP,
+# and a lone surrogate
+_JSON_CHARACTERS = 'ab z09"\\/\b\f\n\r\t\x00\x1f\x7f\xe9\u2603\U0001f600\ud800'
+
+
+def random_text(rng):
+    return "".join(rng.choice(_JSON_CHARACTERS) for _ in range(rng.randrange(6)))
+
+
+def random_json_value(rng, depth=0):
+    """A str, int, bool or None, or below depth 4 also a list, tuple or dict
+    with str keys, each of them possibly empty."""
+    kind = rng.randrange(9 if depth < 4 else 5)
+    if kind == 0:
+        return random_text(rng)
+    if kind == 1:
+        return rng.choice([0, 1, -1, 2, -7, 10**30, -(10**40), 2**63, rng.randrange(-1000, 1000)])
+    if kind == 2:
+        return rng.choice([True, False])
+    if kind == 3:
+        return None
+    if kind == 4:
+        return rng.choice([[], (), {}])
+    if kind in (5, 6):
+        items = [random_json_value(rng, depth + 1) for _ in range(rng.randrange(5))]
+        return items if kind == 5 else tuple(items)
+    return {random_text(rng): random_json_value(rng, depth + 1) for _ in range(rng.randrange(6))}
+
+
+def test_json_text_is_json_dumps_on_random_payloads():
+    rng = random.Random(2029)
+    for _ in range(2000):
+        payload = {"value": random_json_value(rng), "n": rng.choice([1, True, 0, False])}
+        assert _json_text(payload) == indented_dumps(payload), payload
+    # an int subclass is written by int's repr, as json writes it
+    answer = type("Answer", (int,), {"__repr__": lambda self: "Answer"})(42)
+    assert _json_text({"x": [answer]}) == indented_dumps({"x": [answer]})
+
+
+@pytest.mark.parametrize("payload", [{"x": 1.5}, {"x": [1, {2}]}, {"x": {1: "a"}}, {1: 2}])
+def test_json_text_refuses_what_reports_never_hold(payload):
+    with pytest.raises(TypeError):
+        _json_text(payload)
 
 
 def test_verify_out_in_missing_directory_is_an_error(capsys, tmp_path):

@@ -1,4 +1,4 @@
-"""Orbit reduction, sweeps, theorem checkers, characterization reports."""
+"""Orbit reduction and sweeps."""
 
 import random
 import time
@@ -10,11 +10,6 @@ import pytest
 from pmzs import (
     AtomCache,
     Limits,
-    char_compare,
-    char_invariants,
-    check_elementary_p_gcd,
-    check_odd_order_sandwich,
-    check_parity,
     delta_star,
     folded_automorphisms,
     make_group,
@@ -24,7 +19,6 @@ from pmzs import (
 from pmzs.delta_star import _FoldedOrbits
 from pmzs.errors import ResourceLimitError
 from pmzs.groups import Group, automorphisms, fold_negatives
-from pmzs.suite import NOT_APPLICABLE, PASS
 from helpers import small_group_list
 
 
@@ -256,85 +250,11 @@ def test_above_cap_agrees_with_in_cap_sweep():
             assert delta_star(g).delta_star == in_cap.delta_star, str(g)
 
 
-def test_check_odd_order_sandwich():
-    assert check_odd_order_sandwich(parse_group("C5")).status == PASS
-    assert check_odd_order_sandwich(parse_group("C9")).status == PASS
-    assert check_odd_order_sandwich(parse_group("C3xC3")).status == PASS
-    assert check_odd_order_sandwich(parse_group("C8")).status == NOT_APPLICABLE
-    report = check_odd_order_sandwich(parse_group("C5"))
-    assert report.details["lower"] == [3] and report.details["upper"] == [1, 3]
-
-
-def test_check_parity():
-    assert check_parity(parse_group("C8")).status == PASS
-    assert check_parity(parse_group("C7")).status == PASS
-    assert check_parity(parse_group("C6")).status == PASS
-    assert check_parity(parse_group("C3xC6")).status == PASS  # order 18, complete above the sweep cap
-    assert check_parity(parse_group("C21")).status == NOT_APPLICABLE  # D(C21) over the atom length cap
-    assert check_parity(parse_group("C4")).status == NOT_APPLICABLE
-    assert check_parity(parse_group("C10")).status == PASS
-
-
-def test_check_elementary_p():
-    assert check_elementary_p_gcd(parse_group("C3xC3")).status == PASS
-    assert check_elementary_p_gcd(parse_group("C5")).status == PASS
-    assert check_elementary_p_gcd(parse_group("C9")).status == NOT_APPLICABLE
-    assert check_elementary_p_gcd(parse_group("C2xC2")).status == NOT_APPLICABLE
-
-
 def test_odd_order_mixed_coordinate_construction():
     # independent odd-order e1, e2 plus e0 = e1 + e2 forces minimal distance 1
     g = make_group([3, 9])
     subset = [g.element(1, 1), g.element(1, 0), g.element(0, 1)]
     assert min_delta(g, subset) == 1
-
-
-def test_parity_via_even_order_construction_c3xc6():
-    # order 18 is over the sweep cap, but the order-6 element contributes the
-    # even distance m - 1 = 2 through the subset {3e2, e2}
-    g = parse_group("C3xC6")
-    assert min_delta(g, [g.element(0, 3), g.element(0, 1)]) == 2
-
-
-def test_char_invariants_and_compare():
-    c9 = char_invariants(parse_group("C9"))
-    c33 = char_invariants(parse_group("C3xC3"))
-    cmp_reports = char_compare(c9, c33)
-    assert "exponent-via-max-delta-star" in cmp_reports.distinguished_by
-    assert "monoid-davenport-via-rho2" in cmp_reports.distinguished_by
-    assert c9.to_json_dict() == {
-        "group": "C9", "order": 9, "exponent": 9, "davenport_group": 9, "davenport_monoid": 9,
-        "delta_star": [1, 7], "max_delta_star": 7, "has_even_delta": False, "complete": True,
-    }
-    assert c33.to_json_dict() == {
-        "group": "C3xC3", "order": 9, "exponent": 3, "davenport_group": 5, "davenport_monoid": 5,
-        "delta_star": [1], "max_delta_star": 1, "has_even_delta": False, "complete": True,
-    }
-    assert cmp_reports.to_json_dict() == {
-        "first": "C9",
-        "second": "C3xC3",
-        "distinguished_by": ["exponent-via-max-delta-star", "monoid-davenport-via-rho2"],
-        "indistinguishable": False,
-        "note": "full distance sets are only comparable above half their maximum; "
-        "values below that threshold are informational",
-    }
-
-    c5 = char_invariants(parse_group("C5"))
-    c7 = char_invariants(parse_group("C7"))
-    assert "exponent-via-max-delta-star" in char_compare(c5, c7).distinguished_by
-
-    c3 = char_invariants(parse_group("C3"))
-    c22 = char_invariants(parse_group("C2xC2"))
-    verdict = char_compare(c3, c22)
-    assert verdict.indistinguishable
-
-    c8 = char_invariants(parse_group("C8"))
-    assert "delta-star-parity" in char_compare(c8, c7).distinguished_by
-    # even order: the two Davenport constants differ, so the dict tells them apart
-    assert c8.to_json_dict() == {
-        "group": "C8", "order": 8, "exponent": 8, "davenport_group": 8, "davenport_monoid": 5,
-        "delta_star": [1, 2, 3], "max_delta_star": 3, "has_even_delta": True, "complete": True,
-    }
 
 
 def test_complete_report_invariants():

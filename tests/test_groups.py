@@ -3,7 +3,7 @@
 import math
 import pickle
 import random
-from itertools import combinations
+from itertools import combinations, product
 
 import pytest
 
@@ -367,11 +367,30 @@ def test_automorphism_counts(monkeypatch):
         automorphisms(make_group([3]))
 
 
+def test_addition_table_is_the_coordinatewise_sum():
+    # the brute-force oracles in helpers read this table, so it is checked
+    # against the coordinate vectors listed in index order alone
+    for g in [make_group([]), *small_group_list(32)]:
+        factors = g.invariant_factors
+        coords = list(product(*(range(n) for n in factors)))
+        index = {c: i for i, c in enumerate(coords)}
+        expected = [[index[tuple((x + y) % n for x, y, n in zip(a, b, factors))] for b in coords] for a in coords]
+        assert g._add_table == tuple(map(tuple, expected)), str(g)
+
+
 def test_automorphisms_match_full_product_oracle():
     # the depth-first search drops an image choice as soon as it repeats an
-    # index; the list and its order are those of the full product
-    for g in small_group_list(16):
-        assert automorphisms(g) == brute_automorphisms(g), str(g)
+    # index, and tries only images of the generator's exact order; the list
+    # and its order are those of the full product over the elements killed
+    # by each factor, taken here up to 2^16 image tuples times |G| entries
+    checked = 0
+    for g in small_group_list(64):
+        factors = g.invariant_factors
+        work = math.prod(math.gcd(n, m) for n in factors for m in factors) * g.order
+        if g.order <= 16 or work <= 2**16:
+            assert automorphisms(g) == brute_automorphisms(g), str(g)
+            checked += 1
+    assert checked == 98
 
 
 def test_automorphisms_permute_and_preserve_order():

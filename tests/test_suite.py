@@ -1,9 +1,23 @@
-"""The verify suite's checks against the paths they replaced."""
+"""The verify suite: the theorem checks, the characterization records, and
+the checks against the paths they replaced."""
 
+from collections import Counter
+
+from pmzs import char_compare, char_invariants, check_elementary_p_gcd, check_odd_order_sandwich, check_parity
+from pmzs import min_delta, parse_group, suite
 from pmzs.delta_star import DeltaStarReport, delta_star
 from pmzs.limits import DEFAULT_LIMITS
 from pmzs.relations import Factorizer
-from pmzs.suite import FAIL, PASS, _atom_square_lengths, _small_max_classification, _square_length_instances, small_groups
+from pmzs.suite import (
+    FAIL,
+    NOT_APPLICABLE,
+    PASS,
+    _atom_square_lengths,
+    _small_max_classification,
+    _square_length_instances,
+    run_suite,
+    small_groups,
+)
 
 
 def _lifted_square_failures():
@@ -55,3 +69,96 @@ def test_classification_reads_complete_sweeps_only():
     max1, max2 = checks["small-max-1-classification"], checks["small-max-2-classification"]
     assert max2.status == PASS and max2.details == {"expected": ["C2xC2xC2"], "computed": ["C2xC2xC2"]}
     assert max1.status == PASS and "C3" not in max1.details["expected"] + max1.details["computed"]
+
+
+def test_check_odd_order_sandwich():
+    assert check_odd_order_sandwich(parse_group("C5")).status == PASS
+    assert check_odd_order_sandwich(parse_group("C9")).status == PASS
+    assert check_odd_order_sandwich(parse_group("C3xC3")).status == PASS
+    assert check_odd_order_sandwich(parse_group("C8")).status == NOT_APPLICABLE
+    report = check_odd_order_sandwich(parse_group("C5"))
+    assert report.details["lower"] == [3] and report.details["upper"] == [1, 3]
+
+
+def test_check_parity():
+    assert check_parity(parse_group("C8")).status == PASS
+    assert check_parity(parse_group("C7")).status == PASS
+    assert check_parity(parse_group("C6")).status == PASS
+    assert check_parity(parse_group("C3xC6")).status == PASS  # order 18, complete above the sweep cap
+    assert check_parity(parse_group("C21")).status == NOT_APPLICABLE  # D(C21) over the atom length cap
+    assert check_parity(parse_group("C4")).status == NOT_APPLICABLE
+    assert check_parity(parse_group("C10")).status == PASS
+
+
+def test_check_elementary_p():
+    assert check_elementary_p_gcd(parse_group("C3xC3")).status == PASS
+    assert check_elementary_p_gcd(parse_group("C5")).status == PASS
+    assert check_elementary_p_gcd(parse_group("C9")).status == NOT_APPLICABLE
+    assert check_elementary_p_gcd(parse_group("C2xC2")).status == NOT_APPLICABLE
+
+
+def test_parity_via_even_order_construction_c3xc6():
+    # order 18 is over the sweep cap, but the order-6 element contributes the
+    # even distance m - 1 = 2 through the subset {3e2, e2}
+    g = parse_group("C3xC6")
+    assert min_delta(g, [g.element(0, 3), g.element(0, 1)]) == 2
+
+
+def test_char_invariants_and_compare():
+    c9 = char_invariants(parse_group("C9"))
+    c33 = char_invariants(parse_group("C3xC3"))
+    cmp_reports = char_compare(c9, c33)
+    assert "exponent-via-max-delta-star" in cmp_reports.distinguished_by
+    assert "monoid-davenport-via-rho2" in cmp_reports.distinguished_by
+    assert c9.to_json_dict() == {
+        "group": "C9", "order": 9, "exponent": 9, "davenport_group": 9, "davenport_monoid": 9,
+        "delta_star": [1, 7], "max_delta_star": 7, "has_even_delta": False, "complete": True,
+    }
+    assert c33.to_json_dict() == {
+        "group": "C3xC3", "order": 9, "exponent": 3, "davenport_group": 5, "davenport_monoid": 5,
+        "delta_star": [1], "max_delta_star": 1, "has_even_delta": False, "complete": True,
+    }
+    assert cmp_reports.to_json_dict() == {
+        "first": "C9",
+        "second": "C3xC3",
+        "distinguished_by": ["exponent-via-max-delta-star", "monoid-davenport-via-rho2"],
+        "indistinguishable": False,
+        "note": "full distance sets are only comparable above half their maximum; "
+        "values below that threshold are informational",
+    }
+
+    c5 = char_invariants(parse_group("C5"))
+    c7 = char_invariants(parse_group("C7"))
+    assert "exponent-via-max-delta-star" in char_compare(c5, c7).distinguished_by
+
+    c3 = char_invariants(parse_group("C3"))
+    c22 = char_invariants(parse_group("C2xC2"))
+    verdict = char_compare(c3, c22)
+    assert verdict.indistinguishable
+
+    c8 = char_invariants(parse_group("C8"))
+    assert "delta-star-parity" in char_compare(c8, c7).distinguished_by
+    # even order: the two Davenport constants differ, so the dict tells them apart
+    assert c8.to_json_dict() == {
+        "group": "C8", "order": 8, "exponent": 8, "davenport_group": 8, "davenport_monoid": 5,
+        "delta_star": [1, 2, 3], "max_delta_star": 3, "has_even_delta": True, "complete": True,
+    }
+
+
+def test_suite_sweeps_each_group_once(monkeypatch):
+    # the elementary-p check reads the sweep of C_p that the suite already
+    # holds, and a sweep of C_p that it does not hold stays out of the report
+    swept = Counter()
+
+    def counted(group, **kwargs):
+        swept[str(group)] += 1
+        return delta_star(group, **kwargs)
+
+    monkeypatch.setattr(suite, "delta_star", counted)
+    result = run_suite("all-small")
+    assert swept == Counter({str(g): 1 for g in small_groups(10)})
+    assert sorted(result.reports) == sorted(str(g) for g in small_groups(10))
+    swept.clear()
+    result = run_suite("C3xC3")
+    assert swept == Counter({"C3xC3": 1, "C3": 1}) and list(result.reports) == ["C3xC3"]
+    assert {c.check_id: c.status for c in result.checks}["elementary-p-gcd"] == PASS
