@@ -43,7 +43,7 @@ from .relations import (
     min_delta_of_atoms,
     rho_k,
 )
-from .delta_star import DeltaStarReport, delta_star, folded_automorphisms
+from .delta_star import DeltaStarReport, delta_star
 from .suite import (
     CharComparison,
     CharReport,

@@ -10,7 +10,8 @@ facts about these monoids decide the sweep:
   preserves all sets of lengths, so one canonical representative per orbit of
   subsets of the folded universe is evaluated.  Subsets are bitmasks with the
   least element in the highest bit, so the canonical form (the least sorted
-  image) is the largest image mask, and an image mask is a sum of image bits.
+  image) is the largest image mask, and an image mask is a sum of the image
+  bits that each automorphism from the search gives (u and -u share a bit).
   The listing of every orbit walks the masks upwards and lists each orbit
   once, from its first mask, at one pass over the maps per orbit;
 * the down-set: for S a subset of T, the monoid over S is divisor-closed in
@@ -29,7 +30,9 @@ the Davenport-order test), so a row skipped over a cap is not extended.
 Up to ``max_sweep_order`` the table lists every orbit: a row the walk did not
 evaluate has a subset with value 1 and gets 1, or is skipped when over a cap.
 Above it the table lists the evaluated rows only.  ``prune=False`` evaluates
-every orbit representative, as a reference path.
+every orbit representative, as a reference path.  Both read the one listing
+of every orbit, which refuses over the sweep cap without pruning and over
+``MAX_LISTED_UNIVERSE`` folded elements, before any row is evaluated.
 
 This module is the sweep alone; the checks that read its reports, and the
 characterization records built from them, are in :mod:`pmzs.suite`.
@@ -37,7 +40,7 @@ characterization records built from them, are in :mod:`pmzs.suite`.
 
 from __future__ import annotations
 
-from functools import cached_property, partial
+from functools import partial
 from operator import itemgetter
 
 from .atoms import AtomCache, check_atom_caps
@@ -51,38 +54,34 @@ from .relations import min_delta
 # -- canonical subsets and orbits -------------------------------------------------
 
 
-def folded_automorphisms(group: Group) -> list[tuple[int, ...]]:
-    """The maps i -> min(p[i], -p[i]) over the automorphisms p of G.
-
-    p and -p give the same map, so there are half as many maps as
-    automorphisms unless negation is the identity.
-    """
-    auts = automorphisms(group)  # refused before any table is built
-    neg = group._neg
-    fold = [min(j, neg[j]) for j in range(group.order)]
-    return list({tuple(map(fold.__getitem__, perm)) for perm in auts})
+MAX_LISTED_UNIVERSE = 26
+"""The most folded elements whose subsets the orbit listing marks, at one byte each (64 MiB)."""
 
 
 class _FoldedOrbits:
-    """Subsets of the folded universe as bitmasks, and their orbits under the folded maps.
+    """Subsets of the folded universe as bitmasks, and their orbits under Aut(G) and sign.
 
-    The folded universe u_0 < ... < u_{k-1} gives u_r the bit 1 << (k - 1 - r).
-    Of two subsets of one size, the smaller sorted tuple then has the larger
-    mask (the least element of their symmetric difference is the highest bit
-    where they differ), so the least sorted image of a subset is its largest
-    image mask.  A map becomes a tuple of image bits indexed by element index;
-    a map is injective on a folded subset, so an image mask is the sum of the
-    image bits of its members.
+    The folded universe u_0 < ... < u_{k-1} gives u_r and -u_r the bit
+    1 << (k - 1 - r), and 0 the bit 0.  Of two subsets of one size, the
+    smaller sorted tuple then has the larger mask (the least element of their
+    symmetric difference is the highest bit where they differ), so the least
+    sorted image of a subset is its largest image mask.  An automorphism p
+    becomes the tuple of image bits ``bit_of[p[i]]`` indexed by element index
+    i, built straight from the search; p and -p give the same tuple, which is
+    kept once.  A map is injective on a folded subset, so an image mask is the
+    sum of the image bits of its members.
     """
 
-    def __init__(self, group: Group, maps: list[tuple[int, ...]]):
+    def __init__(self, group: Group):
+        auts = automorphisms(group)  # refused before any table is built
+        self.group = group
         self.universe = fold_negatives(group, range(1, group.order))
         k = len(self.universe)
         self.units = tuple(1 << (k - 1 - r) for r in range(k))
-        self.bit_of = [0] * group.order
+        self.bit_of = bit_of = [0] * group.order
         for u, unit in zip(self.universe, self.units):
-            self.bit_of[u] = unit
-        self.bit_maps = [tuple(map(self.bit_of.__getitem__, m)) for m in maps]
+            bit_of[u] = bit_of[group._neg[u]] = unit
+        self.bit_maps = list(dict.fromkeys(tuple(map(bit_of.__getitem__, perm)) for perm in auts))
         self._canonical: dict[int, int] = {}
 
     def members(self, mask: int) -> tuple[int, ...]:
@@ -99,15 +98,22 @@ class _FoldedOrbits:
             found = self._canonical[mask] = max(self.images(mask))
         return found
 
-    @cached_property
-    def representatives(self) -> list[int]:
+    def representatives(self, max_order: int) -> list[int]:
         """The canonical mask of every orbit of nonempty subsets, in table order.
 
         Masks are walked upwards and each orbit is listed once, from its first
         mask: its images are marked seen and the largest is kept.  The marks
         are one byte per mask, so the listing holds 2^k bytes, not 2^k ints.
+        This is the one walk over every subset, so it owns the refusals: a
+        group over the sweep cap ``max_order``, and a folded universe of more
+        than ``MAX_LISTED_UNIVERSE`` elements.
         """
-        seen = bytearray(1 << len(self.universe))
+        if self.group.order > max_order:
+            raise ResourceLimitError(f"an unpruned sweep evaluates every orbit, capped at order {max_order}")
+        k = len(self.universe)
+        if k > MAX_LISTED_UNIVERSE:
+            raise ResourceLimitError(f"orbit listing capped at {MAX_LISTED_UNIVERSE} folded elements; {self.group} folds onto {k}")
+        seen = bytearray(1 << k)
         reps = []
         for mask in range(1, len(seen)):
             if not seen[mask]:
@@ -121,13 +127,6 @@ class _FoldedOrbits:
 def _by_size(masks) -> list[int]:
     """Table order, by size and then by sorted tuple: the larger mask first."""
     return sorted(masks, key=lambda mask: (mask.bit_count(), -mask))
-
-
-def _check_orbit_listing(group: Group, limits: Limits) -> None:
-    """Refuse to list every orbit of a group over the sweep cap: the listing
-    walks every subset of the folded universe."""
-    if group.order > limits.max_sweep_order:
-        raise ResourceLimitError(f"an unpruned sweep evaluates every orbit, capped at order {limits.max_sweep_order}")
 
 
 # -- sweep -------------------------------------------------------------------------
@@ -206,18 +205,16 @@ def delta_star(
     The table lists every orbit for groups of order up to the sweep cap and
     the evaluated rows above it.  Resource failures land in ``skipped``, never
     in the value table, and the report is complete iff nothing was skipped.
-    ``prune=False`` evaluates every orbit representative instead, and raises
-    :class:`ResourceLimitError` above the sweep cap.
+    ``prune=False`` evaluates every orbit representative instead.  Listing
+    every orbit raises :class:`ResourceLimitError` before any row is
+    evaluated (see :meth:`_FoldedOrbits.representatives`).
 
     Each level's rows go through one ``map_rows(function, reps)`` call; an
     executor's ``map`` spreads them over processes, with the same report.
     """
-    maps = folded_automorphisms(group)
+    orbits = _FoldedOrbits(group)
     listed = group.order <= limits.max_sweep_order
-    if not prune:
-        _check_orbit_listing(group, limits)
-
-    orbits = _FoldedOrbits(group, maps)
+    listing = orbits.representatives(limits.max_sweep_order) if listed or not prune else None
     evaluate = partial(_evaluate_subset, group, limits, cache)
     rows: dict[tuple[int, ...], Row] = {}
 
@@ -229,7 +226,7 @@ def delta_star(
         return {mask for mask, (_, value, error) in zip(masks, found) if error is None and value != 1}
 
     if not prune:
-        down_set_rows(orbits.representatives)
+        down_set_rows(listing)
     else:
         units = orbits.units
         down = down_set_rows({orbits.canonical(unit) for unit in units})
@@ -244,7 +241,7 @@ def delta_star(
             )
 
     if listed:
-        reps = (orbits.members(mask) for mask in orbits.representatives)
+        reps = (orbits.members(mask) for mask in listing)
         results = [rows.get(rep) or _inherited_row(group, rep, limits) for rep in reps]
     else:
         results = sorted(rows.values(), key=lambda row: (len(row[0]), row[0]))

@@ -16,7 +16,7 @@ nothing for the elements no one asks about.  The abstract type of a subgroup
 <S> is read from the relation lattice of S (:func:`_span_type`), with no
 table at all; so a cap that needs D(<S>) refuses before anything of size |G|
 is built.  Only the automorphism search, after its work cap, builds the
-|G| x |G| addition table.
+|G| x |G| addition table, and no group keeps it.
 """
 
 from __future__ import annotations
@@ -339,9 +339,8 @@ class Group(_Record):
         """The block rotations that translate a bitmask by each index (see :func:`_rotations`)."""
         return _IndexMemo(_rotations(self.order, self._radix))
 
-    @cached_property
     def _add_table(self) -> tuple[tuple[int, ...], ...]:
-        """The |G| x |G| table of sums by index; only the automorphism search needs it.
+        """The |G| x |G| table of sums by index, built anew by each call.
 
         The index of a + b is the sum over k of ((a_k + b_k) mod n_k) * stride_k,
         so row a is built one coordinate at a time: the sums, in index order, of
@@ -737,8 +736,9 @@ def automorphisms(group: Group) -> list[tuple[int, ...]]:
     order than ni would repeat the index 0, so leaving those out changes
     neither the list nor its order.)  The work of a full product over the
     prod_j gcd(ni, nj) elements killed by ni (image tuples times |G|
-    entries) is computed from the invariant factors before any table is
-    built, and the search is refused when it exceeds ``MAX_AUTOMORPHISM_WORK``.
+    entries) is computed from the invariant factors, and the search is refused
+    when it exceeds ``MAX_AUTOMORPHISM_WORK``; only then does it build the
+    addition table, which it drops when it returns.
     """
     factors = group.invariant_factors
     tuples = math.prod(math.gcd(n, m) for n in factors for m in factors)
@@ -749,7 +749,7 @@ def automorphisms(group: Group) -> list[tuple[int, ...]]:
         )
     if group.order == 1:
         return [()]
-    add = group._add_table
+    add = group._add_table()
     radix = group._radix
     orders = [math.lcm(*[n // math.gcd(n, i // stride % n) for n, stride in radix]) for i in range(group.order)]
     # the multiples 0, gi, 2 gi, ... of each candidate image of ei

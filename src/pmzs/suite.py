@@ -432,24 +432,25 @@ def group_checks(
     The delta-star sweep, G minus 0 and D(B(G)) are computed once, when a
     check first reads them, and the sweep's report enters ``reports`` under
     the group's name.  The elementary-p check reads the sweep of C_p from
-    ``reports`` when it is there, and otherwise sweeps C_p without adding
-    it, so the suite reports the same sweeps either way.  G minus 0 reads
-    the sweep first, so a refused sweep refuses it and D(B(G)) with the
-    same message, and nothing of size |G| is built for a group the sweep
-    refuses.  A refusal leaves no value (and no entry), so each check that
-    reads the value meets the refusal again; the caps are checked before
-    their searches start, so that costs microseconds.
+    ``reports`` when it is there, and otherwise sweeps C_p as G is swept,
+    without adding it, so the suite reports the same sweeps either way.
+    G minus 0 reads the sweep first, so a refused sweep refuses it and
+    D(B(G)) with the same message, and nothing of size |G| is built for a
+    group the sweep refuses.  A refusal leaves no value (and no entry), so
+    each check that reads the value meets the refusal again; the caps are
+    checked before their searches start, so that costs microseconds.
     """
     name = format_group(group)
+    run = partial(delta_star, limits=limits, map_rows=map_rows, prune=prune, cache=cache)
 
     def sweep() -> DeltaStarReport:
         if name not in reports:
-            reports[name] = delta_star(group, limits=limits, map_rows=map_rows, prune=prune, cache=cache)
+            reports[name] = run(group)
         return reports[name]
 
     def sweep_of(other: Group) -> DeltaStarReport:
         known = reports.get(format_group(other))
-        return delta_star(other, limits=limits) if known is None else known
+        return run(other) if known is None else known
 
     @lru_cache(maxsize=None)
     def nonzero() -> list[GroupElement]:

@@ -117,7 +117,7 @@ def brute_automorphisms(group: Group) -> list[tuple[int, ...]]:
     the addition table; the bijections are kept.
     """
     factors = group.invariant_factors
-    add = group._add_table
+    add = group._add_table()
 
     def times(c: int, x: int) -> int:
         y = 0
@@ -143,7 +143,7 @@ def brute_automorphisms(group: Group) -> list[tuple[int, ...]]:
 
 def brute_shift_mask(group: Group, mask: int, gi: int) -> int:
     """Translate a bitmask of element indices bit by bit through the addition table."""
-    row = group._add_table[gi]
+    row = group._add_table()[gi]
     out = 0
     while mask:
         low = mask & -mask
@@ -161,7 +161,7 @@ def brute_subgroup_generated(group: Group, gens: list[int]) -> tuple[int, tuple[
     orders equals the subgroup's; finite abelian groups with the same order
     statistics are isomorphic.
     """
-    add = group._add_table
+    add = group._add_table()
     seen = {0}
     frontier = [0]
     while frontier:
@@ -191,7 +191,7 @@ def brute_minimal_zero_sums(group: Group, folded: tuple[int, ...]) -> dict[tuple
     addition table, and a zero sum is kept when no proper nonempty
     sub-multiset sums to 0.
     """
-    add, neg = group._add_table, group._neg
+    add, neg = group._add_table(), group._neg
     slot = {}
     for j, f in enumerate(folded):
         slot[f] = slot[neg[f]] = j

@@ -79,4 +79,6 @@ def test_traced_child_spans_the_layers(tmp_path):
     record = json.loads(record_path.read_text())
     assert record["code"] == 0
     names = {span[0] for span in record["trace"]["spans"]}
-    assert {"cli.main", "suite.run_suite", "delta_star.delta_star"} <= names, sorted(names)
+    assert {"cli.main", "suite.run_suite", "delta_star.delta_star", "groups.automorphisms"} <= names, sorted(names)
+    # the sweep's orbits call the search once, and Aut(C5) has 4 elements
+    assert record["trace"]["counters"]["groups.automorphisms.count"] == 4

@@ -175,16 +175,17 @@ def test_delta_star_refuses_automorphism_search_at_once(capsys, group):
     assert code == EXIT_RESOURCE and out == "" and "automorphism search" in err
 
 
-def test_min_delta_refuses_a_long_atom_bound_at_once(capsys):
+def test_min_delta_refuses_a_long_atom_bound_at_once(capsys, monkeypatch):
     # the span of the ground set is typed from its relation lattice, so
     # refusing C3000 builds no table with |G|^2 entries
+    monkeypatch.setattr(Group, "_add_table", lambda self: pytest.fail(f"built the addition table of {self}"))
     start = time.perf_counter()
     code, out, err = run_cli(capsys, "min-delta", "C3000", "[(1)]")
     assert time.perf_counter() - start < 1.0
     assert code == EXIT_RESOURCE and out == "" and "exceeds the cap" in err
     g = Group((17,))  # a fresh instance, so its tables are the ones this call builds
     min_delta(g, [g.element(2), g.element(5), g.element(7)])
-    assert "_shift_steps" in vars(g) and "_add_table" not in vars(g)
+    assert "_shift_steps" in vars(g)
 
 
 def test_refusal_builds_shift_steps_only_for_its_generator():
@@ -227,12 +228,16 @@ def test_refusal_builds_shift_steps_only_for_its_generator():
      "factorization query capped at length 32, got 4611686018427387904"),
     (("lengths", "C4", "[(1)^9223372036854775808]"),
      "factorization query capped at length 32, got 9223372036854775808"),
+    # listing every orbit of C64 would mark its 2^32 folded subsets in a
+    # 4 GiB bytearray; the bound on the folded universe refuses first
+    (("delta-star", "C64", "--max-order", "64"),
+     "orbit listing capped at 26 folded elements; C64 folds onto 32"),
 ])
 def test_refusals_over_huge_groups_build_nothing_of_size_g(argv, message):
     # each cap needs only the fold size, D(<S>) or the walk's steps, so a
     # child whose address space is capped at 256 MB refuses at once, where
-    # listing G (or any table of |G| entries) would end in a MemoryError
-    # traceback
+    # listing G, its folded subsets or any table of |G| entries would end
+    # in a MemoryError traceback
     code, err, seconds = run_cli_limited(*argv, memory_mb=256)
     assert code == EXIT_RESOURCE and message in err and "Traceback" not in err, err
     assert seconds < 1.0
@@ -373,7 +378,7 @@ def test_verify_lists_no_element_of_a_refused_group(capsys, monkeypatch, target)
     # G minus 0 and D(B(G)) read the sweep first, so a group whose sweep is
     # refused is reported without building the addition table, which walks
     # every element, and without filling a per-index memo
-    monkeypatch.setattr(Group, "_add_table", property(lambda self: pytest.fail(f"walked the elements of {self}")))
+    monkeypatch.setattr(Group, "_add_table", lambda self: pytest.fail(f"walked the elements of {self}"))
     group = pmzs.cli.parse_group(target)
     memos = ("_elements", "_neg", "_shift_steps")
     filled = [len(vars(group).get(memo, ())) for memo in memos]
@@ -430,6 +435,18 @@ def test_cache_dir_flag(capsys, tmp_path):
     assert cold == warm
     code, plain, _ = run_cli(capsys, "delta-star", "C8", "--format", "json")
     assert plain == cold
+
+
+def test_verify_sweeps_the_cyclic_factor_as_it_sweeps_the_group(capsys, tmp_path):
+    # the elementary-p check sweeps C3 outside the reported sweeps, with the
+    # run's cache, row map and pruning, so its atoms land in the cache too
+    cache_dir = tmp_path / "cache"
+    code, cached, _ = run_cli(capsys, "verify", "C3xC3", "--cache-dir", str(cache_dir))
+    assert code == EXIT_OK
+    groups = {json.loads(path.read_text())["group"] for path in cache_dir.glob("atoms-*.json")}
+    assert groups == {"C3", "C3xC3"}
+    for flags in ((), ("--jobs", "2"), ("--no-prune",)):
+        assert run_cli(capsys, "verify", "C3xC3", *flags) == (EXIT_OK, cached, ""), flags
 
 
 def test_cache_entry_written_when_atoms_are_memoized(capsys, tmp_path):

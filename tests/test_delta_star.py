@@ -1,5 +1,6 @@
 """Orbit reduction and sweeps."""
 
+import importlib
 import random
 import time
 from concurrent.futures import ProcessPoolExecutor
@@ -11,7 +12,6 @@ from pmzs import (
     AtomCache,
     Limits,
     delta_star,
-    folded_automorphisms,
     make_group,
     min_delta,
     parse_group,
@@ -29,8 +29,8 @@ def indices(group, *coords_list):
 def orbit_listing(group):
     """The canonical representative of every orbit of nonempty subsets of
     G minus 0 under the folded maps, in table order, as the sweep lists them."""
-    orbits = _FoldedOrbits(group, folded_automorphisms(group))
-    return [orbits.members(mask) for mask in orbits.representatives]
+    orbits = _FoldedOrbits(group)
+    return [orbits.members(mask) for mask in orbits.representatives(group.order)]
 
 
 def canonical_form(orbits, group, subset):
@@ -61,7 +61,7 @@ def test_orbit_members_share_min_delta():
     rng = random.Random(23)
     for spec in ("C7", "C8", "C3xC3"):
         group = parse_group(spec)
-        orbits = _FoldedOrbits(group, folded_automorphisms(group))
+        orbits = _FoldedOrbits(group)
         nonzero = list(range(1, group.order))
         for _ in range(5):
             subset = tuple(sorted(rng.sample(nonzero, rng.randrange(1, 4))))
@@ -159,21 +159,54 @@ def test_subset_orbits_count_by_burnside():
     # Burnside's lemma counts the orbits of the folded maps, a permutation group
     # of the folded universe, on its subsets: the mean of 2^cycles, less the empty set
     for group in small_group_list(16):
-        maps = folded_automorphisms(group)
-        universe = fold_negatives(group, range(1, group.order))
+        orbits = _FoldedOrbits(group)
+        element_of = dict(zip(orbits.units, orbits.universe))
         fixed = 0
-        for m in maps:
-            unseen = set(universe)
+        for bits in orbits.bit_maps:
+            unseen = set(orbits.universe)
             cycles = 0
             while unseen:
                 cycles += 1
                 u = unseen.pop()
-                while m[u] in unseen:
-                    u = m[u]
+                while element_of[bits[u]] in unseen:
+                    u = element_of[bits[u]]
                     unseen.remove(u)
             fixed += 2**cycles
-        assert fixed % len(maps) == 0, str(group)
-        assert len(orbit_listing(group)) == fixed // len(maps) - 1, str(group)
+        assert fixed % len(orbits.bit_maps) == 0, str(group)
+        assert len(orbit_listing(group)) == fixed // len(orbits.bit_maps) - 1, str(group)
+
+
+def test_bit_maps_permute_the_folded_universe():
+    # each map, read on the folded universe, sends its elements onto the unit
+    # bits one to one, and 0 to the bit 0; only C2^5 is refused by the
+    # automorphism search among the groups of order up to 32
+    refused = []
+    for group in small_group_list(32):
+        try:
+            orbits = _FoldedOrbits(group)
+        except ResourceLimitError:
+            refused.append(str(group))
+            continue
+        assert orbits.bit_of[0] == 0, str(group)
+        for bits in orbits.bit_maps:
+            assert bits[0] == 0, str(group)
+            assert sorted(bits[u] for u in orbits.universe) == sorted(orbits.units), str(group)
+    assert refused == ["C2xC2xC2xC2xC2"]
+
+
+def test_orbit_listing_bound_is_on_the_folded_universe(monkeypatch):
+    # C8 folds onto {1, 2, 3, 4}: a bound of 4 lists its orbits, 3 refuses
+    # the listing, in listed mode and unpruned alike
+    group = make_group([8])
+    delta_star_module = importlib.import_module("pmzs.delta_star")  # the package exports the function by that name
+    monkeypatch.setattr(delta_star_module, "MAX_LISTED_UNIVERSE", 4)
+    listed = delta_star(group, limits=Limits(max_sweep_order=8))
+    assert listed.complete and not listed.evaluated_only
+    monkeypatch.setattr(delta_star_module, "MAX_LISTED_UNIVERSE", 3)
+    for prune in (True, False):
+        with pytest.raises(ResourceLimitError, match="orbit listing capped at 3 folded elements; C8 folds onto 4"):
+            delta_star(group, limits=Limits(max_sweep_order=8), prune=prune)
+    assert delta_star(group, limits=Limits(max_sweep_order=7)).evaluated_only  # nothing listed above the sweep cap
 
 
 def test_canonical_subset_matches_least_folded_image():
@@ -184,9 +217,8 @@ def test_canonical_subset_matches_least_folded_image():
     for spec, samples in (("C4xC4", 20), ("C2xC2xC4", 20), ("C2xC2xC2xC2", 20), ("C2xC12", 20), ("C2xC2xC2xC4", 8)):
         group = parse_group(spec)
         auts = automorphisms(group)
-        maps = folded_automorphisms(group)
-        assert len(maps) == (len(auts) if spec == "C2xC2xC2xC2" else len(auts) // 2), spec
-        orbits = _FoldedOrbits(group, maps)
+        orbits = _FoldedOrbits(group)
+        assert len(orbits.bit_maps) == (len(auts) if spec == "C2xC2xC2xC2" else len(auts) // 2), spec
         nonzero = range(1, group.order)
         for _ in range(samples):
             subset = tuple(sorted(rng.sample(nonzero, rng.randrange(1, 8))))
@@ -278,16 +310,16 @@ def test_complete_report_invariants():
                 assert d - 2 in report.delta_star
 
 
-def test_automorphism_cap_refuses_before_the_search():
+def test_automorphism_cap_refuses_before_the_search(monkeypatch):
     # C2^5 would try 32^5 image tuples; fresh Group instances show that the
     # refusal comes before the addition table is built or any per-index memo
     # is filled
+    monkeypatch.setattr(Group, "_add_table", lambda self: pytest.fail(f"built the addition table of {self}"))
     for factors in ((2, 2, 2, 2, 2), (10**12,)):
-        for sweep in (delta_star, folded_automorphisms):
+        for sweep in (delta_star, _FoldedOrbits):
             g = Group(factors)
             with pytest.raises(ResourceLimitError, match="automorphism search"):
                 sweep(g)
-            assert "_add_table" not in vars(g)
             assert not any(vars(g).get(memo) for memo in ("_elements", "_neg", "_shift_steps"))
 
 

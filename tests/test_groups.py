@@ -119,8 +119,8 @@ def test_group_pickles_as_its_invariant_factors():
     g = make_group([4, 4])
     size = len(pickle.dumps(g))
     assert pickle.loads(pickle.dumps(g)) is g
-    delta_star(g)  # fills the element and negation memos and builds the addition table
-    assert {"_elements", "_neg", "_add_table"} <= set(vars(g))
+    delta_star(g)  # fills the element and negation memos; the search keeps no addition table
+    assert {"_elements", "_neg"} <= set(vars(g)) and "_add_table" not in vars(g)
     data = pickle.dumps(g)
     assert len(data) == size and pickle.loads(data) is g
     element = pickle.loads(pickle.dumps(g.element(1, 3)))
@@ -375,7 +375,7 @@ def test_addition_table_is_the_coordinatewise_sum():
         coords = list(product(*(range(n) for n in factors)))
         index = {c: i for i, c in enumerate(coords)}
         expected = [[index[tuple((x + y) % n for x, y, n in zip(a, b, factors))] for b in coords] for a in coords]
-        assert g._add_table == tuple(map(tuple, expected)), str(g)
+        assert g._add_table() == tuple(map(tuple, expected)), str(g)
 
 
 def test_automorphisms_match_full_product_oracle():
