@@ -32,8 +32,11 @@ extends T zero-sum free iff the bit of -u is clear, which is tested before
 any shift.  T * u is a minimal zero-sum sequence iff u = -sigma(T).  These
 are grouped by their image phi(T * u), and an image v is kept iff its number
 N(v) of zero-sum preimages equals the number of minimal ones found.  N(v)
-comes from a DP over the coordinates: m copies of f split as k copies of f
-and m - k of -f, m + 1 choices, or one choice when 2f = 0.  Negation maps
+comes from a DP over the coordinates (:func:`pmzs.groups._zero_sum_count`):
+m copies of f split as k copies of f and m - k of -f, m + 1 choices, or one
+choice when 2f = 0.  The count is also the one signed-sum test: a cache
+entry's vectors and :meth:`pmzs.sequences.Sequence.is_pm_zero_sum` are
+signed zero sums iff their N is positive.  Negation maps
 the zero-sum preimages of v onto themselves.  A preimage w = -w holds
 f * -f or has only terms of order 2, so it is minimal only when it is
 f * -f or the sole preimage.  So the walk visits one of each pair {w, -w},
@@ -74,10 +77,10 @@ from .groups import (
     _check_walk_masks,
     _minimal_zero_sums,
     _span_type,
+    _zero_sum_count,
     davenport,
     fold_negatives,
     fold_positions,
-    signed_shift_mask,
 )
 from .limits import DEFAULT_LIMITS, Limits
 from .notation import format_group, subset_to_json
@@ -154,25 +157,6 @@ class LengthProfile(_Record):
     __slots__ = _fields = ("max_length", "gcd_lengths_minus_2")
 
 
-@lru_cache(maxsize=4096)
-def _split_sums(group: Group, f: int, m: int) -> dict[int, int]:
-    """The sums (2k - m) f, by index, of the splits of m copies of f into k
-    copies of f and m - k of -f, for k = 0..m, with the number of splits
-    giving each; the one sum m f when 2f = 0.  Each sum is built from the
-    coordinates of f.  The memo hands every caller the same dict, so callers
-    only read it."""
-    if group._neg[f] == f:
-        return {f if m % 2 else 0: 1}
-    nonzero = [(c, n, stride) for c, (n, stride) in zip(group._coords_of(f), group._radix) if c]
-    out: dict[int, int] = {}
-    for t in range(-m, m + 1, 2):
-        e = 0
-        for c, n, stride in nonzero:
-            e += t * c % n * stride
-        out[e] = out.get(e, 0) + 1
-    return out
-
-
 def _minimal_zero_sum_atom_vectors(group: Group, folded: tuple[int, ...]) -> list[tuple[int, ...]]:
     """The atoms over a folded ground set F, in :func:`_atom_order`, as the
     images phi(w) of the minimal zero-sum sequences w over U = F u -F whose
@@ -181,14 +165,12 @@ def _minimal_zero_sum_atom_vectors(group: Group, folded: tuple[int, ...]) -> lis
     An image is packed into one int with a field per coordinate of F, wide
     enough for ord(f) (a minimal zero-sum sequence holds f or -f, not both
     except in f * -f, at most ord(f) times).  Its zero-sum preimages are
-    counted by a DP over the coordinates: the m copies of f split as k
-    copies of f and m - k of -f, with sum (2k - m) f, for k = 0..m, or as
-    one choice when 2f = 0 (:func:`_split_sums`).  The DP adds those sums as
-    indices through the block rotations of :func:`pmzs.groups._rotations`.
+    counted by :func:`pmzs.groups._zero_sum_count` over the split sums of
+    its coordinates: the m copies of f split as k copies of f and m - k of
+    -f, with sum (2k - m) f, for k = 0..m, or as one choice when 2f = 0.
     """
     n = len(folded)
-    neg = group._neg
-    steps = group._shift_steps
+    split = group._split_sums
     bits = group.exponent.bit_length()
     offsets = [(n - 1 - j) * bits for j in range(n)]
     field = (1 << bits) - 1
@@ -196,23 +178,9 @@ def _minimal_zero_sum_atom_vectors(group: Group, folded: tuple[int, ...]) -> lis
 
     atoms = []
     for image, pairs in found.items():
-        parts = [_split_sums(group, f, m) for f, off in zip(folded, offsets) if (m := image >> off & field)]
-        sums = parts.pop()
-        if parts:
-            last = sums
-            sums = parts.pop()
-            for part in parts:
-                merged: dict[int, int] = {}
-                for x, count in sums.items():
-                    by_x = steps[x]
-                    for y, ways in part.items():
-                        for lo, up, hi, down in by_x:  # y + x
-                            y = y + up if lo >> y & 1 else y - down
-                        merged[y] = merged.get(y, 0) + count * ways
-                sums = merged
-            zero_sums = sum(ways * sums.get(neg[y], 0) for y, ways in last.items())
-        else:
-            zero_sums = sums.get(0, 0)
+        zero_sums = _zero_sum_count(
+            group, [split[f, m] for f, off in zip(folded, offsets) if (m := image >> off & field)]
+        )
         # a lone zero-sum preimage is its own negative; otherwise none is
         if zero_sums == 1 or zero_sums == 2 * pairs:
             atoms.append(tuple(image >> off & field for off in offsets))
@@ -291,14 +259,10 @@ def _is_valid_atom_list(group: Group, ground_indices: tuple[int, ...], vectors: 
         required = (2, order) if order % 2 else (2,)
         if any(tuple(p if i == pos else 0 for i in range(width)) not in listed for p in required):
             return False
-    for vec in vectors:
-        mask = 1
-        for gi, mult in zip(ground_indices, vec):
-            for _ in range(mult):
-                mask = signed_shift_mask(group, mask, gi)
-        if not mask & 1:
-            return False
-    return True
+    split = group._split_sums
+    return all(
+        _zero_sum_count(group, [split[gi, m] for gi, m in zip(ground_indices, vec) if m]) for vec in vectors
+    )
 
 
 def _fnv1a_64(data: bytes) -> int:

@@ -9,10 +9,12 @@ later factors), and adding c to that coordinate rotates every block by
 c * stride_k bits, which is one masked shift each way (:func:`_rotations`).
 
 Every fact about an element index (its element object, its negative, the
-rotations that translate a bitmask by it) is computed from the index's
-coordinates on its first lookup and memoized per index (:class:`_IndexMemo`),
-so a group hands out the same object for an index every time and builds
-nothing for the elements no one asks about.  The abstract type of a subgroup
+rotations that translate a bitmask by it, and per multiplicity m the signed
+sums of m copies of it) is computed from the index's coordinates on its
+first lookup and memoized per key (:class:`_IndexMemo`), so a group hands
+out the same object for a key every time and builds nothing for the
+elements no one asks about.  The signed sums answer every signed zero-sum
+question through one count (:func:`_zero_sum_count`).  The abstract type of a subgroup
 <S> is read from the relation lattice of S (:func:`_span_type`), with no
 table at all; so a cap that needs D(<S>) refuses before anything of size |G|
 is built.  Only the automorphism search, after its work cap, builds the
@@ -339,6 +341,30 @@ class Group(_Record):
         """The block rotations that translate a bitmask by each index (see :func:`_rotations`)."""
         return _IndexMemo(_rotations(self.order, self._radix))
 
+    @cached_property
+    def _split_sums(self) -> "_IndexMemo":
+        """Per (index f, multiplicity m): the sums (2k - m) f, by index, of the
+        splits of m copies of f into k copies of f and m - k of -f, for
+        k = 0..m, with the number of splits giving each; the one sum m f when
+        2f = 0.  Each sum is built from the coordinates of f.  Every caller
+        gets the same dict for a key, so callers only read it."""
+        neg, radix = self._neg, self._radix
+
+        def splits(key: tuple[int, int]) -> dict[int, int]:
+            f, m = key
+            if neg[f] == f:
+                return {f if m % 2 else 0: 1}
+            nonzero = [(c, n, stride) for c, (n, stride) in zip(self._coords_of(f), radix) if c]
+            out: dict[int, int] = {}
+            for t in range(-m, m + 1, 2):
+                e = 0
+                for c, n, stride in nonzero:
+                    e += t * c % n * stride
+                out[e] = out.get(e, 0) + 1
+            return out
+
+        return _IndexMemo(splits)
+
     def _add_table(self) -> tuple[tuple[int, ...], ...]:
         """The |G| x |G| table of sums by index, built anew by each call.
 
@@ -370,17 +396,18 @@ class Group(_Record):
 
 
 class _IndexMemo(dict):
-    """Element index -> a fact about that element, computed by ``fact`` on its
-    first lookup and kept, so only the indices asked about are ever computed."""
+    """Element index, or (index, multiplicity), -> a fact about it, computed
+    by ``fact`` on its first lookup and kept, so only the keys asked about
+    are ever computed."""
 
     __slots__ = ("_fact",)
 
-    def __init__(self, fact: Callable[[int], object]):
+    def __init__(self, fact: Callable[[object], object]):
         super().__init__()
         self._fact = fact
 
-    def __missing__(self, index: int):
-        value = self[index] = self._fact(index)
+    def __missing__(self, key):
+        value = self[key] = self._fact(key)
         return value
 
 
@@ -476,21 +503,6 @@ class GroupElement(_Record):
 
     def __repr__(self) -> str:
         return f"{self.group}:{self}"
-
-
-def signed_shift_mask(group: Group, mask: int, gi: int) -> int:
-    """(T + g) | (T - g) for a bitmask T; one step of the signed-sum recursion.
-
-    Each side applies the block rotations of :func:`_rotations` inline, so a
-    step makes no call beyond the lookups in the lazily filled step table.
-    """
-    steps = group._shift_steps
-    plus = minus = mask
-    for lo, up, hi, down in steps[gi]:
-        plus = (plus & lo) << up | (plus & hi) >> down
-    for lo, up, hi, down in steps[group._neg[gi]]:
-        minus = (minus & lo) << up | (minus & hi) >> down
-    return plus | minus
 
 
 def _echelon_rows(vectors: Iterable[SequenceABC[int]]) -> dict[int, list[int]]:
@@ -680,20 +692,43 @@ def _minimal_zero_sums(group: Group, folded: tuple[int, ...], weights: tuple[int
     return found
 
 
+def _zero_sum_count(group: Group, parts: list[dict[int, int]]) -> int:
+    """The number N(v) of zero-sum signings of a sequence v, from the split
+    sums of its distinct elements, one dict of :attr:`Group._split_sums` per
+    element: a signing picks one split per element, and the sum of the
+    picked sums must be 0.  The empty sequence has one signing.
+
+    The dicts but the last are merged into one dict of sums, adding indices
+    through the block rotations of :func:`_rotations`; then a sum y of the
+    last dict completes a zero sum with the merged sums equal to -y.
+    """
+    if len(parts) < 2:
+        return parts[0].get(0, 0) if parts else 1
+    steps = group._shift_steps
+    sums = parts[-2]
+    for part in parts[:-2]:
+        merged: dict[int, int] = {}
+        for x, count in sums.items():
+            by_x = steps[x]
+            for y, ways in part.items():
+                for lo, up, hi, down in by_x:  # y + x
+                    y = y + up if lo >> y & 1 else y - down
+                merged[y] = merged.get(y, 0) + count * ways
+        sums = merged
+    neg = group._neg
+    return sum(ways * sums.get(neg[y], 0) for y, ways in parts[-1].items())
+
+
 @lru_cache(maxsize=None)
-def _longest_minimal_zero_sum(group: Group) -> int:
-    """Length of the longest minimal zero-sum sequence over G minus 0, by the
-    walk of :func:`_minimal_zero_sums` with every weight 1."""
-    folded = fold_negatives(group, range(1, group.order))
-    return max(_minimal_zero_sums(group, folded, (1,) * len(folded)))
-
-
 def davenport_exhaustive(group: Group) -> int:
-    """Davenport constant by exhaustive zero-sum-free search (no formula shortcut):
-    the length of the longest minimal zero-sum sequence."""
+    """Davenport constant by exhaustive zero-sum-free search (no formula
+    shortcut): the length of the longest minimal zero-sum sequence over G
+    minus 0, by the walk of :func:`_minimal_zero_sums` with every weight 1,
+    once per group per process."""
     if group.order == 1:
         return 1
-    return _longest_minimal_zero_sum(group)
+    folded = fold_negatives(group, range(1, group.order))
+    return max(_minimal_zero_sums(group, folded, (1,) * len(folded)))
 
 
 MAX_DAVENPORT_ORDER = 24

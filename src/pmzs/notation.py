@@ -4,7 +4,8 @@ Grammar accepted by the parsers:
 
 * group:    ``C2xC4`` (case-insensitive, ``x`` separated; ``C1`` factors drop out)
 * element (a term of a subset or sequence):  ``(1,3)``; the one-coordinate
-  shorthand ``(3)`` works for cyclic groups
+  shorthand ``(3)`` works for cyclic groups, and ``()`` is the one element
+  of the trivial group
 * subset:   ``[(1),(3)]`` (duplicates rejected)
 * sequence: ``[(1,0)^2, (0,3)]`` with ``^mult`` optional
 """
@@ -45,10 +46,10 @@ def format_group(group: Group) -> str:
 
 def _parse_coords(body: str, group: Group) -> GroupElement:
     body = body.strip()
-    if not body:
+    if not body and group.rank:
         raise DomainError("empty element literal '()'")
     try:
-        coords = tuple(int(c) for c in body.split(","))
+        coords = tuple(int(c) for c in body.split(",")) if body else ()
     except ValueError as exc:
         raise DomainError(f"bad element coordinates {body!r}") from exc
     if len(coords) != group.rank:

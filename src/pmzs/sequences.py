@@ -2,7 +2,9 @@
 
 A sequence is hash-canonical: it stores (element index, multiplicity) pairs
 sorted by index, so equal multisets compare and hash equal and can serve as
-cache keys.
+cache keys.  Whether a sequence has a signed zero sum is read from its number
+of zero-sum signings, the count the atom rule reads too
+(:func:`pmzs.groups._zero_sum_count`).
 """
 
 from __future__ import annotations
@@ -10,7 +12,7 @@ from __future__ import annotations
 from typing import Iterable, Iterator
 
 from .errors import DomainError
-from .groups import Group, GroupElement, _Record, signed_shift_mask
+from .groups import Group, GroupElement, _Record, _zero_sum_count
 
 
 class Sequence(_Record):
@@ -82,17 +84,11 @@ class Sequence(_Record):
     # -- sums ------------------------------------------------------------------
 
     def is_pm_zero_sum(self) -> bool:
-        """True iff some choice of plus-minus weights makes the sequence sum to 0.
-
-        Decided by set dynamic programming on a bitmask of sums: starting
-        from {0}, each copy of g maps the running set T to (T + g) | (T - g),
-        and the answer is the bit of 0.
-        """
-        mask = 1
-        for idx, mult in self.entries:
-            for _ in range(mult):
-                mask = signed_shift_mask(self.group, mask, idx)
-        return mask & 1 == 1
+        """True iff some choice of plus-minus weights makes the sequence sum
+        to 0: iff its number of zero-sum signings
+        (:func:`pmzs.groups._zero_sum_count`) is positive."""
+        split = self.group._split_sums
+        return _zero_sum_count(self.group, [split[entry] for entry in self.entries]) > 0
 
     def __str__(self) -> str:
         parts = []

@@ -28,7 +28,6 @@ from itertools import combinations_with_replacement, product
 from pathlib import Path
 
 from pmzs import DEFAULT_LIMITS, AtomSet, DomainError, Group, GroupElement, Sequence, abelian_group_types, make_group
-from pmzs.groups import signed_shift_mask
 
 
 REPO = Path(__file__).resolve().parents[1]
@@ -152,6 +151,19 @@ def brute_shift_mask(group: Group, mask: int, gi: int) -> int:
     return out
 
 
+def signed_shift_mask(group: Group, mask: int, gi: int) -> int:
+    """(T + g) | (T - g) for a bitmask T, one step of the signed-sum set DP
+    that the earlier-atom rule runs: each side translates T by the group's
+    block rotations, which :func:`brute_shift_mask` checks."""
+    steps = group._shift_steps
+    plus = minus = mask
+    for lo, up, hi, down in steps[gi]:
+        plus = (plus & lo) << up | (plus & hi) >> down
+    for lo, up, hi, down in steps[group._neg[gi]]:
+        minus = (minus & lo) << up | (minus & hi) >> down
+    return plus | minus
+
+
 def brute_subgroup_generated(group: Group, gens: list[int]) -> tuple[int, tuple[int, ...]]:
     """The subgroup spanned by the given element indices, as a bitmask, and its
     invariant factors.
@@ -241,6 +253,28 @@ def brute_signed_sums(seq: Sequence) -> set[tuple[int, ...]]:
     group = seq.group
     terms = [group.element_at(idx) for idx, mult in seq.entries for _ in range(mult)]
     return {element_sum(group, zip(signs, terms)).coords for signs in product((1, -1), repeat=len(terms))}
+
+
+def brute_zero_sum_count(group: Group, entries: list[tuple[int, int]]) -> int:
+    """The number of zero-sum signings of the sequence with the given
+    (element index, multiplicity) entries, by trying every sign on every copy.
+
+    A signing is, per distinct element g, the multiset of its signed copies,
+    so sign patterns that give g the same multiset count once.  The sum of a
+    choice of multisets is added coordinate by coordinate.
+    """
+    factors = group.invariant_factors
+    per_element = []
+    for idx, mult in entries:
+        x = group.element_at(idx).coords
+        signed = {1: x, -1: tuple(-c % n for c, n in zip(x, factors))}
+        multisets = {tuple(sorted(signed[s] for s in signs)) for signs in product((1, -1), repeat=mult)}
+        per_element.append([[sum(col) for col in zip(*terms)] for terms in multisets])
+    count = 0
+    for choice in product(*per_element):
+        totals = [sum(col) for col in zip(*choice)] or [0] * len(factors)
+        count += all(t % n == 0 for t, n in zip(totals, factors))
+    return count
 
 
 def brute_is_pm_zero_sum(seq: Sequence) -> bool:

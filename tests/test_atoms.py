@@ -36,15 +36,16 @@ from pmzs.atoms import (
     _fnv1a_64,
     _minimal_zero_sum_atom_vectors,
     _span_davenport,
-    _split_sums,
     check_atom_caps,
 )
+from pmzs.groups import _zero_sum_count
 from helpers import (
     _enumerate_atom_vectors,
     brute_factorization_lengths,
     brute_is_atom,
     brute_is_pm_zero_sum,
     brute_subgroup_generated,
+    brute_zero_sum_count,
     mixed_unfolded_grounds,
     run_fresh,
     small_group_list,
@@ -151,7 +152,42 @@ def test_split_sums_match_a_count_over_coordinates():
                 for k in [m] if self_inverse else range(m + 1):
                     e = group.index_of(tuple((2 * k - m) * c % n for c, n in zip(coords, factors)))
                     expected[e] = expected.get(e, 0) + 1
-                assert _split_sums(group, f, m) == expected, (format_group(group), f, m)
+                assert group._split_sums[f, m] == expected, (format_group(group), f, m)
+
+
+def test_zero_sum_count_matches_every_signing_by_brute_force():
+    # N(v), the count that decides atoms, cache entries and is_pm_zero_sum,
+    # against every sign on every copy: every vector with entries <= 3 over
+    # G minus 0 folded, so on every folded subset, where G minus 0 folds to
+    # at most six elements, and a seeded sample of vectors on C2^3 and C2xC6,
+    # the other groups of order <= 12
+    rng = random.Random(31)
+    for group in [make_group([])] + small_group_list(12):
+        folded = fold_negatives(group, range(1, group.order))
+        if len(folded) <= 6:
+            vectors = product(range(4), repeat=len(folded))
+        else:
+            vectors = [tuple(rng.randrange(4) for _ in folded) for _ in range(300)]
+        for vec in vectors:
+            entries = [(f, m) for f, m in zip(folded, vec) if m]
+            count = _zero_sum_count(group, [group._split_sums[entry] for entry in entries])
+            assert count == brute_zero_sum_count(group, entries), (format_group(group), entries)
+            assert Sequence(group, tuple(entries)).is_pm_zero_sum() == (count > 0)
+
+
+def test_zero_sum_count_on_unfolded_grounds_with_g_its_negative_and_zero():
+    # over a ground set that holds g, -g and 0 together, a signing still picks
+    # how many copies of each element are signed plus; 0 and the elements of
+    # order 2 have one signing each
+    rng = random.Random(37)
+    grounds = [(make_group([]), ())] + list(mixed_unfolded_grounds(12, 2, 43))
+    for group, ground in grounds:
+        ground = (0,) + ground
+        for _ in range(40):
+            entries = [(g, m) for g in ground if (m := rng.randrange(4))]
+            count = _zero_sum_count(group, [group._split_sums[entry] for entry in entries])
+            assert count == brute_zero_sum_count(group, entries), (format_group(group), entries)
+            assert Sequence(group, tuple(entries)).is_pm_zero_sum() == (count > 0)
 
 
 def _lifted_and_unpruned(group, ground):
@@ -582,6 +618,8 @@ def test_atom_cache_pickles_as_its_directory(tmp_path):
     lambda atoms: {"atoms": atoms},  # not a list
     # a string is the whole entry: lists nested past the recursion limit of json.loads
     lambda atoms: "[" * 200000 + "]" * 200000,
+    # e * 3e in its (length, vector) place: +-e +-3e is +-2 or +-4, never 0, in C8
+    lambda atoms: sorted(atoms + [[1, 1]], key=lambda v: (sum(v), v)),
 ])
 def test_tampered_cache_entry_is_rejected(tmp_path, tamper):
     g8 = make_group([8])

@@ -44,6 +44,20 @@ def test_atoms_command(capsys):
     assert "4 atoms" in out
 
 
+def test_trivial_group_element_is_written_as_empty_parentheses(capsys):
+    # C1 has rank 0, so its one element has no coordinates; () names it there and nowhere else
+    code, out, _ = run_cli(capsys, "atoms", "C1", "[()]", "--format", "json")
+    assert code == EXIT_OK
+    data = json.loads(out)
+    assert data["atoms"] == [] and data["includes_zero"] and data["max_length"] == 1
+    code, out, _ = run_cli(capsys, "lengths", "C1", "[()^3]", "--format", "json")
+    assert code == EXIT_OK
+    assert json.loads(out)["lengths"] == [3]
+    code, _, err = run_cli(capsys, "atoms", "C2", "[()]")
+    assert code == EXIT_DOMAIN
+    assert "empty element literal '()'" in err
+
+
 def test_min_delta_command(capsys):
     code, out, _ = run_cli(capsys, "min-delta", "C8", "[(1),(3)]")
     assert code == EXIT_OK

@@ -20,13 +20,14 @@ from pmzs import (
     make_group,
 )
 from pmzs import groups
-from pmzs.groups import _minimal_zero_sums, _prime_factorization, _span_type, signed_shift_mask
+from pmzs.groups import _minimal_zero_sums, _prime_factorization, _span_type
 from helpers import (
     brute_automorphisms,
     brute_minimal_zero_sums,
     brute_shift_mask,
     brute_subgroup_generated,
     element_sum,
+    signed_shift_mask,
     small_group_list,
 )
 
@@ -154,15 +155,16 @@ def test_element_order():
 
 def _translate(group, mask, gi):
     """A bitmask translated by the element of index gi through the group's
-    block rotations, as the walk and signed_shift_mask apply them."""
+    block rotations, as the walk and the earlier-atom oracle apply them."""
     for lo, up, hi, down in group._shift_steps[gi]:
         mask = (mask & lo) << up | (mask & hi) >> down
     return mask
 
 
 def test_shift_mask_matches_bit_loop():
-    # the block rotations against the addition table, for every element of
-    # every abelian group of order 1..32
+    # the block rotations, and the signed shift of the earlier-atom oracle,
+    # against the addition table, for every element of every abelian group
+    # of order 1..32
     rng = random.Random(41)
     for g in [make_group([])] + small_group_list(32):
         full = (1 << g.order) - 1

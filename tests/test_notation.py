@@ -36,6 +36,13 @@ def test_parse_element():
             parse_subset(g8, bad)
         with pytest.raises(DomainError):
             parse_sequence(g8, bad)
+    # the trivial group's one element has no coordinates
+    g1 = make_group([])
+    assert parse_subset(g1, "[()]")[0].coords == ()
+    assert len(parse_sequence(g1, "[()^3]")) == 3
+    for bad in ("[(0)]", "[(x)]"):
+        with pytest.raises(DomainError):
+            parse_subset(g1, bad)
 
 
 def test_parse_subset():
