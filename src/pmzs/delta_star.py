@@ -1,47 +1,42 @@
 """The set of minimal distances over all divisor-closed submonoids.
 
 Every divisor-closed submonoid of the signed zero-sum monoid over G is the
-signed zero-sum monoid over some subset of G, so the set of minimal distances
-is swept by computing min Delta over subsets of the nonzero elements.  Two
-facts about these monoids decide the sweep:
+one over a subset of G, so min Delta is swept over subsets of G minus 0.
+Two facts decide the sweep:
 
-* orbit reduction: an automorphism of G maps the monoid over S isomorphically
-  onto the monoid over phi(S), and folding an element onto its negative
-  preserves all sets of lengths, so one canonical representative per orbit of
-  subsets of the folded universe is evaluated.  Subsets are bitmasks with the
-  least element in the highest bit, so the canonical form (the least sorted
-  image) is the largest image mask, and an image mask is a sum of the image
-  bits that each automorphism from the search gives (u and -u share a bit).
-  The listing of every orbit walks the masks upwards and lists each orbit
-  once, from its first mask, at one pass over the maps per orbit;
+* orbit reduction: an automorphism of G maps the monoid over S onto the one
+  over phi(S), and folding u onto -u keeps all sets of lengths, so one
+  canonical subset per orbit in the folded universe is evaluated.  With the
+  least element in the highest bit, the canonical form (the least sorted
+  image) is the largest image mask, built bit by bit from the top over
+  image planes.  Orbits are listed by orderly generation;
 * the down-set: for S a subset of T, the monoid over S is divisor-closed in
-  the monoid over T, so Delta(S) is contained in Delta(T).  The lattice
-  computation yields gcd Delta, which equals min Delta, so the subsets whose
-  value is not 1 (min Delta >= 2 or an empty distance set) are closed under
-  taking subsets; Delta* minus {1} is read off them.
+  the one over T, so Delta(S) is in Delta(T), and min Delta = gcd Delta
+  (the lattice computation).  So the subsets whose value is not 1 (min
+  Delta >= 2 or no distance) are closed under taking subsets, and Delta*
+  minus {1} is read off them.
 
 The sweep walks that down-set level by level (Apriori candidate generation
-with canonical augmentation).  Level 1 is the canonical singletons; the
-candidates of size k + 1 are the canonical one-element extensions of level-k
-rows whose value is not 1, kept only if every one-smaller subset canonicalizes
-into the down-set.  Every cap grows with the subset (support size, D(<S>),
-the Davenport-order test), so a row skipped over a cap is not extended.
+with canonical augmentation): the candidates of size k + 1 are the
+canonical one-element extensions of level-k rows whose value is not 1 whose
+one-smaller subsets all canonicalize into the down-set.  Every cap grows
+with the subset, so a row skipped over a cap is not extended.
 
 Up to ``max_sweep_order`` the table lists every orbit: a row the walk did not
-evaluate has a subset with value 1 and gets 1, or is skipped when over a cap.
+evaluate has a subset with value 1 and gets 1, or is skipped over a cap.
 Above it the table lists the evaluated rows only.  ``prune=False`` evaluates
-every orbit representative, as a reference path.  Both read the one listing
-of every orbit, which refuses over the sweep cap without pruning and over
+every orbit, as a reference path.  Both read the one listing of every orbit,
+which refuses over the sweep cap without pruning and over
 ``MAX_LISTED_UNIVERSE`` folded elements, before any row is evaluated.
 
-This module is the sweep alone; the checks that read its reports, and the
-characterization records built from them, are in :mod:`pmzs.suite`.
+The checks that read its reports are in :mod:`pmzs.suite`.
 """
 
 from __future__ import annotations
 
-from functools import partial
-from operator import itemgetter
+from functools import partial, reduce
+from itertools import compress
+from operator import itemgetter, or_
 
 from .atoms import AtomCache, check_atom_caps
 from .errors import ResourceLimitError
@@ -55,72 +50,90 @@ from .relations import min_delta
 
 
 MAX_LISTED_UNIVERSE = 26
-"""The most folded elements whose subsets the orbit listing marks, at one byte each (64 MiB)."""
+"""The most folded elements whose orbits are listed (C64 folds onto 32: 2^32 / 16 orbits)."""
 
 
 class _FoldedOrbits:
     """Subsets of the folded universe as bitmasks, and their orbits under Aut(G) and sign.
 
-    The folded universe u_0 < ... < u_{k-1} gives u_r and -u_r the bit
-    1 << (k - 1 - r), and 0 the bit 0.  Of two subsets of one size, the
-    smaller sorted tuple then has the larger mask (the least element of their
-    symmetric difference is the highest bit where they differ), so the least
-    sorted image of a subset is its largest image mask.  An automorphism p
-    becomes the tuple of image bits ``bit_of[p[i]]`` indexed by element index
-    i, built straight from the search; p and -p give the same tuple, which is
-    kept once.  A map is injective on a folded subset, so an image mask is the
-    sum of the image bits of its members.
+    u_r and -u_r get the bit 1 << (k - 1 - r): of two subsets of one size the
+    smaller sorted tuple has the larger mask.  Of p and -p (alike here) the
+    one that sends x != -x below -p(x) is a bit of ``maps``; the plane
+    ``planes[t][r]`` holds the maps that send u_r to +-u_t (0 at r = k), and
+    ``reach[r]`` has byte t set for u_t in the orbit of u_r.
     """
 
     def __init__(self, group: Group):
         auts = automorphisms(group)  # refused before any table is built
         self.group = group
-        self.universe = fold_negatives(group, range(1, group.order))
-        k = len(self.universe)
+        self.universe = universe = fold_negatives(group, range(1, group.order))
+        k = len(universe)
         self.units = tuple(1 << (k - 1 - r) for r in range(k))
-        self.bit_of = bit_of = [0] * group.order
-        for u, unit in zip(self.universe, self.units):
-            bit_of[u] = bit_of[group._neg[u]] = unit
-        self.bit_maps = list(dict.fromkeys(tuple(map(bit_of.__getitem__, perm)) for perm in auts))
+        neg = group._neg
+        slot = [k] * group.order
+        for r, u in enumerate(universe):
+            slot[u] = slot[neg[u]] = r
+        x = next((u for u in universe if neg[u] != u), None)
+        images = []
+        while auts:  # free the permutations first: they pin the search's ints
+            perm = auts.pop()
+            if x is None or perm[x] < neg[perm[x]]:
+                images.append(list(map(slot.__getitem__, map(perm.__getitem__, universe))))
+        self.maps = (1 << len(images)) - 1
+        self.planes = planes = [[0] * (k + 1) for _ in universe]
+        while images:
+            bit = 1 << len(images) - 1
+            for r, plane in enumerate(map(planes.__getitem__, images.pop())):
+                plane[r] = plane[r] | bit if plane[r] else bit  # one map: share its bit
+        self.reach = [int.from_bytes(bytes(map(bool, map(itemgetter(r), planes))), "big") for r in range(k)] + [0]
+        self._targets = tuple(zip(self.units, planes))
         self._canonical: dict[int, int] = {}
 
-    def members(self, mask: int) -> tuple[int, ...]:
-        return tuple(u for u, unit in zip(self.universe, self.units) if mask & unit)
+    def positions(self, mask: int):
+        k, found = len(self.units), []
+        while mask:
+            found.append(k - mask.bit_length())
+            mask ^= self.units[found[-1]]
+        return found
 
-    def images(self, mask: int):
-        """The image masks of a nonempty mask under every map; index 0, the zero
-        element with image bit 0, keeps the getter's result a tuple."""
-        return map(sum, map(itemgetter(0, *self.members(mask)), self.bit_maps))
+    def members(self, mask: int) -> tuple[int, ...]:
+        return tuple(map(self.universe.__getitem__, self.positions(mask)))
+
+    def extensions(self, mask: int):
+        """The mask plus each unit below its lowest bit (every unit for 0)."""
+        k = len(self.units)
+        return [mask | unit for unit in self.units[k + 1 - (mask & -mask or 1 << k).bit_length():]]
 
     def canonical(self, mask: int) -> int:
+        """The largest image: down the bits its members reach, a bit reached
+        under a map of ``alive`` beats any image without it."""
         found = self._canonical.get(mask)
         if found is None:
-            found = self._canonical[mask] = max(self.images(mask))
+            k = len(self.units)
+            getter = itemgetter(k, *self.positions(mask))
+            alive, found, left = self.maps, 0, mask.bit_count()
+            for unit, plane in compress(self._targets, reduce(or_, getter(self.reach)).to_bytes(k, "big")):
+                if reach := sum(getter(plane)) & alive:  # planes are disjoint
+                    alive, found, left = reach, found | unit, left - 1
+                    if not left:
+                        break
+            self._canonical[mask] = found
         return found
 
     def representatives(self, max_order: int) -> list[int]:
-        """The canonical mask of every orbit of nonempty subsets, in table order.
-
-        Masks are walked upwards and each orbit is listed once, from its first
-        mask: its images are marked seen and the largest is kept.  The marks
-        are one byte per mask, so the listing holds 2^k bytes, not 2^k ints.
-        This is the one walk over every subset, so it owns the refusals: a
-        group over the sweep cap ``max_order``, and a folded universe of more
-        than ``MAX_LISTED_UNIVERSE`` elements.
-        """
+        """The canonical mask of every orbit, in table order, by orderly
+        generation: a largest image minus its lowest bit is one, so the
+        extensions that are canonical list each orbit once.  The listing
+        owns both refusals (``max_order``, ``MAX_LISTED_UNIVERSE``)."""
         if self.group.order > max_order:
             raise ResourceLimitError(f"an unpruned sweep evaluates every orbit, capped at order {max_order}")
         k = len(self.universe)
         if k > MAX_LISTED_UNIVERSE:
             raise ResourceLimitError(f"orbit listing capped at {MAX_LISTED_UNIVERSE} folded elements; {self.group} folds onto {k}")
-        seen = bytearray(1 << k)
-        reps = []
-        for mask in range(1, len(seen)):
-            if not seen[mask]:
-                orbit = set(self.images(mask))
-                for image in orbit:
-                    seen[image] = 1
-                reps.append(max(orbit))
+        reps, level = [], [0]
+        while level:
+            level = [ext for rep in level for ext in self.extensions(rep) if self.canonical(ext) == ext]
+            reps += level
         return _by_size(reps)
 
 
@@ -202,15 +215,11 @@ def delta_star(
 ) -> DeltaStarReport:
     """Sweep minimal distances over subsets of G minus 0 by the down-set walk.
 
-    The table lists every orbit for groups of order up to the sweep cap and
-    the evaluated rows above it.  Resource failures land in ``skipped``, never
-    in the value table, and the report is complete iff nothing was skipped.
-    ``prune=False`` evaluates every orbit representative instead.  Listing
-    every orbit raises :class:`ResourceLimitError` before any row is
-    evaluated (see :meth:`_FoldedOrbits.representatives`).
-
-    Each level's rows go through one ``map_rows(function, reps)`` call; an
-    executor's ``map`` spreads them over processes, with the same report.
+    Resource failures land in ``skipped``, never in the value table, and the
+    report is complete iff nothing was skipped.  A refused listing raises
+    :class:`ResourceLimitError` before any row is evaluated.  Each level's
+    rows go through one ``map_rows(function, reps)`` call; an executor's
+    ``map`` spreads them over processes, with the same report.
     """
     orbits = _FoldedOrbits(group)
     listed = group.order <= limits.max_sweep_order
@@ -231,10 +240,8 @@ def delta_star(
         units = orbits.units
         down = down_set_rows({orbits.canonical(unit) for unit in units})
         while down:
-            # a largest image minus its lowest bit (its largest element) is
-            # a largest image, so extending by lower bits reaches every
-            # canonical candidate
-            extensions = {orbits.canonical(rep | unit) for rep in down for unit in units if unit < rep & -rep}
+            # a largest image minus its lowest bit is a largest image
+            extensions = {orbits.canonical(ext) for rep in down for ext in orbits.extensions(rep)}
             down = down_set_rows(
                 ext for ext in extensions
                 if all(orbits.canonical(ext ^ unit) in down for unit in units if ext & unit)

@@ -28,7 +28,7 @@ def parse_group(text: str) -> Group:
     if not cleaned:
         raise DomainError("empty group literal")
     orders = []
-    for part in re.split(r"[xX]", cleaned):
+    for part in cleaned.replace("X", "x").split("x"):
         m = _FACTOR_RE.match(part)
         if not m:
             raise DomainError(f"unrecognized group literal {text!r} (expected e.g. 'C2xC4')")

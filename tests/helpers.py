@@ -10,7 +10,9 @@ are second mechanisms for a library result: the earlier-atom rule
 the minimal-zero-sum walk, and :func:`integer_kernel_basis` computes the
 lattice of relations that the echelon form behind min delta reads.  The CLI's
 argv parser is checked against the argparse parser it replaced
-(:func:`argparse_parse_args`).
+(:func:`argparse_parse_args`), and the sweep's canonical forms and orbit
+listing against a maximum over one image mask per map and a listing that
+marks every subset (:class:`PerMapOrbits`).
 """
 
 from __future__ import annotations
@@ -25,9 +27,11 @@ import sys
 import time
 from collections import Counter
 from itertools import combinations_with_replacement, product
+from operator import itemgetter
 from pathlib import Path
 
 from pmzs import DEFAULT_LIMITS, AtomSet, DomainError, Group, GroupElement, Sequence, abelian_group_types, make_group
+from pmzs.groups import automorphisms
 
 
 REPO = Path(__file__).resolve().parents[1]
@@ -138,6 +142,51 @@ def brute_automorphisms(group: Group) -> list[tuple[int, ...]]:
         if len(set(perm)) == group.order:
             out.append(tuple(perm))
     return out
+
+
+class PerMapOrbits:
+    """The sweep's canonical forms and orbit listing, one image per map.
+
+    Each automorphism from the search gives every element an image bit (u
+    and -u share the bit of the folded universe, 0 has the bit 0; p and -p
+    give the same bits and count once), kept as one column of bits over the
+    maps per element.  A map is injective on a folded subset, so an image
+    mask is the sum of its members' bits, and the canonical form is the
+    largest image over every map.  The listing walks the masks upwards,
+    marks the orbit of each unmarked mask and keeps its largest image.
+    """
+
+    def __init__(self, orbits):
+        group = orbits.group
+        self.orbits = orbits
+        bit_of = [0] * group.order
+        for u, unit in zip(orbits.universe, orbits.units):
+            bit_of[u] = bit_of[group._neg[u]] = unit
+        bit_maps = dict.fromkeys(tuple(map(bit_of.__getitem__, perm)) for perm in automorphisms(group))
+        self.columns = list(zip(*bit_maps))
+
+    def images(self, mask: int):
+        members = [u for u, unit in zip(self.orbits.universe, self.orbits.units) if mask & unit]
+        return map(sum, zip(*map(self.columns.__getitem__, members)))
+
+    def canonical(self, mask: int) -> int:
+        return max(self.images(mask))
+
+    def listing(self, canonical_of: dict[int, int] | None = None) -> list[int]:
+        """Every orbit's largest image mask in table order; fills
+        ``canonical_of`` with the canonical form of every mask when given."""
+        seen = bytearray(1 << len(self.orbits.universe))
+        reps = []
+        for mask in range(1, len(seen)):
+            if not seen[mask]:
+                orbit = set(self.images(mask))
+                top = max(orbit)
+                for image in orbit:
+                    seen[image] = 1
+                if canonical_of is not None:
+                    canonical_of.update(dict.fromkeys(orbit, top))
+                reps.append(top)
+        return sorted(reps, key=lambda mask: (mask.bit_count(), -mask))
 
 
 def brute_shift_mask(group: Group, mask: int, gi: int) -> int:

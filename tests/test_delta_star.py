@@ -19,7 +19,7 @@ from pmzs import (
 from pmzs.delta_star import _FoldedOrbits
 from pmzs.errors import ResourceLimitError
 from pmzs.groups import Group, automorphisms, fold_negatives
-from helpers import small_group_list
+from helpers import PerMapOrbits, small_group_list
 
 
 def indices(group, *coords_list):
@@ -35,7 +35,26 @@ def orbit_listing(group):
 
 def canonical_form(orbits, group, subset):
     """The least image of a subset under the folded maps, computed on masks as the sweep does."""
-    return orbits.members(orbits.canonical(sum(orbits.bit_of[i] for i in fold_negatives(group, subset))))
+    folded = fold_negatives(group, subset)
+    return orbits.members(orbits.canonical(sum(unit for u, unit in zip(orbits.universe, orbits.units) if u in folded)))
+
+
+def plane_permutations(orbits):
+    """Each map's permutation of the folded universe, read off the image planes:
+    map m sends u_r to +-u_t when bit m of ``planes[t][r]`` is set.  Each
+    element must sit at exactly one bit under every map."""
+    k = len(orbits.universe)
+    perms = [[None] * k for _ in range(orbits.maps.bit_length())]
+    assert orbits.maps == (1 << len(perms)) - 1
+    for t, plane in enumerate(orbits.planes):
+        assert plane[k] == 0
+        for r, maps in enumerate(plane[:k]):
+            while maps:
+                m = (maps & -maps).bit_length() - 1
+                maps &= maps - 1
+                assert perms[m][r] is None, f"map {m} sends u_{r} to two bits"
+                perms[m][r] = t
+    return perms
 
 
 def test_subset_orbits_c3():
@@ -157,28 +176,35 @@ def test_subset_orbits_refuses_over_the_sweep_cap():
 
 def test_subset_orbits_count_by_burnside():
     # Burnside's lemma counts the orbits of the folded maps, a permutation group
-    # of the folded universe, on its subsets: the mean of 2^cycles, less the empty set
-    for group in small_group_list(16):
-        orbits = _FoldedOrbits(group)
-        element_of = dict(zip(orbits.units, orbits.universe))
+    # of the folded universe, on its subsets: the mean of 2^cycles, less the
+    # empty set; C2^3xC4 has 4,023 orbits, and C2^5 is refused
+    refused = []
+    for group in small_group_list(32):
+        try:
+            orbits = _FoldedOrbits(group)
+        except ResourceLimitError:
+            refused.append(str(group))
+            continue
+        perms = plane_permutations(orbits)
         fixed = 0
-        for bits in orbits.bit_maps:
-            unseen = set(orbits.universe)
+        for perm in perms:
+            unseen = set(range(len(perm)))
             cycles = 0
             while unseen:
                 cycles += 1
-                u = unseen.pop()
-                while element_of[bits[u]] in unseen:
-                    u = element_of[bits[u]]
-                    unseen.remove(u)
+                r = unseen.pop()
+                while perm[r] in unseen:
+                    r = perm[r]
+                    unseen.remove(r)
             fixed += 2**cycles
-        assert fixed % len(orbits.bit_maps) == 0, str(group)
-        assert len(orbit_listing(group)) == fixed // len(orbits.bit_maps) - 1, str(group)
+        assert fixed % len(perms) == 0, str(group)
+        assert len(orbit_listing(group)) == fixed // len(perms) - 1, str(group)
+    assert refused == ["C2xC2xC2xC2xC2"]
 
 
-def test_bit_maps_permute_the_folded_universe():
-    # each map, read on the folded universe, sends its elements onto the unit
-    # bits one to one, and 0 to the bit 0; only C2^5 is refused by the
+def test_image_planes_permute_the_folded_universe():
+    # under each map every folded element sits at exactly one bit and every
+    # bit receives exactly one element; only C2^5 is refused by the
     # automorphism search among the groups of order up to 32
     refused = []
     for group in small_group_list(32):
@@ -187,11 +213,54 @@ def test_bit_maps_permute_the_folded_universe():
         except ResourceLimitError:
             refused.append(str(group))
             continue
-        assert orbits.bit_of[0] == 0, str(group)
-        for bits in orbits.bit_maps:
-            assert bits[0] == 0, str(group)
-            assert sorted(bits[u] for u in orbits.universe) == sorted(orbits.units), str(group)
+        for perm in plane_permutations(orbits):
+            assert sorted(perm) == list(range(len(orbits.universe))), str(group)
     assert refused == ["C2xC2xC2xC2xC2"]
+
+
+def test_canonical_form_matches_the_per_map_oracle_on_every_mask():
+    # the greedy form over the planes against the largest image over every
+    # map, and the orderly listing against the listing that marks every subset
+    for group in small_group_list(16):
+        orbits = _FoldedOrbits(group)
+        oracle = PerMapOrbits(orbits)
+        canonical_of = {}
+        assert orbits.representatives(group.order) == oracle.listing(canonical_of), str(group)
+        assert len(canonical_of) == 2 ** len(orbits.universe) - 1
+        assert all(orbits.canonical(mask) == top for mask, top in canonical_of.items()), str(group)
+
+
+@pytest.mark.parametrize(
+    "spec, limits",
+    [
+        ("C4xC4", Limits(max_sweep_order=16, max_support=8, max_atom_length=20)),
+        ("C2xC2xC2xC4", Limits()),
+        ("C2xC4xC8", Limits(max_atom_length=64)),
+    ],
+)
+def test_canonical_form_matches_the_per_map_oracle_on_sweep_queries(monkeypatch, spec, limits):
+    # every mask the sweep canonicalizes: the benchmark's C4xC4 sweep, and
+    # the two sweeps whose canonical forms cost the most per map
+    asked = {}
+    canonical = _FoldedOrbits.canonical
+
+    def recorded(orbits, mask):
+        asked.setdefault(orbits, set()).add(mask)
+        return canonical(orbits, mask)
+
+    monkeypatch.setattr(_FoldedOrbits, "canonical", recorded)
+    delta_star(parse_group(spec), limits=limits)
+    ((orbits, masks),) = asked.items()
+    oracle = PerMapOrbits(orbits)
+    assert all(canonical(orbits, mask) == oracle.canonical(mask) for mask in masks), spec
+
+
+@pytest.mark.parametrize("group", [g for g in small_group_list(32) if 16 < g.order and g.rank < 5], ids=str)
+def test_orderly_listing_matches_the_marks_listing(group):
+    # every group of order 17 to 32 whose listing fits (C2^5 is refused),
+    # C2^3xC4 among them; order 16 and below is covered mask by mask above
+    orbits = _FoldedOrbits(group)
+    assert orbits.representatives(group.order) == PerMapOrbits(orbits).listing(), str(group)
 
 
 def test_orbit_listing_bound_is_on_the_folded_universe(monkeypatch):
@@ -218,7 +287,7 @@ def test_canonical_subset_matches_least_folded_image():
         group = parse_group(spec)
         auts = automorphisms(group)
         orbits = _FoldedOrbits(group)
-        assert len(orbits.bit_maps) == (len(auts) if spec == "C2xC2xC2xC2" else len(auts) // 2), spec
+        assert orbits.maps.bit_count() == (len(auts) if spec == "C2xC2xC2xC2" else len(auts) // 2), spec
         nonzero = range(1, group.order)
         for _ in range(samples):
             subset = tuple(sorted(rng.sample(nonzero, rng.randrange(1, 8))))
@@ -291,7 +360,7 @@ def test_odd_order_mixed_coordinate_construction():
 
 def test_complete_report_invariants():
     from pmzs import davenport_monoid
-    from helpers import small_group_list
+    from helpers import PerMapOrbits, small_group_list
 
     for group in small_group_list(9):
         report = delta_star(group)

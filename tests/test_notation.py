@@ -20,6 +20,16 @@ def test_parse_group_errors():
             parse_group(bad)
 
 
+def test_parse_group_splits_on_either_case_of_x():
+    # factors split on x and X alike; an empty factor is not a cyclic group
+    assert parse_group("c2 x C4") == parse_group("C4XC2") == make_group([2, 4])
+    for bad in ("C4xx", "Cx", "C4X"):
+        with pytest.raises(DomainError, match=f"^unrecognized group literal '{bad}' \\(expected e.g. 'C2xC4'\\)$"):
+            parse_group(bad)
+    with pytest.raises(DomainError, match="^invalid cyclic order 0 in group literal 'C0XC2'$"):
+        parse_group("C0XC2")
+
+
 def test_group_format_round_trip():
     for spec in ("C1", "C5", "C2xC4", "C2xC2xC2", "C3xC6"):
         assert format_group(parse_group(spec)) == spec
