@@ -3,7 +3,9 @@ plus-minus weighted zero-sum sequences over a subset of a finite abelian group.
 
 Atoms are enumerated over the folded ground set fold S
 (:func:`pmzs.groups.fold_negatives`), once per folded set per process, and an
-:class:`AtomSet` holds that folded list; every invariant reads it.  The fold
+:class:`AtomSet` holds that folded list; every invariant reads it.  A
+one-element set {g} is enumerated once per order: its atoms are those over
+{1} in C_ord(g) (:func:`_cyclic_atom_vectors`).  The fold
 phi sends g and -g to min(g, -g) and sums their multiplicities.
 Giving the copies of -g the opposite sign turns a signed zero sum over fold S
 into one over S and back, so phi preserves and reflects zero sums; and any
@@ -77,10 +79,12 @@ from .groups import (
     _check_walk_masks,
     _minimal_zero_sums,
     _span_type,
+    _walk_steps,
     _zero_sum_count,
     davenport,
     fold_negatives,
     fold_positions,
+    make_group,
 )
 from .limits import DEFAULT_LIMITS, Limits
 from .notation import format_group, subset_to_json
@@ -189,8 +193,29 @@ def _minimal_zero_sum_atom_vectors(group: Group, folded: tuple[int, ...]) -> lis
 
 @lru_cache(maxsize=1024)
 def _folded_atom_vectors(group: Group, folded: tuple[int, ...]) -> tuple[tuple[int, ...], ...]:
-    """The atom list over a folded ground set, enumerated once per process."""
+    """The atom list over a folded ground set, enumerated once per process.
+
+    A one-element set {g} reads :func:`_cyclic_atom_vectors` of ord(g), so
+    its list is enumerated once per order.  The walk over {g} in ``group``
+    is first held to its own mask budget, so whether it is refused does not
+    depend on which order the process walked before.
+    """
+    if len(folded) == 1:
+        _check_walk_masks(group, _walk_steps(group, folded))
+        return _cyclic_atom_vectors(group.element_at(folded[0]).order())
     return tuple(_minimal_zero_sum_atom_vectors(group, folded))
+
+
+@lru_cache(maxsize=1024)
+def _cyclic_atom_vectors(order: int) -> tuple[tuple[int, ...], ...]:
+    """The atom list over {1} in C_order, enumerated once per order.
+
+    It is the list over every {g} with ord(g) = order: by the definition of
+    B+-({g}), g^m is a signed zero sum iff ord(g) divides 2k - m for some
+    k = 0..m, so the signed zero sums over {g}, and the atoms among them,
+    depend on ord(g) only.
+    """
+    return tuple(_minimal_zero_sum_atom_vectors(make_group([order]), (1,)))
 
 
 def _lift(source: tuple[int, ...], atoms: tuple[tuple[int, ...], ...]) -> tuple[tuple[int, ...], ...]:

@@ -625,6 +625,19 @@ def _check_walk_masks(group: Group, steps: int) -> None:
         )
 
 
+def _walk_steps(group: Group, folded: Iterable[int]) -> int:
+    """The distinct (coordinate, value) steps of U = F u -F, two |G|-bit
+    masks each: a value c != 0 of coordinate k of an element of F, and the
+    value n_k - c of its negative.  U is closed under negation, so the steps
+    by -u over U are those by u."""
+    steps = set()
+    for gi in folded:
+        for k, (n, stride) in enumerate(group._radix):
+            if c := gi // stride % n:
+                steps |= {(k, c), (k, n - c)}
+    return len(steps)
+
+
 def _minimal_zero_sums(group: Group, folded: tuple[int, ...], weights: tuple[int, ...]) -> dict[int, int]:
     """The minimal zero-sum sequences w over U = F u -F, for F a folded set
     of nonzero element indices, one of each pair {w, -w}, counted by their
@@ -663,11 +676,7 @@ def _minimal_zero_sums(group: Group, folded: tuple[int, ...], weights: tuple[int
         pair = (gi,) if neg[gi] == gi else (gi, neg[gi])
         elements += pair
         keys += (weight,) * len(pair)
-    # the distinct steps (k, c) of U, two |G|-bit masks each; U is closed
-    # under negation, so the steps by -u over U are those by u
-    radix = group._radix
-    needed = len({(k, c) for gi in elements for k, (n, stride) in enumerate(radix) if (c := gi // stride % n)})
-    _check_walk_masks(group, needed)
+    _check_walk_masks(group, _walk_steps(group, folded))
     steps = group._shift_steps
     position = {gi: p for p, gi in enumerate(elements)}
     # from each position on: the term, its key and the rotations that translate by -u

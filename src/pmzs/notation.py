@@ -8,18 +8,19 @@ Grammar accepted by the parsers:
   of the trivial group
 * subset:   ``[(1),(3)]`` (duplicates rejected)
 * sequence: ``[(1,0)^2, (0,3)]`` with ``^mult`` optional
+
+Cyclic orders and multiplicities are runs of decimal digits
+(``str.isdecimal``, so other scripts' digits count too), and whitespace
+(``str.isspace``) may surround a term, its ``^`` and its comma.  The
+parsers use ``str`` methods only, so no pattern is compiled at import or
+on a call.
 """
 
 from __future__ import annotations
 
-import re
-
 from .errors import DomainError
 from .groups import Group, GroupElement, make_group
 from .sequences import Sequence
-
-_FACTOR_RE = re.compile(r"^c(\d+)$", re.IGNORECASE)
-_ELEMENT_RE = re.compile(r"\(([^()]*)\)")
 
 
 def parse_group(text: str) -> Group:
@@ -29,10 +30,12 @@ def parse_group(text: str) -> Group:
         raise DomainError("empty group literal")
     orders = []
     for part in cleaned.replace("X", "x").split("x"):
-        m = _FACTOR_RE.match(part)
-        if not m:
+        # a factor is c or C and decimal digits; one newline may end it, as
+        # at the end of a line read from a file
+        digits = part[1:-1] if part.endswith("\n") else part[1:]
+        if part[:1] not in ("c", "C") or not digits.isdecimal():
             raise DomainError(f"unrecognized group literal {text!r} (expected e.g. 'C2xC4')")
-        n = int(m.group(1))
+        n = int(digits)
         if n == 0:
             raise DomainError(f"invalid cyclic order 0 in group literal {text!r}")
         if n > 1:
@@ -59,6 +62,32 @@ def _parse_coords(body: str, group: Group) -> GroupElement:
     return group.element(coords)
 
 
+def _subset_bodies(inner: str) -> list[str]:
+    """The bodies of the terms ``(...)`` of a subset literal's inside, which
+    hold no parenthesis; none when anything but commas and whitespace lies
+    between the terms."""
+    bodies = []
+    pos = 0
+    while True:
+        start = inner.find("(", pos)
+        between = inner[pos:] if start < 0 else inner[pos:start]
+        if between.replace(",", "").strip():
+            return []
+        if start < 0:
+            return bodies
+        close = inner.find(")", start)
+        if close < 0 or "(" in inner[start + 1 : close]:
+            return []
+        bodies.append(inner[start + 1 : close])
+        pos = close + 1
+
+
+def _skip_space(text: str, pos: int) -> int:
+    while pos < len(text) and text[pos].isspace():
+        pos += 1
+    return pos
+
+
 def parse_subset(group: Group, text: str) -> tuple[GroupElement, ...]:
     """Parse a subset literal like ``[(1,0),(0,1)]``; order is normalized, duplicates rejected."""
     text = text.strip()
@@ -69,9 +98,8 @@ def parse_subset(group: Group, text: str) -> tuple[GroupElement, ...]:
         return ()
     if "^" in inner:
         raise DomainError("subset literals take no multiplicities; use a sequence literal instead")
-    bodies = _ELEMENT_RE.findall(inner)
-    leftover = _ELEMENT_RE.sub("", inner).replace(",", "").strip()
-    if not bodies or leftover:
+    bodies = _subset_bodies(inner)
+    if not bodies:
         raise DomainError(f"malformed subset literal {text!r}")
     elems = [_parse_coords(b, group) for b in bodies]
     indices = [g.index for g in elems]
@@ -90,16 +118,30 @@ def parse_sequence(group: Group, text: str) -> Sequence:
         return Sequence.empty(group)
     items: list[tuple[GroupElement, int]] = []
     pos = 0
-    term_re = re.compile(r"\s*\(([^()]*)\)\s*(?:\^\s*(\d+))?\s*(?:,|$)")
+    # each term is ``(coords)``, then ``^mult`` if any, then a comma or the
+    # end; whitespace may come before and after each of its parts
     while pos < len(inner):
-        m = term_re.match(inner, pos)
-        if not m:
+        start = _skip_space(inner, pos)
+        close = inner.find(")", start)
+        if not inner.startswith("(", start) or close < 0 or "(" in inner[start + 1 : close]:
             raise DomainError(f"malformed sequence literal {text!r}")
-        mult = int(m.group(2)) if m.group(2) else 1
+        pos = _skip_space(inner, close + 1)
+        mult = 1
+        if inner.startswith("^", pos):
+            digits = pos = _skip_space(inner, pos + 1)
+            while pos < len(inner) and inner[pos].isdecimal():
+                pos += 1
+            if pos == digits:
+                raise DomainError(f"malformed sequence literal {text!r}")
+            mult = int(inner[digits:pos])
+            pos = _skip_space(inner, pos)
+        if pos < len(inner):
+            if inner[pos] != ",":
+                raise DomainError(f"malformed sequence literal {text!r}")
+            pos += 1
         if mult < 1:
             raise DomainError("sequence multiplicities must be >= 1")
-        items.append((_parse_coords(m.group(1), group), mult))
-        pos = m.end()
+        items.append((_parse_coords(inner[start + 1 : close], group), mult))
     return Sequence.from_items(group, items)
 
 

@@ -24,6 +24,7 @@ Every invariant here reads the atoms over the folded ground set that an
 
 from __future__ import annotations
 
+from functools import lru_cache
 from itertools import chain, combinations_with_replacement, product
 from typing import Iterable
 
@@ -99,72 +100,29 @@ def delta_of_lengths(lengths: Iterable[int]) -> tuple[int, ...]:
     return tuple(sorted({b - a for a, b in zip(ordered, ordered[1:])}))
 
 
-class Factorizer:
-    """Factorization queries against a fixed complete atom set.
+class _LengthDP:
+    """The length-mask DP over one folded atom list.
 
-    Lengths come from one memoized length-mask DP over residual exponent
-    vectors: ``mask(0) = 1`` and ``mask(r)`` is the OR of ``mask(r - a) << 1``
-    over the atoms ``a <= r``, so bit l is set iff r has a factorization of
+    ``mask(0) = 1`` and ``mask(r)`` is the OR of ``mask(r - a) << 1`` over
+    the atoms ``a <= r``, so bit l is set iff r has a factorization of
     length l (Geroldinger--Halter-Koch, *Non-Unique Factorizations*, 1.4).
     Only the atoms that cover the lowest nonzero field of r are tried, since
     every factorization of r holds one of them.  A residual is packed into one
-    int with a fixed-width field per ground element and a guard bit on top of
+    int with a fixed-width field per coordinate and a guard bit on top of
     each field: ``d = (r | G) - a`` keeps every guard bit iff ``a <= r``, and
     then ``d ^ G`` is ``r - a``.  The fields start wide enough for a product
-    of eight atoms; they are widened, and the memo dropped, when a query has
-    a coordinate that does not fit.  The full listing of
-    :meth:`factorizations` is memoized on (residual, first atom index).  Both
-    run on explicit stacks, so an element with more atom factors than
-    Python's recursion limit still factors.
-
-    The DP runs over the atoms of the folded ground set that the atom set
-    holds: the fold phi sums the coordinates of g and -g onto min(g, -g), and
-    it is a transfer homomorphism (see :mod:`pmzs.atoms`), so
-    L(v) = L(phi(v)).  Queries are answered at phi(v).  Only the listing of
-    :meth:`factorizations` reads the atoms over the ground set itself.
-
-    A query longer than 8 D(<S>) is refused.  D(<S>) is read on each query
-    from :func:`pmzs.atoms._span_davenport`, which computes it once per
-    folded ground set per process.
+    of eight atoms; they are widened, the atoms packed again and the memo
+    dropped, when a query has a coordinate that does not fit.  The DP runs on
+    an explicit stack, so an element with more atom factors than Python's
+    recursion limit still factors.
     """
 
-    def __init__(self, atom_set: AtomSet):
-        self.atom_set = atom_set
-        self._source = atom_set.source
-        self._width = len(set(self._source))
+    def __init__(self, atoms: tuple[tuple[int, ...], ...]):
+        self._atoms = atoms
+        self._width = len(atoms[0]) if atoms else 0
         # wide enough for a product of eight atoms; larger queries widen
-        top = max((max(vec) for vec in atom_set.folded), default=1)
+        top = max((max(vec) for vec in atoms), default=1)
         self._set_field_bits((8 * top).bit_length())
-        memo: dict[tuple[tuple[int, ...], int], tuple[tuple[int, ...], ...]] = {}
-
-        def suffix_factorizations(residual: tuple[int, ...], start: int) -> tuple[tuple[int, ...], ...]:
-            """Every factorization of the residual into the atoms of index
-            ``start`` on, each as a non-decreasing tuple of atom indices."""
-            vectors = atom_set.vectors
-            # post-order on an explicit stack: (r, first, None) lists the
-            # steps r - a_k, k >= first, and comes back as (r, first, steps)
-            # to be built, once, after every (r - a_k, k) is memoized
-            stack = [(residual, start, None)]
-            while stack:
-                r, first, steps = stack.pop()
-                if steps is None:
-                    if (r, first) in memo:
-                        continue
-                    if not any(r):
-                        memo[r, first] = ((),)
-                        continue
-                    steps = []
-                    for k in range(first, len(vectors)):
-                        vec = vectors[k]
-                        if all(a >= b for a, b in zip(r, vec)):
-                            steps.append((k, tuple(a - b for a, b in zip(r, vec))))
-                    stack.append((r, first, steps))
-                    stack.extend((rest, k, None) for k, rest in steps if (rest, k) not in memo)
-                else:
-                    memo[r, first] = tuple((k,) + suffix for k, rest in steps for suffix in memo[rest, k])
-            return memo[residual, start]
-
-        self._suffixes = suffix_factorizations
 
     def _set_field_bits(self, bits: int) -> None:
         """Pack with ``bits``-wide fields, so every coordinate below 2**bits fits,
@@ -172,7 +130,8 @@ class Factorizer:
         self._field_limit = 1 << bits
         self._stride = bits + 1
         guards = sum(1 << (i * self._stride + bits) for i in range(self._width))
-        per_field = [tuple(self._pack(vec) for vec in self.atom_set.folded if vec[i]) for i in range(self._width)]
+        packed = [self._pack(vec) for vec in self._atoms]
+        per_field = [tuple(p for vec, p in zip(self._atoms, packed) if vec[i]) for i in range(self._width)]
         # the atoms that cover the field holding each bit
         covering = [per_field[b // self._stride] for b in range(self._width * self._stride)]
         memo = {0: 1}
@@ -205,15 +164,87 @@ class Factorizer:
 
         self._mask = mask
 
+    def _pack(self, vec: tuple[int, ...]) -> int:
+        return sum(c << (i * self._stride) for i, c in enumerate(vec))
+
+    def mask(self, folded: tuple[int, ...]) -> int:
+        """Bitmask of the factorization lengths of an exponent vector over the folded ground set."""
+        top = max(folded, default=0)
+        if top >= self._field_limit:
+            self._set_field_bits(top.bit_length())
+        return self._mask(self._pack(folded))
+
+
+@lru_cache(maxsize=1024)
+def _length_dp(atoms: tuple[tuple[int, ...], ...]) -> _LengthDP:
+    """The length DP over a folded atom list, one per list per process, so
+    every :class:`Factorizer` over that list shares its memo."""
+    return _LengthDP(atoms)
+
+
+class Factorizer:
+    """Factorization queries against a fixed complete atom set.
+
+    Lengths come from the length-mask DP over the folded atom list
+    (:class:`_LengthDP`), one per atom list per process: every Factorizer
+    over that list, and so ``rho_k`` and the suite's length checks, share it.
+    The full listing of :meth:`factorizations` is memoized per Factorizer on
+    (residual, first atom index) and runs on an explicit stack, so an element
+    with more atom factors than Python's recursion limit still factors.
+
+    The DP runs over the atoms of the folded ground set that the atom set
+    holds: the fold phi sums the coordinates of g and -g onto min(g, -g), and
+    it is a transfer homomorphism (see :mod:`pmzs.atoms`), so
+    L(v) = L(phi(v)).  Queries are answered at phi(v).  Only the listing of
+    :meth:`factorizations` reads the atoms over the ground set itself.
+
+    A query longer than 8 D(<S>) is refused.  D(<S>) is read on each query
+    from :func:`pmzs.atoms._span_davenport`, which computes it once per
+    folded ground set per process.
+    """
+
+    def __init__(self, atom_set: AtomSet):
+        self.atom_set = atom_set
+        self._source = atom_set.source
+        self._width = len(set(self._source))
+        self._dp = _length_dp(atom_set.folded)
+        memo: dict[tuple[tuple[int, ...], int], tuple[tuple[int, ...], ...]] = {}
+
+        def suffix_factorizations(residual: tuple[int, ...], start: int) -> tuple[tuple[int, ...], ...]:
+            """Every factorization of the residual into the atoms of index
+            ``start`` on, each as a non-decreasing tuple of atom indices."""
+            vectors = atom_set.vectors
+            # post-order on an explicit stack: (r, first, None) lists the
+            # steps r - a_k, k >= first, and comes back as (r, first, steps)
+            # to be built, once, after every (r - a_k, k) is memoized
+            stack = [(residual, start, None)]
+            while stack:
+                r, first, steps = stack.pop()
+                if steps is None:
+                    if (r, first) in memo:
+                        continue
+                    if not any(r):
+                        memo[r, first] = ((),)
+                        continue
+                    steps = []
+                    for k in range(first, len(vectors)):
+                        vec = vectors[k]
+                        if all(a >= b for a, b in zip(r, vec)):
+                            steps.append((k, tuple(a - b for a, b in zip(r, vec))))
+                    stack.append((r, first, steps))
+                    stack.extend((rest, k, None) for k, rest in steps if (rest, k) not in memo)
+                else:
+                    memo[r, first] = tuple((k,) + suffix for k, rest in steps for suffix in memo[rest, k])
+            return memo[residual, start]
+
+        self._suffixes = suffix_factorizations
+
     def _fold(self, vec: tuple[int, ...]) -> tuple[int, ...]:
         """phi(vec): the coordinates of g and -g summed onto the folded one."""
         folded = [0] * self._width
         for j, c in zip(self._source, vec):
             folded[j] += c
         return tuple(folded)
-
-    def _pack(self, vec: tuple[int, ...]) -> int:
-        return sum(c << (i * self._stride) for i, c in enumerate(vec))
 
     def _mask_of(self, vec: tuple[int, ...]) -> int:
         """Bitmask of the factorization lengths of an exponent vector over the ground set."""
@@ -223,10 +254,7 @@ class Factorizer:
 
     def _folded_mask(self, folded: tuple[int, ...]) -> int:
         """Bitmask of the factorization lengths of an exponent vector over the folded ground set."""
-        top = max(folded, default=0)
-        if top >= self._field_limit:
-            self._set_field_bits(top.bit_length())
-        lengths = self._mask(self._pack(folded))
+        lengths = self._dp.mask(folded)
         if not lengths:
             raise AssertionError("a signed zero-sum element failed to factor over a complete atom set")
         return lengths

@@ -31,6 +31,8 @@ from operator import itemgetter
 from pathlib import Path
 
 from pmzs import DEFAULT_LIMITS, AtomSet, DomainError, Group, GroupElement, Sequence, abelian_group_types, make_group
+import pmzs.atoms
+import pmzs.relations
 from pmzs.groups import automorphisms
 
 
@@ -77,6 +79,16 @@ def _child_env(env: dict[str, str] | None) -> dict[str, str]:
     child_env["PYTHONPATH"] = str(REPO / "src")
     child_env.update(env or {})
     return child_env
+
+
+def clear_process_memos() -> None:
+    """Empty every per-process memo of atom lists, length DPs and span
+    Davenport constants, so a count of the work a run does does not depend
+    on which tests ran before it in the same process."""
+    pmzs.atoms._folded_atom_vectors.cache_clear()
+    pmzs.atoms._cyclic_atom_vectors.cache_clear()
+    pmzs.atoms._span_davenport.cache_clear()
+    pmzs.relations._length_dp.cache_clear()
 
 
 def small_group_list(max_order: int) -> list[Group]:

@@ -34,6 +34,7 @@ import pmzs.relations
 from pmzs import cli
 from pmzs.atoms import (
     _fnv1a_64,
+    _folded_atom_vectors,
     _minimal_zero_sum_atom_vectors,
     _span_davenport,
     check_atom_caps,
@@ -46,6 +47,7 @@ from helpers import (
     brute_is_pm_zero_sum,
     brute_subgroup_generated,
     brute_zero_sum_count,
+    clear_process_memos,
     mixed_unfolded_grounds,
     run_fresh,
     small_group_list,
@@ -294,11 +296,69 @@ def test_atom_enumeration_runs_only_the_minimal_zero_sum_search(monkeypatch):
         searched.append((group, folded))
         return search(group, folded)
 
-    pmzs.atoms._folded_atom_vectors.cache_clear()
+    clear_process_memos()
     monkeypatch.setattr(pmzs.atoms, "_minimal_zero_sum_atom_vectors", counting)
     with contextlib.redirect_stdout(io.StringIO()):
         cli.main(["verify", "all-small", *BENCHMARK_CAPS])
-    assert len(set(searched)) == 178  # every folded ground set of the run
+    # one walk per folded ground set of two or more elements, and one per
+    # element order for the one-element sets, which walk {1} in C_ord(g)
+    assert len(searched) == len(set(searched)) == 59
+    singles = {(group, folded) for group, folded in searched if len(folded) == 1}
+    assert singles == {(make_group([group.order]), (1,)) for group, _ in singles}
+
+
+def test_one_element_sets_share_the_atom_list_of_their_order():
+    # the walk over {g} in g's own group, against the list the order key shares
+    clear_process_memos()
+    orders = set()
+    for group in small_group_list(32):
+        for j in range(1, group.order):
+            walked = tuple(_minimal_zero_sum_atom_vectors(group, (j,)))
+            assert _folded_atom_vectors(group, (j,)) == walked, (format_group(group), j)
+            orders.add(group.element_at(j).order())
+    assert pmzs.atoms._cyclic_atom_vectors.cache_info().currsize == len(orders)
+
+
+C2_29 = make_group([2] * 29)
+
+
+@pytest.mark.parametrize("walk_first", [False, True], ids=["refused first", "walked first"])
+@pytest.mark.parametrize(
+    "group, coords, limits, message",
+    [
+        # the same walk over an element of order 2 in C2 builds two 1-byte masks
+        (C2_29, [(0,) * 28 + (1,)], DEFAULT_LIMITS,
+         f"zero-sum walk capped at 67108864 bytes of rotation masks; 1 steps over {C2_29} need 134217728"),
+        (make_group([50]), [(2,)], DEFAULT_LIMITS, "atom length bound 25 exceeds the cap 20 for C50"),
+        (make_group([5]), [(1,), (2,)], Limits(max_support=1), "atom enumeration capped at 1 support elements, got 2"),
+    ],
+    ids=["mask budget", "length cap", "support cap"],
+)
+def test_one_element_refusals_do_not_depend_on_earlier_walks(group, coords, limits, message, walk_first):
+    # the order memo holds the list over {1} in C_ord(g); a set that the
+    # caps or the walk's mask budget refuse stays refused whether or not
+    # the process walked that order before, and before or after the walk
+    clear_process_memos()
+    order = group.element(*coords[0]).order()
+    cyclic = make_group([order])
+
+    def walk():
+        listed = enumerate_atoms(cyclic, [cyclic.element(1)], limits=Limits(max_atom_length=order))
+        assert listed.folded == (((2,),) if order % 2 == 0 else ((2,), (order,)))
+
+    def refuse():
+        with pytest.raises(ResourceLimitError) as refusal:
+            enumerate_atoms(group, [group.element(*c) for c in coords], limits=limits)
+        assert str(refusal.value) == message
+
+    if walk_first:
+        walk()
+        refuse()
+    else:
+        refuse()
+        walk()
+        refuse()
+    assert pmzs.atoms._cyclic_atom_vectors.cache_info().currsize == 1
 
 
 def test_minimal_zero_sum_search_builds_no_addition_table(monkeypatch):

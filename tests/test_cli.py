@@ -258,17 +258,20 @@ def test_refusals_over_huge_groups_build_nothing_of_size_g(argv, message):
 
 
 def test_walk_over_a_huge_group_builds_only_its_own_masks():
-    # the walk over {10^7} builds one pair of 2 * 10^7-bit masks and no
-    # table of |G| entries
-    code, err, _ = run_cli_limited("atoms", "C20000000", "[(10000000)]", memory_mb=256)
+    # the walk over {5 * 10^6, 10^7} builds three pairs of 2 * 10^7-bit
+    # masks and no table of |G| entries (a one-element set walks {1} in
+    # C_ord(g) instead, so the set holds two)
+    code, err, _ = run_cli_limited("atoms", "C20000000", "[(5000000),(10000000)]", memory_mb=256)
     assert code == EXIT_OK and err == "", err
 
 
 def test_walk_builds_a_coordinate_of_large_blocks_in_near_linear_time():
     # the block starts of the second coordinate of C2^25 lie 2^24 bits
     # apart; the pattern is built by doubling shifts, where a long division
-    # of the 2^25-bit mask ran for minutes
-    argv = ("atoms", "x".join(["C2"] * 25), "[(" + ",".join(["0", "1"] + ["0"] * 23) + ")]")
+    # of the 2^25-bit mask ran for minutes (the set holds two elements, so
+    # the walk runs in C2^25 itself)
+    last = ",".join(["0"] * 24 + ["1"])
+    argv = ("atoms", "x".join(["C2"] * 25), "[(" + ",".join(["0", "1"] + ["0"] * 23) + f"),({last})]")
     code, err, seconds = run_cli_limited(*argv, memory_mb=256)
     assert code == EXIT_OK and err == "", err
     assert seconds < 2.0

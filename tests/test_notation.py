@@ -1,5 +1,7 @@
 """Parsing and formatting of the textual and JSON interchange forms."""
 
+from functools import partial
+
 import pytest
 
 from pmzs import DomainError, Sequence, make_group, parse_group, parse_sequence, parse_subset
@@ -28,6 +30,23 @@ def test_parse_group_splits_on_either_case_of_x():
             parse_group(bad)
     with pytest.raises(DomainError, match="^invalid cyclic order 0 in group literal 'C0XC2'$"):
         parse_group("C0XC2")
+
+
+def test_parse_group_reads_unicode_decimal_digits():
+    # a factor's order is any run of decimal digits, as int() reads them
+    assert parse_group("C\u0665") == parse_group("c\uff15") == make_group([5])
+    assert parse_group("C1\u0662 x C\u0664") == make_group([12, 4])
+    for bad in ("C\u00b2", "C\u2155", "C5\u00b2"):  # superscript two and a vulgar fraction are no decimals
+        with pytest.raises(DomainError, match="^unrecognized group literal"):
+            parse_group(bad)
+
+
+def test_parse_group_keeps_one_trailing_newline_per_factor():
+    assert parse_group("C5\n") == make_group([5])
+    assert parse_group("C2\nxC3") == make_group([6])
+    for bad in ("C5\n\n", "C\n5", "\nC5"):
+        with pytest.raises(DomainError, match="^unrecognized group literal"):
+            parse_group(bad)
 
 
 def test_group_format_round_trip():
@@ -103,3 +122,42 @@ def test_json_round_trips():
     subset = parse_subset(g24, "[(0,3),(1,0)]")
     assert subset_to_json(subset) == [[0, 3], [1, 0]]
     assert tuple(g24.element(tuple(c)) for c in subset_to_json(subset)) == subset
+
+
+def test_sequence_literal_spacing_and_unicode_digits():
+    g5 = make_group([5])
+    expected = Sequence.from_items(g5, [(g5.element(1), 2), (g5.element(2), 3)])
+    for literal in ("[(1)^2,(2)^3]", "[ (1) ^ 2 , (2)^ 3 ]", "[(1) ^2, (2) ^\t3,]", "[(1)^\u0662, (2)^\uff13]"):
+        assert parse_sequence(g5, literal) == expected, literal
+    for bad in ("[(1)^]", "[(1) ^ , (2)]", "[(1)^\u00b2]", "[(1)^2 (2)]", "[(1)^2^3]", "[(1),,(2)]", "[((1))]"):
+        with pytest.raises(DomainError, match="^malformed sequence literal"):
+            parse_sequence(g5, bad)
+
+
+def test_subset_terms_split_on_commas_and_whitespace():
+    g8 = make_group([8])
+    assert parse_subset(g8, "[ (1) ,, (3)\n]") == parse_subset(g8, "[(1)(3)]") == parse_subset(g8, "[(1),(3)]")
+    for bad in ("[,]", "[(1);(3)]", "[((1))]", "[(1),(3]", "[(1)),(3)]"):
+        with pytest.raises(DomainError, match="^malformed subset literal"):
+            parse_subset(g8, bad)
+
+
+def test_parsers_call_no_re_function(monkeypatch):
+    import re
+
+    from pmzs import notation
+
+    assert not hasattr(notation, "re")
+    for name in ("compile", "_compile", "match", "fullmatch", "search", "findall", "finditer", "sub", "subn", "split"):
+        monkeypatch.setattr(re, name, lambda *args, name=name, **kwargs: pytest.fail(f"called re.{name}"))
+    g24 = make_group([2, 4])
+    assert parse_group(" c2 X C4\n") == g24
+    assert len(parse_subset(g24, "[(1,0), (0,3)]")) == 2
+    assert len(parse_sequence(g24, "[(1,0)^2, (0,3) ^ 3]")) == 5
+    for parse, literal in ((parse_group, "C2+C4"), (partial(parse_subset, g24), "[(1,0)(]"),
+                           (partial(parse_sequence, g24), "[(1,0)^]")):
+        try:
+            parse(literal)
+        except DomainError:
+            continue
+        pytest.fail(f"accepted {literal!r}")

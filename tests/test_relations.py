@@ -21,11 +21,12 @@ from pmzs import (
 )
 from pmzs.groups import fold_negatives
 from pmzs.limits import Limits
-from pmzs.relations import ZERO_ATOM, Factorizer, delta_of_lengths
+from pmzs.relations import ZERO_ATOM, Factorizer, _LengthDP, delta_of_lengths
 from helpers import (
     atom_matrix,
     brute_factorization_lengths,
     brute_factorizations,
+    clear_process_memos,
     concat,
     gcd_of_length_differences_up_to_3,
     integer_kernel_basis,
@@ -378,10 +379,10 @@ def test_rho_k():
 
 def _rho_over_every_product(atoms, k):
     """The largest length of the products of k folded atoms, every product
-    queried, as the oracle of the early-stopped search."""
-    fz = Factorizer(atoms)
+    queried through a DP of its own, as the oracle of the early-stopped search."""
+    dp = _LengthDP(atoms.folded)
     return max(
-        fz._folded_mask(tuple(map(sum, zip(*combo)))).bit_length() - 1
+        dp.mask(tuple(map(sum, zip(*combo)))).bit_length() - 1
         for combo in combinations_with_replacement(atoms.folded, k)
     )
 
@@ -456,3 +457,43 @@ def test_kernel_oracle_equivalence_spot():
         group, subset = subset_of(spec, literal)
         atoms = enumerate_atoms(group, subset)
         assert min_delta_of_atoms(atoms) == gcd_of_length_differences_up_to_3(atoms.vectors)
+
+
+def test_factorizers_over_one_atom_list_share_one_dp_through_widening():
+    # a long query through one Factorizer widens the shared fields and drops
+    # their memo; short and long queries through a second one still get
+    # the masks of a fresh DP
+    clear_process_memos()
+    group, subset = subset_of("C8", "[(1),(3)]")
+    atoms = enumerate_atoms(group, subset)
+    first, second = Factorizer(atoms), Factorizer(atoms)
+    assert first._dp is second._dp
+    limit = first._dp._field_limit
+    wide = (limit + 2, 6)
+    assert first._folded_mask(wide) == _LengthDP(atoms.folded).mask(wide)
+    assert first._dp._field_limit > limit
+    queries = [(2, 0), (4, 4), (3, 1), (limit + 2, 6), (2 * limit, 2), (0, 2 * limit + 6)]
+    for query in queries:
+        assert second._folded_mask(query) == _LengthDP(atoms.folded).mask(query), query
+    assert Factorizer(enumerate_atoms(group, subset))._dp is first._dp
+
+
+RHO_2_OF_NONZERO = {"C2": 2, "C3": 3, "C2xC2": 3, "C4": 3, "C5": 5, "C6": 4, "C7": 7,
+                    "C2xC2xC2": 4, "C2xC4": 4, "C8": 5}
+
+
+@pytest.mark.parametrize("shared", [False, True], ids=["fresh DPs", "DPs widened first"])
+def test_rho_2_of_every_nonzero_set_with_the_shared_dp(shared):
+    clear_process_memos()
+    groups = small_group_list(8)
+    nonzero = {group: [group.element_at(i) for i in range(1, group.order)] for group in groups}
+    if shared:
+        # square every atom, then widen each DP past its first fields
+        for group in groups:
+            atoms = enumerate_atoms(group, nonzero[group])
+            fz = Factorizer(atoms)
+            for vec in atoms.folded:
+                fz._folded_mask(tuple(2 * c for c in vec))
+            if atoms.folded:
+                fz._folded_mask(tuple(2 * fz._dp._field_limit * c for c in atoms.folded[0]))
+    assert {str(group): rho_k(group, nonzero[group], 2) for group in groups} == RHO_2_OF_NONZERO
